@@ -15,7 +15,7 @@ from .svm import SvmModel, fit_svm
 from .tree import (
     DecisionTreeModel,
     ForestModel,
-    TreeNode,
+    Tree,
     best_split,
     fit_dt,
     fit_et,
@@ -64,10 +64,10 @@ def load_model(path: str | Path) -> TrainedModel:
 
     if kind == "dt":
         model: TrainedModel = DecisionTreeModel(
-            config, classes, n_features, TreeNode.from_dict(params["root"])
+            config, classes, n_features, Tree.from_dict(params["root"])
         )
     elif kind in ("rf", "et"):
-        trees = [TreeNode.from_dict(t) for t in params["trees"]]
+        trees = [Tree.from_dict(t) for t in params["trees"]]
         model = ForestModel(config, classes, n_features, trees, kind=kind)
     elif kind == "gbt":
         chains = [

@@ -6,106 +6,34 @@ import numpy as np
 
 from ..errors import TrainingError
 from .base import ClassifierConfig, TrainedModel
+from .tree import Tree, _scan, grow
 
 
-class RegressionNode:
-    """Regression tree node; leaves store an additive weight."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "weight")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 weight=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.weight = weight
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.weight is not None
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x))
-        for i, row in enumerate(x):
-            node = self
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.weight
-        return out
-
-    def leaves(self) -> list[float]:
-        if self.is_leaf:
-            return [self.weight]
-        return self.left.leaves() + self.right.leaves()
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": float(self.weight)}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RegressionNode":
-        if "weight" in doc:
-            return cls(weight=doc["weight"])
-        return cls(
-            feature=doc["feature"],
-            threshold=doc["threshold"],
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
-
-
-def _leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
-    return -grad_sum / (hess_sum + reg_lambda)
-
-
-def _grow_regression_tree(
-    x: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    config: ClassifierConfig,
-    depth: int,
-) -> RegressionNode:
-    g, h = grad.sum(), hess.sum()
-    if depth >= config.gbt_max_depth or len(grad) < config.min_samples_split:
-        return RegressionNode(weight=_leaf_weight(g, h, config.reg_lambda))
-
-    best = None  # (gain, feature, threshold)
-    n = len(grad)
+def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                 config: ClassifierConfig):
+    """Node rule of a boosting stage: leaf weight -G / (H + lambda), split by
+    the Newton gain on summed gradients and hessians."""
     lam = config.reg_lambda
-    for feat in range(x.shape[1]):
-        order = np.argsort(x[:, feat], kind="stable")
-        xs = x[order, feat]
-        valid = xs[:-1] != xs[1:]
-        if not valid.any():
-            continue
-        gl = np.cumsum(grad[order])[:-1]
-        hl = np.cumsum(hess[order])[:-1]
-        gr, hr = g - gl, h - hl
-        gains = 0.5 * (
-            gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
-        ) - config.reg_gamma
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        gain = gains[i]
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (float(gain), feat, (xs[i] + xs[i + 1]) / 2.0)
-    if best is None:
-        return RegressionNode(weight=_leaf_weight(g, h, config.reg_lambda))
-    _, feat, threshold = best
-    left = x[:, feat] <= threshold
-    return RegressionNode(
-        feature=feat,
-        threshold=threshold,
-        left=_grow_regression_tree(x[left], grad[left], hess[left], config, depth + 1),
-        right=_grow_regression_tree(x[~left], grad[~left], hess[~left], config, depth + 1),
-    )
+
+    def rule(rows, depth):
+        g_node, h_node = grad[rows], hess[rows]
+        g, h = g_node.sum(), h_node.sum()
+        weight = -g / (h + lam)
+        if depth >= config.gbt_max_depth or len(rows) < config.min_samples_split:
+            return weight, None
+
+        def gains_along(order):
+            gl = np.cumsum(g_node[order])[:-1]
+            hl = np.cumsum(h_node[order])[:-1]
+            gr, hr = g - gl, h - hl
+            return 0.5 * (
+                gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
+            ) - config.reg_gamma
+
+        split = _scan(x[rows], range(x.shape[1]), gains_along)
+        return weight, None if split is None else split[:2]
+
+    return rule
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -121,7 +49,7 @@ def _log_loss(y: np.ndarray, raw: np.ndarray) -> float:
 class _BinaryBooster:
     """One logistic boosting chain: base score plus shrunken stage trees."""
 
-    def __init__(self, base_score: float, stages: list[RegressionNode],
+    def __init__(self, base_score: float, stages: list[Tree],
                  learning_rate: float, objective_trace: list[float]):
         self.base_score = base_score
         self.stages = stages
@@ -131,7 +59,7 @@ class _BinaryBooster:
     def raw(self, x: np.ndarray) -> np.ndarray:
         out = np.full(len(x), self.base_score)
         for stage in self.stages:
-            out += self.learning_rate * stage.predict(x)
+            out += self.learning_rate * stage.value[stage.apply(x)]
         return out
 
     def to_dict(self) -> dict:
@@ -145,7 +73,7 @@ class _BinaryBooster:
     def from_dict(cls, doc: dict, learning_rate: float) -> "_BinaryBooster":
         return cls(
             doc["base_score"],
-            [RegressionNode.from_dict(s) for s in doc["stages"]],
+            [Tree.from_dict(s) for s in doc["stages"]],
             learning_rate,
             list(doc["objective_trace"]),
         )
@@ -158,7 +86,7 @@ def _fit_binary_chain(x: np.ndarray, y01: np.ndarray,
     base = float(np.log(pos / (1.0 - pos)))
     raw = np.full(len(y01), base)
 
-    stages: list[RegressionNode] = []
+    stages: list[Tree] = []
     trace: list[float] = []
     complexity = 0.0
     trace.append(_log_loss(y01, raw))
@@ -168,10 +96,10 @@ def _fit_binary_chain(x: np.ndarray, y01: np.ndarray,
         hess = p * (1.0 - p)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             raise TrainingError(f"non-finite gradient at boosting round {t}")
-        tree = _grow_regression_tree(x, grad, hess, config, 0)
+        tree = grow(x, np.arange(len(x)), _newton_rule(x, grad, hess, config))
         stages.append(tree)
-        raw = raw + config.learning_rate * tree.predict(x)
-        leaves = tree.leaves()
+        raw = raw + config.learning_rate * tree.value[tree.apply(x)]
+        leaves = tree.value[tree.left < 0]  # left to right
         complexity += config.reg_gamma * len(leaves)
         complexity += 0.5 * config.reg_lambda * sum(
             (config.learning_rate * w) ** 2 for w in leaves

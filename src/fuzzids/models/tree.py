@@ -1,6 +1,15 @@
-"""Decision tree and the bagged/randomized ensembles built on it."""
+"""One array-backed tree engine for dt/rf/et/gbt, and the tree classifiers.
+
+A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
+scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011). ``grow`` builds every
+tree, classification and regression alike, from a node rule; ``_scan`` is the
+one sorted split search, shared by the impurity criteria and the Newton gain
+of gradient boosting (Chen & Guestrin, KDD 2016).
+"""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -35,10 +44,136 @@ def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     p = counts / np.maximum(totals, 1)
     if kind == "entropy":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, p * np.log2(p, where=p > 0), 0.0)
-        return -terms.sum(axis=1)
+        return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     return 1.0 - (p ** 2).sum(axis=1)
+
+
+class Tree:
+    """Binary tree as parallel arrays over nodes laid out in preorder.
+
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]``: rows with
+    ``x[feature] <= threshold`` go to ``left[i]``, the rest to ``right[i]``.
+    Leaves have ``left == right == -1``. ``value`` holds class counts,
+    shape (n_nodes, n_classes), or a leaf weight, shape (n_nodes,); it is
+    zero at internal nodes.
+    """
+
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value)
+
+    @classmethod
+    def build(cls, root, expand: Callable) -> "Tree":
+        """Lay out nodes in preorder, left subtree first.
+
+        ``expand(state, depth)`` returns ``(value, None)`` for a leaf or
+        ``(value, (feature, threshold, left_state, right_state))`` for a
+        split, whose value is ignored.
+        """
+        feature, threshold, left, right, value = cols = ([], [], [], [], [])
+
+        def visit(state, depth: int) -> int:
+            node = len(feature)
+            val, split = expand(state, depth)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(val if split is None else None)
+            if split is not None:
+                feature[node], threshold[node], left_state, right_state = split
+                left[node] = visit(left_state, depth + 1)
+                right[node] = visit(right_state, depth + 1)
+            return node
+
+        visit(root, 0)
+        zero = np.zeros_like(next(v for v in value if v is not None))
+        value[:] = [zero if v is None else v for v in value]
+        return cls(*cols)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every row, moving all rows down one level at a time."""
+        internal = self.left >= 0
+        node = np.zeros(len(x), dtype=np.int64)
+        active = np.flatnonzero(internal[node])
+        while active.size:
+            at = node[active]
+            go_left = x[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[internal[node[active]]]
+        return node
+
+    def to_dict(self, node: int = 0) -> dict:
+        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` /
+        ``{weight}`` document of the subtree at ``node``."""
+        if self.left[node] < 0:
+            if self.value.ndim == 2:
+                return {"counts": self.value[node].tolist()}
+            return {"weight": float(self.value[node])}
+        return {
+            "feature": int(self.feature[node]),
+            "threshold": float(self.threshold[node]),
+            "left": self.to_dict(self.left[node]),
+            "right": self.to_dict(self.right[node]),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Tree":
+        def expand(doc, depth):
+            if "counts" in doc:
+                return np.asarray(doc["counts"], dtype=np.int64), None
+            if "weight" in doc:
+                return float(doc["weight"]), None
+            return None, (doc["feature"], doc["threshold"], doc["left"], doc["right"])
+
+        return cls.build(doc, expand)
+
+
+def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable) -> Tree:
+    """Grow a tree over ``x[rows]``, depth first, left subtree first.
+
+    ``node_rule(rows, depth)`` returns ``(value, None)`` to make a leaf or
+    ``(value, (feature, threshold))`` to split.
+    """
+
+    def expand(rows, depth):
+        value, split = node_rule(rows, depth)
+        if split is None:
+            return value, None
+        feat, threshold = split
+        left = x[rows, feat] <= threshold
+        return value, (feat, threshold, rows[left], rows[~left])
+
+    return Tree.build(rows, expand)
+
+
+def _scan(x: np.ndarray, candidates, gains_along: Callable):
+    """Best (feature, threshold, gain) over sorted midpoints, or None.
+
+    For each candidate feature, ``gains_along(order)`` gets the stable sort
+    order of the rows and returns the gain of cutting after each of the
+    first n - 1 sorted rows. Thresholds are midpoints between consecutive
+    distinct values. Ties go to the lower feature index, then the lower
+    threshold; a gain must exceed 1e-12.
+    """
+    best = None  # (gain, feature, threshold)
+    for feat in sorted(candidates):
+        order = np.argsort(x[:, feat], kind="stable")
+        xs = x[order, feat]
+        valid = xs[:-1] != xs[1:]
+        if not valid.any():
+            continue
+        gains = np.where(valid, gains_along(order), -np.inf)
+        i = int(np.argmax(gains))  # first max wins: lower threshold on ties
+        gain = gains[i]
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (float(gain), feat, (xs[i] + xs[i + 1]) / 2.0)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
 
 
 def best_split(
@@ -49,11 +184,9 @@ def best_split(
     min_samples_split: int = 2,
     n_classes: int | None = None,
 ) -> tuple[int, float, float] | None:
-    """Exhaustive best (feature, threshold) by impurity decrease.
+    """Exhaustive best (feature, threshold, gain) by impurity decrease.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    Returns None when no split yields positive gain. Ties go to the lower
-    feature index, then the lower threshold.
+    Returns None when no split yields positive gain.
     """
     n = len(y)
     if n < min_samples_split:
@@ -64,32 +197,20 @@ def best_split(
     parent_imp = _impurity_counts(parent_counts, impurity_kind)
     if parent_imp == 0.0:
         return None
+    n_left = np.arange(1, n, dtype=float)
 
-    best = None  # (gain, feature, threshold)
-    for feat in sorted(candidate_features):
-        order = np.argsort(x[:, feat], kind="stable")
-        xs = x[order, feat]
-        ys = y[order]
-        valid = xs[:-1] != xs[1:]
-        if not valid.any():
-            continue
+    def gains_along(order):
         onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
+        onehot[np.arange(n), y[order]] = 1.0
         left_counts = np.cumsum(onehot, axis=0)[:-1]
         right_counts = parent_counts[None, :] - left_counts
-        n_left = np.arange(1, n, dtype=float)
         child = (
             n_left * _impurity_rows(left_counts, impurity_kind)
             + (n - n_left) * _impurity_rows(right_counts, impurity_kind)
         ) / n
-        gains = np.where(valid, parent_imp - child, -np.inf)
-        i = int(np.argmax(gains))  # first max wins: lower threshold on ties
-        gain = gains[i]
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (float(gain), feat, (xs[i] + xs[i + 1]) / 2.0)
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
+        return parent_imp - child
+
+    return _scan(x, candidate_features, gains_along)
 
 
 def _random_cut_split(
@@ -99,14 +220,12 @@ def _random_cut_split(
     impurity_kind: str,
     rng: np.random.Generator,
     n_classes: int,
-) -> tuple[int, float, float] | None:
+) -> tuple[int, float] | None:
     """Extra-trees style split: one uniform random threshold per candidate."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     parent_imp = _impurity_counts(parent_counts, impurity_kind)
-    if parent_imp == 0.0:
-        return None
-    best = None
+    best = None  # (gain, feature, threshold)
     for feat in sorted(candidate_features):
         col = x[:, feat]
         lo, hi = col.min(), col.max()
@@ -125,60 +244,7 @@ def _random_cut_split(
         gain = parent_imp - child
         if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
             best = (gain, feat, float(threshold))
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
-
-
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (class counts)."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 counts=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.counts = counts
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.counts is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": self.counts.tolist()}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        if "counts" in doc:
-            return cls(counts=np.asarray(doc["counts"], dtype=np.int64))
-        return cls(
-            feature=doc["feature"],
-            threshold=doc["threshold"],
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
-
-    def equal(self, other: "TreeNode") -> bool:
-        if self.is_leaf != other.is_leaf:
-            return False
-        if self.is_leaf:
-            return bool(np.array_equal(self.counts, other.counts))
-        return (
-            self.feature == other.feature
-            and self.threshold == other.threshold
-            and self.left.equal(other.left)
-            and self.right.equal(other.right)
-        )
+    return None if best is None else best[1:]
 
 
 def _fallback_split(x: np.ndarray, candidate_features) -> tuple[int, float] | None:
@@ -193,154 +259,110 @@ def _fallback_split(x: np.ndarray, candidate_features) -> tuple[int, float] | No
     return None
 
 
-def _grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    config: ClassifierConfig,
-    n_classes: int,
-    depth: int,
-    rng: np.random.Generator | None,
-    random_cuts: bool,
-) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes)
-    depth_exhausted = config.max_depth is not None and depth >= config.max_depth
-    if (
-        depth_exhausted
-        or len(y) < config.min_samples_split
-        or np.count_nonzero(counts) <= 1
-    ):
-        return TreeNode(counts=counts)
-
+def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
+                rng: np.random.Generator | None, random_cuts: bool) -> Callable:
+    """Node rule of dt/rf/et: leaf class counts, split by impurity decrease."""
     n_features = x.shape[1]
     k = config.n_candidate_features(n_features)
-    if rng is not None and k < n_features:
-        candidates = rng.choice(n_features, size=k, replace=False)
-    else:
-        candidates = range(n_features)
 
-    if random_cuts:
-        split = _random_cut_split(x, y, candidates, config.impurity, rng, n_classes)
-    else:
-        split = best_split(
-            x, y, candidates, config.impurity, config.min_samples_split, n_classes
-        )
-    if split is None:
+    def rule(rows, depth):
+        ys = y[rows]
+        counts = np.bincount(ys, minlength=n_classes)
+        if (
+            (config.max_depth is not None and depth >= config.max_depth)
+            or len(ys) < config.min_samples_split
+            or np.count_nonzero(counts) <= 1
+        ):
+            return counts, None
+        xs = x[rows]
+        if rng is not None and k < n_features:
+            candidates = rng.choice(n_features, size=k, replace=False)
+        else:
+            candidates = range(n_features)
         if random_cuts:
-            return TreeNode(counts=counts)
-        fallback = _fallback_split(x, candidates)
-        if fallback is None:
-            return TreeNode(counts=counts)
-        split = (*fallback, 0.0)
-    feat, threshold, _ = split
-    left = x[:, feat] <= threshold
-    return TreeNode(
-        feature=feat,
-        threshold=threshold,
-        left=_grow_tree(x[left], y[left], config, n_classes, depth + 1, rng, random_cuts),
-        right=_grow_tree(x[~left], y[~left], config, n_classes, depth + 1, rng, random_cuts),
-    )
+            return counts, _random_cut_split(xs, ys, candidates, config.impurity,
+                                             rng, n_classes)
+        split = best_split(xs, ys, candidates, config.impurity,
+                           config.min_samples_split, n_classes)
+        return counts, split[:2] if split else _fallback_split(xs, candidates)
 
-
-def _tree_leaf(node: TreeNode, row: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.counts
+    return rule
 
 
 class DecisionTreeModel(TrainedModel):
     kind = "dt"
 
-    def __init__(self, config, classes, n_features, root: TreeNode):
+    def __init__(self, config, classes, n_features, tree: Tree):
         super().__init__(config, classes, n_features)
-        self.root = root
+        self.tree = tree
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
-        out = np.empty((len(x), len(self.classes)))
-        for i, row in enumerate(x):
-            counts = _tree_leaf(self.root, row)
-            total = counts.sum()
-            out[i] = counts / total if total else 1.0 / len(self.classes)
-        return out
+        counts = self.tree.value
+        totals = counts.sum(axis=1, keepdims=True)
+        proba = np.where(totals > 0, counts / np.maximum(totals, 1),
+                         1.0 / len(self.classes))
+        return proba[self.tree.apply(x)]
 
     def params_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
+        return {"root": self.tree.to_dict()}
 
 
 class ForestModel(TrainedModel):
     """Majority-vote ensemble; scores are vote fractions."""
 
-    def __init__(self, config, classes, n_features, trees: list[TreeNode], kind: str):
+    def __init__(self, config, classes, n_features, trees: list[Tree], kind: str):
         super().__init__(config, classes, n_features)
         self.trees = trees
         self.kind = kind
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
-        k = len(self.classes)
-        votes = np.zeros((len(x), k))
+        votes = np.zeros((len(x), len(self.classes)))
+        rows = np.arange(len(x))
         for tree in self.trees:
-            for i, row in enumerate(x):
-                counts = _tree_leaf(tree, row)
-                votes[i, np.argmax(counts)] += 1.0
+            votes[rows, np.argmax(tree.value, axis=1)[tree.apply(x)]] += 1.0
         return votes / len(self.trees)
 
     def params_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}
 
 
-def _class_index_labels(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    classes = np.unique(y)
-    index = np.searchsorted(classes, y)
-    return classes, index.astype(np.int64)
+def _fit_trees(x, y, config: ClassifierConfig, kind: str) -> TrainedModel:
+    """Grow the dt tree or the rf/et ensemble."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    if len(y) == 0:
+        raise TrainingError("cannot train on an empty dataset")
+    classes, yi = np.unique(y, return_inverse=True)
+    everything = np.arange(len(y))
+    if kind == "dt":
+        rule = _class_rule(x, yi, config, len(classes), None, random_cuts=False)
+        return DecisionTreeModel(config, classes, x.shape[1], grow(x, everything, rule))
+    trees = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng((config.seed, t))
+        rows = everything
+        if kind == "rf" and config.bootstrap:
+            rows = rng.integers(0, len(y), size=len(y))
+        rule = _class_rule(x, yi, config, len(classes), rng, random_cuts=kind == "et")
+        trees.append(grow(x, rows, rule))
+    return ForestModel(config, classes, x.shape[1], trees, kind=kind)
 
 
 def fit_dt(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> DecisionTreeModel:
     """Greedy recursive tree construction on the full feature set."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes, yi = _class_index_labels(y)
-    root = _grow_tree(x, yi, config, len(classes), 0, rng=None, random_cuts=False)
-    return DecisionTreeModel(config, classes, x.shape[1], root)
+    return _fit_trees(x, y, config, "dt")
 
 
 def fit_rf(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> ForestModel:
     """Bootstrap-aggregated trees with random feature candidates per node."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes, yi = _class_index_labels(y)
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng((config.seed, t))
-        if config.bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-            xt, yt = x[idx], yi[idx]
-        else:
-            xt, yt = x, yi
-        trees.append(
-            _grow_tree(xt, yt, config, len(classes), 0, rng=rng, random_cuts=False)
-        )
-    return ForestModel(config, classes, x.shape[1], trees, kind="rf")
+    return _fit_trees(x, y, config, "rf")
 
 
 def fit_et(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> ForestModel:
     """Extra-trees: full sample per tree, uniform random cut per candidate."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes, yi = _class_index_labels(y)
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng((config.seed, t))
-        trees.append(
-            _grow_tree(x, yi, config, len(classes), 0, rng=rng, random_cuts=True)
-        )
-    return ForestModel(config, classes, x.shape[1], trees, kind="et")
+    return _fit_trees(x, y, config, "et")
 
 
 def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
@@ -350,25 +372,26 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
     Used as the tree-ensemble side of fuzzy/ET score fusion.
     """
     totals = np.zeros(n_features)
+    kind = model.config.impurity
 
-    def walk(node: TreeNode):
-        if node.is_leaf:
-            return node.counts
-        lc = walk(node.left)
-        rc = walk(node.right)
+    def walk(tree: Tree, node: int) -> np.ndarray:
+        # post-order: both subtrees before the node, left first
+        if tree.left[node] < 0:
+            return tree.value[node]
+        lc = walk(tree, tree.left[node])
+        rc = walk(tree, tree.right[node])
         counts = lc + rc
         n = counts.sum()
-        kind = model.config.impurity
         gain = _impurity_counts(counts, kind) - (
             lc.sum() * _impurity_counts(lc, kind)
             + rc.sum() * _impurity_counts(rc, kind)
         ) / n
-        totals[node.feature] += n * gain
+        totals[tree.feature[node]] += n * gain
         return counts
 
-    roots = model.trees if isinstance(model, ForestModel) else [model.root]
-    for root in roots:
-        walk(root)
-    totals /= len(roots)
+    trees = model.trees if isinstance(model, ForestModel) else [model.tree]
+    for tree in trees:
+        walk(tree, 0)
+    totals /= len(trees)
     peak = totals.max()
     return totals / peak if peak > 0 else totals

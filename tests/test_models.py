@@ -16,8 +16,20 @@ from fuzzids.models import (
     load_model,
     save_model,
 )
-from fuzzids.models.boosting import _BinaryBooster, RegressionNode
+from fuzzids.models.boosting import _BinaryBooster
+from fuzzids.models.tree import Tree
 from fuzzids.models.svm import svm_objective
+
+
+def tree_depth(tree, node=0):
+    if tree.left[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+def same_tree(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("feature", "threshold", "left", "right", "value"))
 
 
 def separable_1d(n=20):
@@ -108,25 +120,22 @@ class TestDecisionTree:
         x, y = separable_1d()
         model = fit_dt(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
-        assert not model.root.is_leaf and model.root.left.is_leaf
+        tree = model.tree
+        assert tree.left[0] >= 0 and tree.left[tree.left[0]] < 0
 
     def test_four_point_xor(self):
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         model = fit_dt(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
-
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(model.root) == 2
+        assert tree_depth(model.tree) == 2
 
     def test_max_depth_zero_is_majority_leaf(self):
         x, y = separable_1d()
         y = y.copy()
         y[:] = [0] * 15 + [1] * 5
         model = fit_dt(x, y, ClassifierConfig(kind="dt", max_depth=0))
-        assert model.root.is_leaf
+        assert len(model.tree.left) == 1 and model.tree.left[0] < 0
         assert (model.predict(x) == 0).all()
 
     def test_empty_training_set_rejected(self):
@@ -138,6 +147,38 @@ class TestDecisionTree:
         y = rng.integers(0, 3, size=60)
         model = fit_dt(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
+
+
+class TestTreeApply:
+    @staticmethod
+    def walk(tree, row):
+        """Reference: follow one row from the root, ties going left."""
+        node = 0
+        while tree.left[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        return node
+
+    def test_matches_per_row_walk(self, rng):
+        for kind in ("dt", "rf", "et", "gbt"):
+            x = np.round(rng.uniform(size=(80, 3)), 1)
+            y = rng.integers(0, 3, size=80)
+            cfg = ClassifierConfig(kind=kind, n_trees=3, n_rounds=2, seed=4)
+            model = fit_model(x, y, cfg)
+            if kind == "dt":
+                trees = [model.tree]
+            elif kind == "gbt":
+                trees = [stage for chain in model.chains for stage in chain.stages]
+            else:
+                trees = model.trees
+            for tree in trees:
+                internal = np.flatnonzero(tree.left >= 0)
+                # rows sitting exactly on every threshold, on every feature
+                ties = np.tile(tree.threshold[internal][:, None], (1, 3))
+                q = np.vstack([x, rng.uniform(-0.5, 1.5, size=(40, 3)), ties])
+                expected = [self.walk(tree, row) for row in q]
+                assert tree.apply(q).tolist() == expected
+                assert (tree.left[tree.apply(q)] < 0).all()
 
 
 class TestEnsembles:
@@ -160,13 +201,13 @@ class TestEnsembles:
         x, y = xor_clusters(40, seed=2)
         cfg = ClassifierConfig(kind="rf", n_trees=5, seed=11)
         f1, f2 = fit_rf(x, y, cfg), fit_rf(x, y, cfg)
-        assert all(a.equal(b) for a, b in zip(f1.trees, f2.trees))
+        assert all(same_tree(a, b) for a, b in zip(f1.trees, f2.trees))
 
     def test_et_same_seed_identical(self):
         x, y = xor_clusters(40, seed=3)
         cfg = ClassifierConfig(kind="et", n_trees=5, seed=11)
         f1, f2 = fit_et(x, y, cfg), fit_et(x, y, cfg)
-        assert all(a.equal(b) for a, b in zip(f1.trees, f2.trees))
+        assert all(same_tree(a, b) for a, b in zip(f1.trees, f2.trees))
 
     def test_training_accuracy_beats_chance(self, rng):
         for kind in ("rf", "et", "gbt"):
@@ -182,7 +223,7 @@ class TestEnsembles:
 class TestGradientBoosting:
     def test_single_update_rule(self):
         # base 0, one stage predicting +2, learning rate 0.1 -> raw 0.2
-        chain = _BinaryBooster(0.0, [RegressionNode(weight=2.0)], 0.1, [0.0])
+        chain = _BinaryBooster(0.0, [Tree([-1], [0.0], [-1], [-1], [2.0])], 0.1, [0.0])
         assert chain.raw(np.zeros((1, 1)))[0] == pytest.approx(0.2)
 
     def test_zero_learning_rate_predicts_majority(self):
