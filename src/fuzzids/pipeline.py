@@ -90,19 +90,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = yaml.safe_load(fh)
+        except (OSError, yaml.YAMLError) as exc:
+            raise ConfigError(f"cannot read experiment config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(
+                f"experiment config must be a mapping, got {type(doc).__name__}"
+            )
         doc = dict(doc)
-        models = [ClassifierConfig(**m) for m in doc.pop("models", [])]
-        if "split_fractions" in doc:
-            doc["split_fractions"] = tuple(doc["split_fractions"])
-        if "triangular" in doc:
-            doc["triangular"] = tuple(doc["triangular"])
         try:
+            models = [ClassifierConfig(**m) for m in doc.pop("models", [])]
+            if "split_fractions" in doc:
+                doc["split_fractions"] = tuple(doc["split_fractions"])
+            if "triangular" in doc:
+                doc["triangular"] = tuple(doc["triangular"])
             return cls(models=models, **doc)
         except TypeError as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -235,21 +242,22 @@ class RunReport:
 
 def _evaluate(model, x: np.ndarray, y: np.ndarray,
               task: str) -> tuple[MetricsReport, ConfusionMatrix, dict[str, list]]:
-    pred = model.predict(x)
+    scores = model.score(x)
+    # same lowest-class-id tie rule as TrainedModel.predict
+    pred = model.classes[np.argmax(scores, axis=1)]
     n_classes = max(2, int(max(y.max(initial=0), pred.max(initial=0))) + 1)
     cm = confusion(y, pred, n_classes)
     roc: dict[str, list] = {}
     if task == "binary":
         rep = metrics(cm, positive_class=1)
         if 0 < int((y == 1).sum()) < len(y) and 1 in model.classes:
-            scores = model.positive_score(x, positive_class=1)
-            points = roc_curve(y, scores)
+            col = int(np.flatnonzero(model.classes == 1)[0])
+            points = roc_curve(y, scores[:, col])
             rep.roc = points
             rep.auc = auc(points)
             roc["binary"] = points
     else:
         rep = macro_metrics(cm)
-        scores = model.score(x)
         per_class, macro = multiclass_auc(y, scores, model.classes)
         rep.auc_per_class = per_class
         rep.auc = macro

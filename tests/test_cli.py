@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -93,3 +94,36 @@ def test_run_and_report(tmp_path):
                                   "--format", "table"])
     assert result.exit_code == 0
     assert result.output.startswith("model,vector,partition")
+
+
+def _run_config(**overrides):
+    doc = {
+        "train_path": str(DATA / "mini_train.csv"),
+        "test_path": str(DATA / "mini_test.csv"),
+        "schema_path": str(DATA / "mini.yaml"),
+        "models": [{"kind": "dt"}],
+    }
+    doc.update(overrides)
+    return yaml.safe_dump(doc)
+
+
+BAD_CONFIGS = {
+    "model key typo": _run_config(models=[{"kind": "dt", "max_dept": 3}]),
+    "empty file": "",
+    "model not a mapping": _run_config(models=["dt"]),
+    "top-level key typo": _run_config(tesk="binary"),
+    "not a mapping": "- just\n- a list\n",
+    "malformed yaml": "models: [unclosed\n",
+    "missing file": None,
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+def test_run_bad_config_exits_with_config_error(tmp_path, text):
+    config_path = tmp_path / "config.yaml"
+    if text is not None:
+        config_path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
