@@ -3,8 +3,9 @@
 Two runs on the bundled mini corpus, one multiclass with ET-fused ranking
 (``et_weight: 0.5``) over dt/rf/et/gbt, one binary. Each runs in a temporary
 working directory with relative paths, so the bytes do not depend on where
-the checkout lives. ``report.json``, ``metrics_table.csv`` and every
-``models/*.json`` are compared byte for byte with ``tests/golden/``.
+the checkout lives. Every file of the run directory except ``timings.json``
+(reports, states, ranking, models, ROC curves and confusion matrices) is
+compared byte for byte with ``tests/golden/``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py``, and only in a
 change that declares the behaviour change.
@@ -54,8 +55,9 @@ RUNS = {
 
 
 def _artifacts(out_dir: Path) -> list[Path]:
-    return [out_dir / "report.json", out_dir / "metrics_table.csv",
-            *sorted((out_dir / "models").glob("*.json"))]
+    """Every file of a run directory except ``timings.json``, which follows the clock."""
+    return sorted(p for p in out_dir.rglob("*")
+                  if p.is_file() and p.name != "timings.json")
 
 
 def _run(name: str, work_dir: Path) -> Path:
