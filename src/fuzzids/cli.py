@@ -1,25 +1,30 @@
-"""Command-line entry points: ingest, preprocess, select, train, predict, run, report."""
+"""Command-line entry points: ingest, preprocess, select, train, predict, run, report.
+
+``preprocess``, ``select`` and ``train`` take the same config as ``run`` and
+run the pipeline's stages up to their own, writing the same artifacts into
+its ``output_dir``. ``predict`` applies one trained cell of that run to a new
+file with the run's saved encoder and scaler states.
+"""
 
 from __future__ import annotations
 
-import json
+import functools
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .dataset import DatasetSchema, SplitSpec, class_distribution, load_csv
-from .errors import ConfigError, FuzzidsError, LoadError, SchemaError, TrainingError
-from .fuzzy import TriangularParams, fuzzy_importance, select_vectors
-from .models import ClassifierConfig, fit_model, load_model, save_model
-from .pipeline import ExperimentConfig, run_experiment
-from .preprocess import (
-    TransformReport,
-    encode_categorical,
-    fit_encoder,
-    fit_scaler,
-    transform,
+from .dataset import DatasetSchema, class_distribution, load_csv
+from .errors import FuzzidsError, LoadError, SchemaError, TrainingError
+from .pipeline import (
+    ExperimentConfig,
+    fit_cells,
+    load_partitions,
+    predict_file,
+    preprocess_partitions,
+    rank_features,
+    run_experiment,
+    write_json,
 )
 
 EXIT_CONFIG_ERROR = 1
@@ -35,86 +40,27 @@ def _exit_code(exc: FuzzidsError) -> int:
     return EXIT_CONFIG_ERROR
 
 
-def _fail(exc: FuzzidsError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_exit_code(exc))
+def _typed_errors(command):
+    """Report a package error as ``error: ...`` and exit with its code."""
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except FuzzidsError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_exit_code(exc))
+    return wrapper
 
 
-def _write_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _config_option(command):
+    return click.option("--config", "config_path", required=True,
+                        type=click.Path(), help="experiment config, as for run")(command)
 
 
-def _load_preprocessed(data_path: str, schema_path: str):
-    schema = DatasetSchema.from_file(schema_path)
-    ds = load_csv(data_path, schema)
-    encoder = fit_encoder(ds)
-    ds = encode_categorical(encoder, ds)
-    scaler = fit_scaler(ds)
-    return transform(scaler, ds)
-
-
-@click.group()
-def main():
-    """Fuzzy-logic feature selection IDS toolkit."""
-
-
-@main.command()
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--schema", "schema_path", required=True, type=click.Path())
-@click.option("--report", "report_path", required=True, type=click.Path())
-def ingest(data_path, schema_path, report_path):
-    """Load a dataset and emit a class-distribution report."""
-    try:
-        schema = DatasetSchema.from_file(schema_path)
-        ds = load_csv(data_path, schema)
-        dist = class_distribution(ds)
-        _write_json(report_path, {
-            "dataset": schema.name,
-            "rows": len(ds),
-            "class_distribution": {
-                schema.decode_label(k): v for k, v in sorted(dist.items())
-            },
-        })
-        click.echo(f"loaded {len(ds)} rows from {data_path}")
-    except FuzzidsError as exc:
-        _fail(exc)
-
-
-@main.command()
-@click.option("--train", "train_path", required=True, type=click.Path())
-@click.option("--apply", "apply_paths", multiple=True, type=click.Path())
-@click.option("--schema", "schema_path", required=True, type=click.Path())
-@click.option("--out-dir", required=True, type=click.Path())
-def preprocess(train_path, apply_paths, schema_path, out_dir):
-    """Fit scaler/encoder on the training file and transform all partitions."""
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        schema = DatasetSchema.from_file(schema_path)
-        train = load_csv(train_path, schema)
-        encoder = fit_encoder(train)
-        train_enc = encode_categorical(encoder, train)
-        scaler = fit_scaler(train_enc)
-        _write_json(out / "scaler_state.json", scaler.to_dict())
-        _write_json(out / "encoder_state.json", encoder.to_dict())
-
-        reports = {}
-        for path in (train_path, *apply_paths):
-            name = Path(path).stem
-            report = TransformReport()
-            ds = load_csv(path, schema)
-            ds = transform(scaler, encode_categorical(encoder, ds, report), report)
-            _save_matrix_csv(out / f"{name}_scaled.csv", ds)
-            reports[name] = {
-                "clamped_cells": report.clamped_cells,
-                "unseen_categories": report.unseen_categories,
-            }
-        _write_json(out / "transform_report.json", reports)
-        click.echo(f"wrote scaled partitions to {out}")
-    except FuzzidsError as exc:
-        _fail(exc)
+def _scaled(config: ExperimentConfig):
+    """Stages 1 and 2: the scaled partitions and their transform reports."""
+    timings: dict[str, float] = {}
+    return preprocess_partitions(config, load_partitions(config, timings), timings)
 
 
 def _save_matrix_csv(path: Path, ds) -> None:
@@ -126,113 +72,96 @@ def _save_matrix_csv(path: Path, ds) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-@main.command()
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--schema", "schema_path", required=True, type=click.Path())
-@click.option("--params", default="0,0.5,1", help="a,b,c of the membership triangle")
-@click.option("--lengths", required=True, help="comma-separated vector lengths")
-@click.option("--names", required=True, help="comma-separated vector names")
-@click.option("--et-weight", type=float, default=1.0)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def select(data_path, schema_path, params, lengths, names, et_weight, out_path):
-    """Rank features by fuzzy importance and emit named vectors."""
-    try:
-        ds = _load_preprocessed(data_path, schema_path)
-        a, b, c = (float(v) for v in params.split(","))
-        ranking = fuzzy_importance(ds, TriangularParams(a, b, c))
-        if et_weight < 1.0:
-            from .models import fit_et, mean_impurity_decrease
-            from .fuzzy import fuse_with_et_importance
-
-            et_model = fit_et(ds.numeric_features(), ds.labels,
-                              ClassifierConfig(kind="et", n_trees=50))
-            et_scores = mean_impurity_decrease(et_model, ds.n_features)
-            ranking = fuse_with_et_importance(ranking, et_scores, et_weight)
-        length_list = [int(v) for v in lengths.split(",")]
-        name_list = names.split(",")
-        vectors = select_vectors(ranking, length_list, name_list)
-        feature_names = ds.schema.feature_names
-        _write_json(out_path, {
-            "scores": [float(s) for s in ranking.scores],
-            "order": [int(i) for i in ranking.order],
-            "et_weight": ranking.et_weight,
-            "vectors": {
-                v.name: [feature_names[i] for i in v.indices] for v in vectors
-            },
-        })
-        click.echo(f"wrote ranking and {len(vectors)} vectors to {out_path}")
-    except FuzzidsError as exc:
-        _fail(exc)
+@click.group()
+def main():
+    """Fuzzy-logic feature selection IDS toolkit."""
 
 
 @main.command()
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--schema", "schema_path", required=True, type=click.Path())
-@click.option("--vector", default=None,
-              help="comma-separated feature indices; all features if omitted")
-@click.option("--model", "kind", required=True,
-              type=click.Choice(["dt", "rf", "et", "gbt", "nb", "svm"]))
-@click.option("--config", "config_path", default=None, type=click.Path(),
-              help="JSON/YAML file of extra ClassifierConfig fields")
-@click.option("--out", "out_path", required=True, type=click.Path())
-def train(data_path, schema_path, vector, kind, config_path, out_path):
-    """Train one classifier on (optionally projected) scaled features."""
-    try:
-        ds = _load_preprocessed(data_path, schema_path)
-        overrides = {}
-        if config_path:
-            import yaml
-
-            with open(config_path, "r", encoding="utf-8") as fh:
-                overrides = yaml.safe_load(fh) or {}
-        cfg = ClassifierConfig(kind=kind, **overrides)
-        x = ds.numeric_features()
-        if vector:
-            cols = [int(v) for v in vector.split(",")]
-            x = x[:, cols]
-        model = fit_model(x, ds.labels, cfg)
-        save_model(model, out_path)
-        click.echo(f"trained {kind} on {len(ds)} rows; model saved to {out_path}")
-    except FuzzidsError as exc:
-        _fail(exc)
+@click.option("--report", "report_path", required=True, type=click.Path())
+@_typed_errors
+def ingest(data_path, schema_path, report_path):
+    """Load a dataset and emit a class-distribution report."""
+    schema = DatasetSchema.from_file(schema_path)
+    ds = load_csv(data_path, schema)
+    dist = class_distribution(ds)
+    write_json(report_path, {
+        "dataset": schema.name,
+        "rows": len(ds),
+        "class_distribution": {
+            schema.decode_label(k): v for k, v in sorted(dist.items())
+        },
+    })
+    click.echo(f"loaded {len(ds)} rows from {data_path}")
 
 
 @main.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_config_option
+@_typed_errors
+def preprocess(config_path):
+    """Fit encoder and scaler on the train partition; save states and scaled partitions."""
+    config = ExperimentConfig.from_file(config_path)
+    scaled, reports = _scaled(config)
+    out = Path(config.output_dir)
+    for name, ds in scaled.items():
+        _save_matrix_csv(out / f"{name}_scaled.csv", ds)
+    write_json(out / "transform_report.json",
+               {name: r.to_dict() for name, r in reports.items()})
+    click.echo(f"wrote states and scaled partitions to {out}")
+
+
+@main.command()
+@_config_option
+@_typed_errors
+def select(config_path):
+    """Rank features on the train partition and save ranking.json."""
+    config = ExperimentConfig.from_file(config_path)
+    _, vectors = rank_features(config, _scaled(config)[0]["train"], {})
+    click.echo(f"wrote ranking and {len(vectors)} vectors to {config.output_dir}")
+
+
+@main.command()
+@_config_option
+@_typed_errors
+def train(config_path):
+    """Fit and save every (model, vector) cell of the config under models/."""
+    config = ExperimentConfig.from_file(config_path)
+    train_part = _scaled(config)[0]["train"]
+    _, vectors = rank_features(config, train_part, {})
+    n_cells = sum(1 for _ in fit_cells(config, train_part, vectors))
+    click.echo(f"trained {n_cells} cells; models saved to {config.output_dir}/models")
+
+
+@main.command()
+@_config_option
+@click.option("--model", "model_name", required=True,
+              help="model name in the run, e.g. dt, or dt2 for a second dt")
+@click.option("--vector", "vector_name", required=True, help="vector name, e.g. v1")
 @click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--schema", "schema_path", required=True, type=click.Path())
-@click.option("--vector", default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def predict(model_path, data_path, schema_path, vector, out_path):
-    """Predict labels for a dataset with a saved model."""
-    try:
-        model = load_model(model_path)
-        ds = _load_preprocessed(data_path, schema_path)
-        x = ds.numeric_features()
-        if vector:
-            cols = [int(v) for v in vector.split(",")]
-            x = x[:, cols]
-        labels = model.predict(x)
-        Path(out_path).write_text(
-            "\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8"
-        )
-        click.echo(f"wrote {len(labels)} predictions to {out_path}")
-    except FuzzidsError as exc:
-        _fail(exc)
+@_typed_errors
+def predict(config_path, model_name, vector_name, data_path, out_path):
+    """Predict labels for a file with one trained cell and the run's saved states."""
+    config = ExperimentConfig.from_file(config_path)
+    labels = predict_file(config, model_name, vector_name, data_path)
+    Path(out_path).write_text(
+        "\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8"
+    )
+    click.echo(f"wrote {len(labels)} predictions to {out_path}")
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
+@_config_option
+@_typed_errors
 def run(config_path):
     """Run the full experiment described by a config file."""
-    try:
-        config = ExperimentConfig.from_file(config_path)
-        report = run_experiment(config)
-        click.echo(
-            f"run complete: {len(report.cells)} cells written to {config.output_dir}"
-        )
-    except FuzzidsError as exc:
-        _fail(exc)
+    config = ExperimentConfig.from_file(config_path)
+    report = run_experiment(config)
+    click.echo(
+        f"run complete: {len(report.cells)} cells written to {config.output_dir}"
+    )
 
 
 @main.command()

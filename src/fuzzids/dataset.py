@@ -60,8 +60,15 @@ class DatasetSchema:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DatasetSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = yaml.safe_load(fh)
+        except (OSError, ValueError, yaml.YAMLError) as exc:
+            raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SchemaError(
+                f"schema file {path} must be a mapping, got {type(doc).__name__}"
+            )
         try:
             columns = tuple(
                 (name, kind) for name, kind in zip(doc["columns"], doc["kinds"])
@@ -76,6 +83,8 @@ class DatasetSchema:
             )
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"malformed schema file {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -157,9 +166,7 @@ class SplitSpec:
 def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     """Load a comma-delimited file with header, typing columns per schema.
 
-    Header may be in any order; the row is permuted to schema order and the
-    match is recorded on the returned dataset's load report (see
-    ``last_load_report``).
+    Header may be in any order; the row is permuted to schema order.
     """
     path = Path(path)
     if not path.exists():
@@ -231,25 +238,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     features = np.empty((len(rows), n_feat), dtype=object)
     for i, row in enumerate(rows):
         features[i, :] = row
-    ds = LabeledDataset(schema, features, np.asarray(labels, dtype=np.int64))
-    report = {
-        "path": str(path),
-        "rows": len(ds),
-        "header_reordered": header != schema_cols,
-        "class_distribution": {
-            schema.decode_label(k): v for k, v in class_distribution(ds).items()
-        },
-    }
-    _LOAD_REPORTS[id(ds)] = report
-    return ds
-
-
-# Keyed by dataset identity; purely informational.
-_LOAD_REPORTS: dict[int, dict] = {}
-
-
-def last_load_report(ds: LabeledDataset) -> dict | None:
-    return _LOAD_REPORTS.get(id(ds))
+    return LabeledDataset(schema, features, np.asarray(labels, dtype=np.int64))
 
 
 def class_distribution(ds: LabeledDataset) -> dict[int, int]:

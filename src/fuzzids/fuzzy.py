@@ -46,6 +46,11 @@ class FeatureRanking:
             "et_weight": self.et_weight,
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "FeatureRanking":
+        return cls(np.asarray(doc["scores"], dtype=float),
+                   np.asarray(doc["order"], dtype=np.int64), doc["et_weight"])
+
 
 @dataclass(frozen=True)
 class FeatureVectorSpec:
@@ -88,24 +93,11 @@ def _rank(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def fuzzy_importance(
-    ds: LabeledDataset, p: TriangularParams, literal_accumulation: bool = False
-) -> FeatureRanking:
-    """Score each feature as the sum of its samples' membership degrees.
-
-    ``literal_accumulation`` is an audit mode that accrues the same total
-    into every feature's score (making all scores equal); it exists only to
-    demonstrate why the per-feature reading is the meaningful one.
-    """
+def fuzzy_importance(ds: LabeledDataset, p: TriangularParams) -> FeatureRanking:
+    """Score each feature as the sum of its samples' membership degrees."""
     if len(ds) == 0:
         raise SchemaError("cannot score features of an empty dataset")
-    x = ds.numeric_features()
-    mu = triangular_membership(x, p)
-    if literal_accumulation:
-        total = float(mu.sum())
-        scores = np.full(ds.n_features, total)
-    else:
-        scores = mu.sum(axis=0)
+    scores = triangular_membership(ds.numeric_features(), p).sum(axis=0)
     return FeatureRanking(scores=scores, order=_rank(scores))
 
 

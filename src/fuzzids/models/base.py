@@ -130,6 +130,12 @@ class TrainedModel:
     def params_dict(self) -> dict:
         raise NotImplementedError
 
+    @classmethod
+    def from_params(cls, config: ClassifierConfig, classes: np.ndarray,
+                    n_features: int, params: dict) -> "TrainedModel":
+        """Inverse of ``params_dict``; ``load_model`` restores the flags."""
+        raise NotImplementedError
+
     def to_dict(self) -> dict:
         return {
             "version": SERIALIZATION_VERSION,

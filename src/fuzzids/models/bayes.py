@@ -66,6 +66,16 @@ class NaiveBayesModel(TrainedModel):
             "n_values": [int(v) for v in n_values],
         }
 
+    @classmethod
+    def from_params(cls, config, classes, n_features, params):
+        if config.nb_variant == "gaussian":
+            nb_params = (np.asarray(params["means"]), np.asarray(params["variances"]))
+        else:
+            nb_params = ([np.asarray(lp) for lp in params["log_probs"]],
+                         np.asarray(params["n_values"], dtype=np.int64))
+        return cls(config, classes, n_features, np.asarray(params["log_priors"]),
+                   nb_params)
+
 
 def fit_nb(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> NaiveBayesModel:
     """Estimate priors N_k / N and per-class likelihood parameters."""

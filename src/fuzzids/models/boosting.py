@@ -138,6 +138,12 @@ class GradientBoostedModel(TrainedModel):
     def params_dict(self) -> dict:
         return {"chains": [c.to_dict() for c in self.chains]}
 
+    @classmethod
+    def from_params(cls, config, classes, n_features, params):
+        chains = [_BinaryBooster.from_dict(c, config.learning_rate)
+                  for c in params["chains"]]
+        return cls(config, classes, n_features, chains)
+
 
 def fit_gbt(x: np.ndarray, y: np.ndarray,
             config: ClassifierConfig) -> GradientBoostedModel:

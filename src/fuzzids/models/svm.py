@@ -11,11 +11,6 @@ _INITIAL_STEP = 0.1
 _MAX_BACKTRACKS = 40
 
 
-def linear_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The only kernel that ships; extension point for others."""
-    return u @ v
-
-
 def svm_objective(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray,
                   c: float) -> float:
     """Primal objective: (1/2)||w||^2 + C * sum of hinge losses."""
@@ -100,6 +95,12 @@ class SvmModel(TrainedModel):
             "biases": self.biases.tolist(),
             "objective_traces": [list(t) for t in self.objective_traces],
         }
+
+    @classmethod
+    def from_params(cls, config, classes, n_features, params):
+        # a saved non_converged flag comes back with the other flags
+        return cls(config, classes, n_features, params["weights"],
+                   params["biases"], params["objective_traces"], converged=True)
 
 
 def fit_svm(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> SvmModel:

@@ -307,6 +307,10 @@ class DecisionTreeModel(TrainedModel):
     def params_dict(self) -> dict:
         return {"root": self.tree.to_dict()}
 
+    @classmethod
+    def from_params(cls, config, classes, n_features, params):
+        return cls(config, classes, n_features, Tree.from_dict(params["root"]))
+
 
 class ForestModel(TrainedModel):
     """Majority-vote ensemble; scores are vote fractions."""
@@ -326,6 +330,11 @@ class ForestModel(TrainedModel):
 
     def params_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}
+
+    @classmethod
+    def from_params(cls, config, classes, n_features, params):
+        trees = [Tree.from_dict(t) for t in params["trees"]]
+        return cls(config, classes, n_features, trees, kind=config.kind)
 
 
 def _fit_trees(x, y, config: ClassifierConfig, kind: str) -> TrainedModel:

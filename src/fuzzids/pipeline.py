@@ -1,4 +1,9 @@
-"""End-to-end experiment orchestration: ingest, split, scale, select, train, report."""
+"""End-to-end experiment orchestration: ingest, split, scale, select, train, report.
+
+``run_experiment`` calls five stage functions in order; the stage-by-stage
+CLI commands run the same functions up to their own stage, and
+``predict_file`` applies a saved cell with the run's saved states.
+"""
 
 from __future__ import annotations
 
@@ -12,39 +17,16 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dataset import (
-    DatasetSchema,
-    LabeledDataset,
-    SplitSpec,
-    load_csv,
-    stratified_split,
-)
-from .errors import ConfigError, SchemaError
-from .evaluate import (
-    ConfusionMatrix,
-    MetricsReport,
-    confusion,
-    macro_metrics,
-    metrics,
-    multiclass_auc,
-    auc,
-    roc_curve,
-)
-from .fuzzy import (
-    FeatureVectorSpec,
-    TriangularParams,
-    fuse_with_et_importance,
-    fuzzy_importance,
-    select_vectors,
-)
-from .models import ClassifierConfig, fit_et, fit_model, mean_impurity_decrease, save_model
-from .preprocess import (
-    TransformReport,
-    encode_categorical,
-    fit_encoder,
-    fit_scaler,
-    transform,
-)
+from .dataset import DatasetSchema, LabeledDataset, SplitSpec, load_csv, stratified_split
+from .errors import ConfigError
+from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
+                       metrics, multiclass_auc, roc_curve)
+from .fuzzy import (FeatureRanking, FeatureVectorSpec, TriangularParams,
+                    fuse_with_et_importance, fuzzy_importance, select_vectors)
+from .models import (ClassifierConfig, fit_et, fit_model, load_model,
+                     mean_impurity_decrease, save_model)
+from .preprocess import (CategoricalEncoderState, ScalerState, TransformReport,
+                         encode_categorical, fit_encoder, fit_scaler, transform)
 
 # Default vector lengths per (dataset schema name, task), with the usual
 # v/g vector naming.
@@ -240,9 +222,10 @@ class RunReport:
         }
 
 
-def _evaluate(model, x: np.ndarray, y: np.ndarray,
+def _evaluate(model, ds: LabeledDataset, cols: list[int],
               task: str) -> tuple[MetricsReport, ConfusionMatrix, dict[str, list]]:
-    scores = model.score(x)
+    y = ds.labels
+    scores = model.score(ds.numeric_features()[:, cols])
     # same lowest-class-id tie rule as TrainedModel.predict
     pred = model.classes[np.argmax(scores, axis=1)]
     n_classes = max(2, int(max(y.max(initial=0), pred.max(initial=0))) + 1)
@@ -268,12 +251,10 @@ def _evaluate(model, x: np.ndarray, y: np.ndarray,
     return rep, cm, roc
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Execute the full protocol and persist all stage artifacts."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timings: dict[str, float] = {}
-
+def load_partitions(config: ExperimentConfig,
+                    timings: dict[str, float]) -> dict[str, LabeledDataset]:
+    """Stage 1: ingest both files, map labels for a binary task and split the
+    training file into train and validation."""
     t0 = time.perf_counter()
     schema = DatasetSchema.from_file(config.schema_path)
     full_train = load_csv(config.train_path, schema)
@@ -282,97 +263,158 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     if config.task == "binary":
         bin_schema = _binary_schema(schema)
-        full_train = full_train.with_labels(
-            binary_mapping(full_train.labels, schema, config.binary_rule), bin_schema
-        )
-        test = test.with_labels(
-            binary_mapping(test.labels, schema, config.binary_rule), bin_schema
-        )
+        full_train, test = [
+            ds.with_labels(binary_mapping(ds.labels, schema, config.binary_rule), bin_schema)
+            for ds in (full_train, test)
+        ]
 
     t0 = time.perf_counter()
     split = SplitSpec(config.split_fractions, seed=config.seed,
                       stratified=config.stratified)
     train, val = stratified_split(full_train, split)
     timings["split"] = time.perf_counter() - t0
+    return {"train": train, "validation": val, "test": test}
 
+
+def preprocess_partitions(
+    config: ExperimentConfig, parts: dict[str, LabeledDataset],
+    timings: dict[str, float],
+) -> tuple[dict[str, LabeledDataset], dict[str, TransformReport]]:
+    """Stage 2: fit the encoder and scaler on the train partition only, apply
+    them to every partition and save both states."""
     t0 = time.perf_counter()
-    encoder = fit_encoder(train)
-    reports = {name: TransformReport() for name in ("train", "validation", "test")}
-    train_enc = encode_categorical(encoder, train, reports["train"])
-    val_enc = encode_categorical(encoder, val, reports["validation"])
-    test_enc = encode_categorical(encoder, test, reports["test"])
-    scaler = fit_scaler(train_enc)
-    train_s = transform(scaler, train_enc, reports["train"])
-    val_s = transform(scaler, val_enc, reports["validation"])
-    test_s = transform(scaler, test_enc, reports["test"])
+    encoder = fit_encoder(parts["train"])
+    reports = {name: TransformReport() for name in parts}
+    encoded = {name: encode_categorical(encoder, ds, reports[name])
+               for name, ds in parts.items()}
+    scaler = fit_scaler(encoded["train"])
+    scaled = {name: transform(scaler, ds, reports[name])
+              for name, ds in encoded.items()}
     timings["preprocess"] = time.perf_counter() - t0
-    _write_json(out_dir / "scaler_state.json", scaler.to_dict())
-    _write_json(out_dir / "encoder_state.json", encoder.to_dict())
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "scaler_state.json", scaler.to_dict())
+    write_json(out_dir / "encoder_state.json", encoder.to_dict())
+    return scaled, reports
 
+
+def vector_layout(config: ExperimentConfig,
+                  schema: DatasetSchema) -> tuple[list[str], list[int]]:
+    """Names and lengths of the nested vectors: the config's, else the
+    dataset's default, else one vector of every feature."""
+    if config.vector_names is not None:
+        return config.vector_names, config.vector_lengths
+    n_features = len(schema.feature_columns)
+    key = (schema.name, config.task)
+    if key in DEFAULT_VECTORS:
+        names, lengths = DEFAULT_VECTORS[key]
+        return names, [min(l, n_features) for l in lengths]
+    return ["v1"], [n_features]
+
+
+def rank_features(
+    config: ExperimentConfig, train: LabeledDataset, timings: dict[str, float],
+) -> tuple[FeatureRanking, list[FeatureVectorSpec]]:
+    """Stage 3: rank the features of the scaled train partition (fused with ET
+    importance seeded by ``config.seed`` when ``et_weight < 1``), cut the
+    vectors and save the ranking."""
     t0 = time.perf_counter()
-    params = TriangularParams(*config.triangular)
-    ranking = fuzzy_importance(train_s, params)
+    ranking = fuzzy_importance(train, TriangularParams(*config.triangular))
     if config.et_weight < 1.0:
         et_cfg = ClassifierConfig(kind="et", seed=config.seed, n_trees=50)
-        et_model = fit_et(train_s.numeric_features(), train_s.labels, et_cfg)
-        et_scores = mean_impurity_decrease(et_model, train_s.n_features)
+        et_model = fit_et(train.numeric_features(), train.labels, et_cfg)
+        et_scores = mean_impurity_decrease(et_model, train.n_features)
         ranking = fuse_with_et_importance(ranking, et_scores, config.et_weight)
-    names, lengths = config.vector_names, config.vector_lengths
-    if names is None:
-        key = (schema.name, config.task)
-        if key in DEFAULT_VECTORS:
-            names, lengths = DEFAULT_VECTORS[key]
-            lengths = [min(l, train_s.n_features) for l in lengths]
-        else:
-            names, lengths = ["v1"], [train_s.n_features]
+    names, lengths = vector_layout(config, train.schema)
     vectors = select_vectors(ranking, lengths, names)
     timings["select"] = time.perf_counter() - t0
-    _write_json(out_dir / "ranking.json", ranking.to_dict())
+    write_json(Path(config.output_dir) / "ranking.json", ranking.to_dict())
+    return ranking, vectors
 
-    models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
-    cells: list[CellResult] = []
-    model_names = _unique_model_names(config.models)
-    for model_name, model_cfg in zip(model_names, config.models):
+
+def fit_cells(config: ExperimentConfig, train: LabeledDataset,
+              vectors: list[FeatureVectorSpec]):
+    """Stage 4: fit and save each (model, vector) cell in turn.
+
+    Yields ``(model name, vector, model)`` after each save, so a caller can
+    evaluate one cell before the next is fitted.
+    """
+    models_dir = Path(config.output_dir) / "models"
+    models_dir.mkdir(parents=True, exist_ok=True)
+    for model_name, model_cfg in zip(_unique_model_names(config.models), config.models):
         for vec in vectors:
-            t0 = time.perf_counter()
-            cols = list(vec.indices)
-            x_train = train_s.numeric_features()[:, cols]
-            model = fit_model(x_train, train_s.labels, model_cfg)
+            x_train = train.numeric_features()[:, list(vec.indices)]
+            model = fit_model(x_train, train.labels, model_cfg)
             save_model(model, models_dir / f"{model_name}_{vec.name}.json")
-            val_rep, val_cm, val_roc = _evaluate(
-                model, val_s.numeric_features()[:, cols], val_s.labels, config.task
-            )
-            test_rep, test_cm, test_roc = _evaluate(
-                model, test_s.numeric_features()[:, cols], test_s.labels, config.task
-            )
-            cells.append(CellResult(model_name, vec.name, val_rep, test_rep,
-                                    val_cm, test_cm, val_roc, test_roc))
-            timings[f"cell/{model_name}/{vec.name}"] = time.perf_counter() - t0
+            yield model_name, vec, model
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    """Execute the full protocol, stages 1 to 5 in order, and persist every artifact."""
+    timings: dict[str, float] = {}
+    scaled, reports = preprocess_partitions(
+        config, load_partitions(config, timings), timings
+    )
+    ranking, vectors = rank_features(config, scaled["train"], timings)
+
+    cells: list[CellResult] = []
+    t0 = time.perf_counter()
+    for model_name, vec, model in fit_cells(config, scaled["train"], vectors):
+        # stage 5, per cell: score validation and test
+        cols = list(vec.indices)
+        val_rep, val_cm, val_roc = _evaluate(model, scaled["validation"], cols, config.task)
+        test_rep, test_cm, test_roc = _evaluate(model, scaled["test"], cols, config.task)
+        cells.append(CellResult(model_name, vec.name, val_rep, test_rep,
+                                val_cm, test_cm, val_roc, test_roc))
+        # a cell's time covers its fit and save in fit_cells and its evaluation
+        timings[f"cell/{model_name}/{vec.name}"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
 
     report = RunReport(
         config=config,
         vectors=vectors,
-        feature_names=train.schema.feature_names,
+        feature_names=scaled["train"].schema.feature_names,
         ranking_scores=[float(s) for s in ranking.scores],
         ranking_order=[int(i) for i in ranking.order],
         cells=cells,
-        transform_reports={
-            name: {
-                "clamped_cells": r.clamped_cells,
-                "unseen_categories": r.unseen_categories,
-            }
-            for name, r in reports.items()
-        },
-        split_counts={
-            "train": _counts_by_class(train),
-            "validation": _counts_by_class(val),
-            "test": _counts_by_class(test),
-        },
+        transform_reports={name: r.to_dict() for name, r in reports.items()},
+        split_counts={name: _counts_by_class(ds) for name, ds in scaled.items()},
         timings=timings,
     )
-    emit_report(report, out_dir)
+    emit_report(report, config.output_dir)
     return report
+
+
+def predict_file(config: ExperimentConfig, model_name: str, vector_name: str,
+                 data_path: str | Path) -> np.ndarray:
+    """Predict a new file with one saved cell of the run in ``config.output_dir``.
+
+    The run's saved encoder and scaler states and its ranking are applied as
+    they were fitted on its train partition; nothing is refit.
+    """
+    schema = DatasetSchema.from_file(config.schema_path)
+    names, lengths = vector_layout(config, schema)
+    model_names = _unique_model_names(config.models)
+    if model_name not in model_names:
+        raise ConfigError(f"model '{model_name}' not in the config (have {model_names})")
+    if vector_name not in names:
+        raise ConfigError(f"vector '{vector_name}' not in the config (have {names})")
+    out_dir = Path(config.output_dir)
+    encoder = _load_state(out_dir / "encoder_state.json", CategoricalEncoderState)
+    scaler = _load_state(out_dir / "scaler_state.json", ScalerState)
+    ranking = _load_state(out_dir / "ranking.json", FeatureRanking)
+    vec = select_vectors(ranking, lengths, names)[names.index(vector_name)]
+    model = load_model(out_dir / "models" / f"{model_name}_{vector_name}.json")
+    ds = transform(scaler, encode_categorical(encoder, load_csv(data_path, schema)))
+    return model.predict(ds.numeric_features()[:, list(vec.indices)])
+
+
+def _load_state(path: Path, cls):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load {path.name} of the run: {exc}") from exc
 
 
 def _counts_by_class(ds: LabeledDataset) -> dict:
@@ -389,7 +431,7 @@ def _unique_model_names(models: list[ClassifierConfig]) -> list[str]:
     return names
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def write_json(path: str | Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -402,11 +444,11 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
 
     path = out_dir / "report.json"
-    _write_json(path, report.to_dict())
+    write_json(path, report.to_dict())
     written.append(path)
 
     path = out_dir / "timings.json"
-    _write_json(path, {"timings": report.timings})
+    write_json(path, {"timings": report.timings})
     written.append(path)
 
     # metrics table, one row per (cell, partition)
@@ -448,7 +490,7 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
         written.append(path)
 
         path = cm_dir / f"{stem}.json"
-        _write_json(path, {
+        write_json(path, {
             "validation": cell.val_cm.to_dict(),
             "test": cell.test_cm.to_dict(),
         })

@@ -80,6 +80,12 @@ class TransformReport:
     unseen_categories: int = 0
     unseen_values: dict[str, int] = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        return {
+            "clamped_cells": self.clamped_cells,
+            "unseen_categories": self.unseen_categories,
+        }
+
 
 def fit_encoder(train: LabeledDataset) -> CategoricalEncoderState:
     """Build ordinal mappings for every categorical column, first-appearance order."""

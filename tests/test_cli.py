@@ -1,11 +1,14 @@
 import importlib.resources
 import json
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
 from fuzzids.cli import main
+from fuzzids.dataset import DatasetSchema, load_csv
+from fuzzids.evaluate import confusion
 
 DATA = importlib.resources.files("fuzzids") / "data"
 
@@ -32,44 +35,95 @@ def test_ingest_bad_schema_exits_with_data_error(tmp_path):
     assert result.exit_code != 0
 
 
+def _write_config(tmp_path, **overrides):
+    """A multiclass config on the mini corpus writing into tmp_path/run."""
+    doc = dict({"task": "multiclass", "vector_names": ["v1", "v2"],
+                "vector_lengths": [5, 3], "output_dir": str(tmp_path / "run")},
+               **overrides)
+    path = tmp_path / "config.yaml"
+    path.write_text(_run_config(**doc), encoding="utf-8")
+    return str(path)
+
+
+def _invoke(*args):
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 0, result.output
+    return result
+
+
 def test_preprocess_select_train_predict(tmp_path):
-    runner = CliRunner()
-    out = tmp_path / "prep"
-    result = runner.invoke(main, [
-        "preprocess", "--train", str(DATA / "mini_train.csv"),
-        "--apply", str(DATA / "mini_test.csv"),
-        "--schema", str(DATA / "mini.yaml"), "--out-dir", str(out),
-    ])
-    assert result.exit_code == 0, result.output
+    config = _write_config(tmp_path)
+    out = tmp_path / "run"
+    _invoke("preprocess", "--config", config)
     assert (out / "scaler_state.json").exists()
-    assert (out / "mini_test_scaled.csv").exists()
+    assert (out / "encoder_state.json").exists()
+    assert (out / "test_scaled.csv").exists()
+    assert set(json.loads((out / "transform_report.json").read_text())) == {
+        "train", "validation", "test"}
 
-    selection = tmp_path / "selection.json"
-    result = runner.invoke(main, [
-        "select", "--data", str(DATA / "mini_train.csv"),
-        "--schema", str(DATA / "mini.yaml"),
-        "--lengths", "5,3", "--names", "v1,v2", "--out", str(selection),
-    ])
-    assert result.exit_code == 0, result.output
-    doc = json.loads(selection.read_text())
-    assert len(doc["vectors"]["v1"]) == 5
+    _invoke("select", "--config", config)
+    assert len(json.loads((out / "ranking.json").read_text())["order"]) == 8
 
-    model_path = tmp_path / "model.json"
-    result = runner.invoke(main, [
-        "train", "--data", str(DATA / "mini_train.csv"),
-        "--schema", str(DATA / "mini.yaml"), "--model", "dt",
-        "--out", str(model_path),
-    ])
-    assert result.exit_code == 0, result.output
+    _invoke("train", "--config", config)
+    model = json.loads((out / "models" / "dt_v1.json").read_text())
+    assert model["n_features"] == 5
 
     preds = tmp_path / "preds.txt"
-    result = runner.invoke(main, [
-        "predict", "--model", str(model_path),
-        "--data", str(DATA / "mini_test.csv"),
-        "--schema", str(DATA / "mini.yaml"), "--out", str(preds),
-    ])
-    assert result.exit_code == 0, result.output
+    _invoke("predict", "--config", config, "--model", "dt", "--vector", "v1",
+            "--data", DATA / "mini_test.csv", "--out", preds)
     assert len(preds.read_text().splitlines()) == 200
+
+
+ALL_KINDS = [{"kind": "dt", "max_depth": 5}, {"kind": "dt", "impurity": "gini"},
+             {"kind": "rf", "n_trees": 3}, {"kind": "et", "n_trees": 3},
+             {"kind": "gbt", "n_rounds": 3, "gbt_max_depth": 3}, {"kind": "nb"},
+             {"kind": "svm", "max_iters": 50}]
+
+
+@pytest.fixture(scope="module")
+def run_and_train(tmp_path_factory):
+    """One config with every model kind and ET fusion, run once by `run` and
+    once by `train`, each into its own output directory."""
+    dirs = {}
+    for command in ("run", "train"):
+        tmp = tmp_path_factory.mktemp(command)
+        config = _write_config(tmp, models=ALL_KINDS, et_weight=0.5, seed=7)
+        _invoke(command, "--config", config)
+        dirs[command] = (config, tmp / "run")
+    return dirs
+
+
+def test_train_then_predict_reproduces_run_test_confusion(run_and_train, tmp_path):
+    config, out = run_and_train["train"]
+    report = json.loads((run_and_train["run"][1] / "report.json").read_text())
+    schema = DatasetSchema.from_file(DATA / "mini.yaml")
+    labels = load_csv(DATA / "mini_test.csv", schema).labels
+    assert len(report["cells"]) == 14
+    for cell, expected in report["cells"].items():
+        model, vector = cell.split("/")
+        preds = tmp_path / f"{model}_{vector}.txt"
+        _invoke("predict", "--config", config, "--model", model, "--vector", vector,
+                "--data", DATA / "mini_test.csv", "--out", preds)
+        pred = np.array([int(v) for v in preds.read_text().split()])
+        n_classes = len(expected["test_confusion"]["counts"])
+        assert confusion(labels, pred, n_classes).to_dict() == \
+            expected["test_confusion"], cell
+
+
+def test_train_writes_the_models_run_writes(run_and_train):
+    run_models, train_models = (
+        {p.name: p.read_bytes() for p in (out / "models").glob("*.json")}
+        for _, out in (run_and_train["run"], run_and_train["train"]))
+    assert len(run_models) == 14
+    assert train_models == run_models
+
+
+def test_select_writes_the_ranking_run_writes(run_and_train, tmp_path):
+    config = _write_config(tmp_path, models=ALL_KINDS, et_weight=0.5, seed=7)
+    _invoke("select", "--config", config)
+    assert (tmp_path / "run" / "ranking.json").read_bytes() == \
+        (run_and_train["run"][1] / "ranking.json").read_bytes()
+    assert not (tmp_path / "run" / "models").exists()
 
 
 def test_run_and_report(tmp_path):
@@ -125,5 +179,61 @@ def test_run_bad_config_exits_with_config_error(tmp_path, text):
         config_path.write_text(text, encoding="utf-8")
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+
+
+MINI_SCHEMA = (DATA / "mini.yaml").read_text(encoding="utf-8")
+
+
+def _ingest(schema_text):
+    def argv(tmp_path):
+        schema = tmp_path / "schema.yaml"
+        if schema_text is not None:
+            schema.write_text(schema_text, encoding="utf-8")
+        return ["ingest", "--data", DATA / "mini_train.csv", "--schema", schema,
+                "--report", tmp_path / "report.json"]
+    return argv
+
+
+def _run_without_schema(tmp_path):
+    return ["run", "--config",
+            _write_config(tmp_path, schema_path=str(tmp_path / "nope.yaml"))]
+
+
+def _predict(model_text=None, model="dt", vector="v1"):
+    """Predict from a run directory holding states and a ranking; the model
+    file dt_v1.json holds model_text, or is missing when that is None."""
+    def argv(tmp_path):
+        config = _write_config(tmp_path)
+        _invoke("select", "--config", config)
+        if model_text is not None:
+            (tmp_path / "run" / "models").mkdir()
+            (tmp_path / "run" / "models" / "dt_v1.json").write_text(model_text)
+        return ["predict", "--config", config, "--model", model, "--vector", vector,
+                "--data", DATA / "mini_test.csv", "--out", tmp_path / "preds.txt"]
+    return argv
+
+
+BAD_FILES = {
+    "run, missing schema": (_run_without_schema, 2),
+    "ingest, missing schema": (_ingest(None), 2),
+    "ingest, empty schema": (_ingest(""), 2),
+    "ingest, schema not a mapping": (_ingest("- name\n- columns\n"), 2),
+    "ingest, malformed schema yaml": (_ingest("name: [mini\n"), 2),
+    "ingest, label encoding not a mapping": (_ingest(MINI_SCHEMA.replace(
+        "  benign: 0\n  scan: 1\n  ransom: 2", "  - benign\n  - scan\n  - ransom")), 2),
+    "predict, missing model file": (_predict(), 1),
+    "predict, model file not json": (_predict(model_text="{"), 1),
+    "predict, model file missing a key": (_predict(model_text='{"version": 1}'), 1),
+    "predict, model not in config": (_predict(model="rf"), 1),
+    "predict, vector not in config": (_predict(vector="v9"), 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", BAD_FILES.values(), ids=list(BAD_FILES))
+def test_bad_file_exits_with_typed_error(tmp_path, argv, code):
+    result = CliRunner().invoke(main, [str(a) for a in argv(tmp_path)])
+    assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output

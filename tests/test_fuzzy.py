@@ -116,12 +116,6 @@ class TestImportance:
         fr = fuzzy_importance(make_dataset(x, rng.integers(0, 2, 100)), P)
         assert set(fr.order[:5].tolist()) == {7, 8, 9, 10, 11}
 
-    def test_literal_accumulation_makes_all_scores_equal(self, rng):
-        x = rng.uniform(size=(20, 4))
-        fr = fuzzy_importance(make_dataset(x, rng.integers(0, 2, 20)), P,
-                              literal_accumulation=True)
-        assert len(set(fr.scores.tolist())) == 1
-
 
 class TestFusion:
     def test_weight_one_is_identity_ranking(self):
