@@ -174,22 +174,18 @@ def roc_curve(true_binary, scores) -> list[tuple[float, float, float]]:
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("ROC requires both a positive and a negative sample")
 
+    # Fawcett (PRL 2006), Algorithm 2: one point per group of equal scores,
+    # with the counts accumulated down the sorted order
     order = np.argsort(-s, kind="stable")
     y_sorted = y[order]
     s_sorted = s[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = len(y)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            tp += int(y_sorted[j] == 1)
-            fp += int(y_sorted[j] == 0)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(s_sorted[i])))
-        i = j
-    return points
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    starts = np.append(0, ends[:-1] + 1)
+    tps = np.cumsum(y_sorted == 1)[ends]
+    fps = np.cumsum(y_sorted == 0)[ends]
+    return [(0.0, 0.0, float("inf"))] + list(zip(
+        (fps / n_neg).tolist(), (tps / n_pos).tolist(), s_sorted[starts].tolist()
+    ))
 
 
 def auc(points) -> float:

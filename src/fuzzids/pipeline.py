@@ -147,11 +147,11 @@ def binary_mapping(labels: np.ndarray, schema: DatasetSchema,
         if rule[name] not in (0, 1):
             raise ConfigError(f"binary rule for '{name}' must be 0 or 1")
         code_map[code] = rule[name]
-    labels = np.asarray(labels, dtype=np.int64)
-    unknown = set(labels.tolist()) - set(code_map)
+    present, inverse = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    unknown = set(present.tolist()) - set(code_map)
     if unknown:
         raise ConfigError(f"labels {sorted(unknown)} outside the binary rule")
-    return np.array([code_map[c] for c in labels], dtype=np.int64)
+    return np.array([code_map[c] for c in present.tolist()], dtype=np.int64)[inverse]
 
 
 def _binary_schema(schema: DatasetSchema) -> DatasetSchema:
@@ -228,7 +228,8 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int],
     scores = model.score(ds.numeric_features()[:, cols])
     # same lowest-class-id tie rule as TrainedModel.predict
     pred = model.classes[np.argmax(scores, axis=1)]
-    n_classes = max(2, int(max(y.max(initial=0), pred.max(initial=0))) + 1)
+    # the class axis comes from the schema, so validation and test share it
+    n_classes = max(2, max(ds.schema.label_encoding.values()) + 1)
     cm = confusion(y, pred, n_classes)
     roc: dict[str, list] = {}
     if task == "binary":

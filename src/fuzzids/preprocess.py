@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, LabeledDataset
+from .dataset import LabeledDataset
 from .errors import SchemaError
 
 
@@ -78,7 +78,6 @@ class TransformReport:
 
     clamped_cells: int = 0
     unseen_categories: int = 0
-    unseen_values: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -87,17 +86,16 @@ class TransformReport:
         }
 
 
+def _codes(ds: LabeledDataset, col: int) -> np.ndarray:
+    return ds.features[:, col].astype(np.intp)
+
+
 def fit_encoder(train: LabeledDataset) -> CategoricalEncoderState:
     """Build ordinal mappings for every categorical column, first-appearance order."""
     mappings: dict[int, dict[str, int]] = {}
-    for col, kind in enumerate(train.schema.feature_kinds):
-        if kind != CATEGORICAL:
-            continue
-        mapping: dict[str, int] = {}
-        for cell in train.features[:, col]:
-            if cell not in mapping:
-                mapping[cell] = len(mapping)
-        mappings[col] = mapping
+    for col, names in sorted(train.categories.items()):
+        codes, first = np.unique(_codes(train, col), return_index=True)
+        mappings[col] = {names[c]: i for i, c in enumerate(codes[np.argsort(first)])}
     return CategoricalEncoderState(train.schema.name, mappings)
 
 
@@ -106,25 +104,25 @@ def encode_categorical(
     ds: LabeledDataset,
     report: TransformReport | None = None,
 ) -> LabeledDataset:
-    """Replace categorical strings with ordinal indices; output is all-float."""
+    """Replace categorical codes with the state's ordinals; unseen categories
+    map to ``len(mapping)``. The output has no categories left."""
     if state.schema_name != ds.schema.name:
         raise SchemaError(
             f"encoder fitted on '{state.schema_name}', dataset is '{ds.schema.name}'"
         )
-    out = np.empty(ds.features.shape, dtype=float)
-    for col in range(ds.n_features):
-        column = ds.features[:, col]
-        mapping = state.mappings.get(col)
-        if mapping is None:
-            out[:, col] = column.astype(float)
-            continue
+    if set(state.mappings) != set(ds.categories):
+        raise SchemaError(
+            f"encoder has categorical columns {sorted(state.mappings)}, "
+            f"dataset has {sorted(ds.categories)}"
+        )
+    out = ds.features.copy()
+    for col, mapping in state.mappings.items():
         unseen = len(mapping)
-        for i, cell in enumerate(column):
-            idx = mapping.get(cell, unseen)
-            if idx == unseen and report is not None:
-                report.unseen_categories += 1
-                report.unseen_values[str(cell)] = report.unseen_values.get(str(cell), 0) + 1
-            out[i, col] = float(idx)
+        table = np.array([mapping.get(name, unseen) for name in ds.categories[col]],
+                         dtype=float)
+        out[:, col] = table[_codes(ds, col)]
+        if report is not None:
+            report.unseen_categories += int(np.count_nonzero(out[:, col] == unseen))
     return LabeledDataset(ds.schema, out, ds.labels.copy())
 
 

@@ -18,7 +18,7 @@ def make_dataset(x, y, labels=None, name="synthetic") -> LabeledDataset:
     if labels is None:
         labels = {str(c): int(c) for c in np.unique(y)}
     schema = numeric_schema(x.shape[1], labels, name)
-    return LabeledDataset(schema, x.astype(object), y)
+    return LabeledDataset(schema, x, y)
 
 
 @pytest.fixture

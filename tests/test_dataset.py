@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+import yaml
+from click.testing import CliRunner
 
+from fuzzids import dataset
+from fuzzids.cli import main
 from fuzzids.dataset import (
+    BLOCK_ROWS,
     DatasetSchema,
     LabeledDataset,
     SplitSpec,
@@ -76,10 +81,16 @@ class TestLoadCsv:
         ds = load_csv(path, small_schema(UG_ENCODING))
         assert ds.labels.tolist() == [2]
 
+    def test_non_float_features_rejected(self):
+        with pytest.raises(SchemaError, match="float64"):
+            LabeledDataset(small_schema(), np.array([[1.0, "x"]], dtype=object),
+                           np.array([0]))
+
     def test_reordered_header_accepted(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "y,a,b\nnormal,1,x\n")
         ds = load_csv(path, small_schema())
-        assert ds.features[0, 0] == 1.0 and ds.features[0, 1] == "x"
+        assert ds.features[0, 0] == 1.0
+        assert ds.categories[1][int(ds.features[0, 1])] == "x"
 
     def test_unparseable_numeric_cell(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b,y\nnope,x,normal\n")
@@ -100,6 +111,100 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", "a,b,y\n,x,normal\n")
         with pytest.raises(LoadError, match="missing value"):
             load_csv(path, small_schema())
+
+
+GOOD_ROW = "1,x,normal\n"
+# A prefix that ends past the first block: line numbers count the blank line.
+PAST_FIRST_BLOCK = GOOD_ROW * BLOCK_ROWS + "\n" + GOOD_ROW * 3
+
+# (case, bad record, message after "{path}:{line}: "), as the row scanner
+# words them.
+BAD_RECORDS = [
+    ("short row", "1,x", "expected 3 cells, got 2"),
+    ("long row", "1,x,normal,9", "expected 3 cells, got 4"),
+    ("nan", "nan,x,normal", "non-finite value in column 'a'"),
+    ("inf", "-inf,x,normal", "non-finite value in column 'a'"),
+    ("empty numeric cell", ",x,normal", "missing value in 'a'"),
+    ("whitespace-only cell", "  ,x,normal", "missing value in 'a'"),
+    ("unparseable cell", "1e,x,normal", "unparseable numeric cell '1e' in column 'a'"),
+    ("empty categorical cell", "1,,normal", "missing value in 'b'"),
+    ("whitespace-only categorical cell", "1, ,normal", "missing value in 'b'"),
+    ("unknown label", "1,x,zzz",
+     "unknown label 'zzz' (known: ['dos', 'normal', 'probe', 'r2l', 'u2r'])"),
+    ("quoted comma in a numeric cell", '"1,5",x,normal',
+     "unparseable numeric cell '1,5' in column 'a'"),
+]
+
+
+def _ingest(tmp_path, path):
+    schema_path = tmp_path / "schema.yaml"
+    schema_path.write_text(yaml.safe_dump(small_schema().to_dict()), encoding="utf-8")
+    return CliRunner().invoke(main, ["ingest", "--data", str(path), "--schema",
+                                     str(schema_path), "--report",
+                                     str(tmp_path / "report.json")])
+
+
+def _decoded(ds):
+    """Rows with categorical codes turned back into their cells."""
+    return [[ds.categories[j][int(v)] if j in ds.categories else v
+             for j, v in enumerate(row)] for row in ds.features.tolist()]
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("prefix", ["", PAST_FIRST_BLOCK],
+                             ids=["first block", "past first block"])
+    @pytest.mark.parametrize("record, message", [c[1:] for c in BAD_RECORDS],
+                             ids=[c[0] for c in BAD_RECORDS])
+    def test_bad_record_names_its_line(self, tmp_path, prefix, record, message):
+        path = write_csv(tmp_path / "d.csv", "a,b,y\n" + prefix + record + "\n" + GOOD_ROW)
+        line = 2 + prefix.count("\n")
+        expected = f"{path}:{line}: {message}"
+        with pytest.raises(LoadError) as exc:
+            load_csv(path, small_schema())
+        assert str(exc.value) == expected
+        result = _ingest(tmp_path, path)
+        assert result.exit_code == 2
+        assert f"error: {expected}" in result.output
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", LoadError, "{path}: empty file, no header row"),
+        ("a,c,y\n1,x,normal\n", SchemaError,
+         "{path}: header does not match schema 'toy' (missing ['b'], unexpected ['c'])"),
+    ], ids=["empty file", "header with a wrong column"])
+    def test_bad_file_is_rejected(self, tmp_path, text, error, message):
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(error) as exc:
+            load_csv(path, small_schema())
+        assert str(exc.value) == message.format(path=path)
+        result = _ingest(tmp_path, path)
+        assert result.exit_code == 2
+        assert f"error: {message.format(path=path)}" in result.output
+
+    @pytest.mark.parametrize("text, rows, labels", [
+        (" y , a,b\n", [], []),
+        ("y,b,a\ndos, q ,2.5\n", [[2.5, "q"]], [4]),
+        ("a,b,y\n1,x,normal\n\n   \n" + "\n" * BLOCK_ROWS + "2,y,dos\n",
+         [[1.0, "x"], [2.0, "y"]], [0, 4]),
+        ('a,b,y\n1,"x,y",normal\n', [[1.0, "x,y"]], [0]),
+        ("a,b,y\n 1 , x , normal \n", [[1.0, "x"]], [0]),
+    ], ids=["header only", "permuted header", "blank lines mid-file",
+            "quoted comma in a categorical cell", "cells padded with spaces"])
+    def test_accepted_file(self, tmp_path, text, rows, labels):
+        ds = load_csv(write_csv(tmp_path / "d.csv", text), small_schema())
+        assert _decoded(ds) == rows
+        assert ds.labels.tolist() == labels
+
+    def test_well_formed_file_never_reaches_row_scanner(self, tmp_path, monkeypatch):
+        def scanner(path, schema):
+            raise AssertionError("row scanner called")
+        monkeypatch.setattr(dataset, "_scan_rows", scanner)
+        body = "0.5,x,normal\n" * BLOCK_ROWS + "\n" + "1e3, y ,dos\n2,x,probe\n"
+        ds = load_csv(write_csv(tmp_path / "d.csv", "a,b,y\n" + body), small_schema())
+        assert len(ds) == BLOCK_ROWS + 2
+        # codes follow first appearance in the file, across blocks
+        assert ds.categories == {1: ("x", "y")}
+        assert _decoded(ds)[-2:] == [[1000.0, "y"], [2.0, "x"]]
+        assert ds.labels[-2:].tolist() == [4, 3]
 
 
 class TestClassDistribution:

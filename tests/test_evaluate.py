@@ -127,6 +127,26 @@ class TestMacroMetrics:
         assert rep.accuracy == np.trace(cm.counts) / 300
 
 
+def loop_roc_curve(y, scores):
+    """Reference: the one-group-at-a-time loop roc_curve replaced."""
+    y = np.asarray(y, dtype=np.int64)
+    s = np.asarray(scores, dtype=float)
+    n_pos, n_neg = int((y == 1).sum()), int((y == 0).sum())
+    order = np.argsort(-s, kind="stable")
+    y_sorted, s_sorted = y[order], s[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = i = 0
+    while i < len(y):
+        j = i
+        while j < len(y) and s_sorted[j] == s_sorted[i]:
+            tp += int(y_sorted[j] == 1)
+            fp += int(y_sorted[j] == 0)
+            j += 1
+        points.append((fp / n_neg, tp / n_pos, float(s_sorted[i])))
+        i = j
+    return points
+
+
 class TestRoc:
     def test_perfect_scores(self):
         assert auc_score([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]) == 1.0
@@ -158,6 +178,20 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(EvaluationError):
             roc_curve([1, 1], [0.3, 0.7])
+
+    def test_matches_reference_loop_on_heavy_ties(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            y = rng.integers(0, 2, size=n)
+            y[:2] = [0, 1]
+            # few distinct scores, with 0.0 and -0.0 in one tie group
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
+            points = roc_curve(y, scores)
+            expected = loop_roc_curve(y, scores)
+            assert points == expected
+            # the same thresholds, down to the sign of zero
+            assert [np.signbit(t) for _, _, t in points] == [
+                np.signbit(t) for _, _, t in expected]
 
     def test_wilcoxon_equivalence(self, rng):
         for _ in range(200):

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzids.dataset import DatasetSchema
+from fuzzids.dataset import DatasetSchema, LabeledDataset
 from fuzzids.errors import ConfigError
-from fuzzids.models import ClassifierConfig
+from fuzzids.models import ClassifierConfig, fit_model
 from fuzzids.pipeline import (
     ExperimentConfig,
+    _evaluate,
     binary_mapping,
     default_binary_rule,
     emit_report,
@@ -61,6 +62,10 @@ class TestBinaryMapping:
         out = binary_mapping(np.array([0, 1, 2]), UG_SCHEMA, rule)
         assert out.tolist() == [0, 0, 1]
 
+    def test_label_outside_rule_rejected(self):
+        with pytest.raises(ConfigError, match=r"labels \[7\] outside the binary rule"):
+            binary_mapping(np.array([0, 7, 2]), UG_SCHEMA)
+
     def test_incomplete_rule_rejected(self):
         with pytest.raises(ConfigError):
             binary_mapping(np.array([0]), UG_SCHEMA, {"A": 1})
@@ -72,6 +77,26 @@ class TestBinaryMapping:
         )
         with pytest.raises(ConfigError):
             default_binary_rule(schema)
+
+
+class TestClassAxis:
+    def test_validation_without_a_class_keeps_the_schema_axis(self):
+        schema = DatasetSchema(
+            name="three", columns=(("a", "numeric"), ("y", "categorical")),
+            label_column="y", label_encoding={"p": 0, "q": 1, "r": 2},
+        )
+        x = np.array([[0.0], [0.1], [0.5], [0.6], [0.9], [1.0]])
+        model = fit_model(x, np.array([0, 0, 1, 1, 2, 2]), ClassifierConfig(kind="dt"))
+        val = LabeledDataset(schema, np.array([[0.05], [0.55]]), np.array([0, 1]))
+        test = LabeledDataset(schema, np.array([[0.05], [0.55], [0.95]]),
+                              np.array([0, 1, 2]))
+        val_rep, val_cm, _ = _evaluate(model, val, [0], "multiclass")
+        _, test_cm, _ = _evaluate(model, test, [0], "multiclass")
+        assert val_cm.n_classes == test_cm.n_classes == 3
+        # the class without support counts 0 in every macro average
+        assert "class_2_no_support" in val_rep.undefined_flags
+        assert val_rep.per_class[2] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert val_rep.recall == pytest.approx(2 / 3)
 
 
 class TestExperimentConfig:

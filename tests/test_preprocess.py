@@ -23,10 +23,10 @@ def cat_dataset(columns, y=None):
         label_column="y",
         label_encoding={"a": 0, "b": 1},
     )
-    feats = np.empty((n, 1), dtype=object)
-    feats[:, 0] = columns
+    names = tuple(dict.fromkeys(columns))
+    codes = np.array([names.index(c) for c in columns], dtype=float).reshape(n, 1)
     labels = np.asarray(y if y is not None else [0] * n, dtype=np.int64)
-    return LabeledDataset(schema, feats, labels)
+    return LabeledDataset(schema, codes, labels, {0: names})
 
 
 class TestScaler:
@@ -113,7 +113,12 @@ class TestCategoricalEncoder:
         out = encode_categorical(state, cat_dataset(["udp", "icmp"]), report)
         assert out.numeric_features()[:, 0].tolist() == [1.0, 2.0]
         assert report.unseen_categories == 1
-        assert report.unseen_values == {"icmp": 1}
+
+    def test_encoded_dataset_rejected(self):
+        state = fit_encoder(cat_dataset(["tcp", "udp"]))
+        encoded = encode_categorical(state, cat_dataset(["udp"]))
+        with pytest.raises(SchemaError, match="categorical columns"):
+            encode_categorical(state, encoded)
 
     def test_single_category_scales_to_zero(self):
         train = cat_dataset(["tcp", "tcp"])
