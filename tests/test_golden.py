@@ -1,7 +1,8 @@
 """Golden artifacts: a fixed mini run must reproduce its stored bytes exactly.
 
-Two runs on the bundled mini corpus, one multiclass with ET-fused ranking
-(``et_weight: 0.5``) over dt/rf/et/gbt, one binary. Each runs in a temporary
+Three runs on the bundled mini corpus: one multiclass with ET-fused ranking
+(``et_weight: 0.5``) over dt/rf/et/gbt, one binary, and one multiclass over
+nb and svm. Each runs in a temporary
 working directory with relative paths, so the bytes do not depend on where
 the checkout lives. Every file of the run directory except ``timings.json``
 (reports, states, ranking, models, ROC curves and confusion matrices) is
@@ -50,6 +51,13 @@ RUNS = {
         "models": [{"kind": "dt", "max_depth": 5}, {"kind": "gbt", "n_rounds": 3,
                                                    "gbt_max_depth": 2}],
         "seed": 3,
+    },
+    "nb_svm": {
+        "task": "multiclass",
+        "vector_names": ["v1", "v2"],
+        "vector_lengths": [6, 3],
+        "models": [{"kind": "nb"}, {"kind": "svm", "max_iters": 50}],
+        "seed": 11,
     },
 }
 
