@@ -154,11 +154,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Proportions, seed and mode for a train/validation partition."""
+    """Proportions and seed for a stratified train/validation partition."""
 
     fractions: tuple[float, float] = (0.8, 0.2)
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         train, val = self.fractions
@@ -174,31 +173,43 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     Header may be in any order; columns are permuted to schema order. Records
     are parsed ``BLOCK_ROWS`` at a time, a column at a time. A file that
     parse rejects goes to the row scanner, which raises a ``LoadError``
-    naming the line of its first bad record.
+    naming the line of its first bad record. Bytes that are not UTF-8, and
+    records the csv module rejects, raise a ``LoadError`` naming their line.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"file not found: {path}")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file, no header row")
-        header = [h.strip() for h in header]
-        schema_cols = [c for c, _ in schema.columns]
-        if header != schema_cols:
-            if sorted(header) != sorted(schema_cols):
-                missing = set(schema_cols) - set(header)
-                extra = set(header) - set(schema_cols)
-                raise SchemaError(
-                    f"{path}: header does not match schema '{schema.name}' "
-                    f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-                )
-        parsed = _parse_columns(reader, header, schema)
-    if parsed is None:
-        _scan_rows(path, schema)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise LoadError(f"{path}: empty file, no header row")
+            header = [h.strip() for h in header]
+            schema_cols = [c for c, _ in schema.columns]
+            if header != schema_cols:
+                if sorted(header) != sorted(schema_cols):
+                    missing = set(schema_cols) - set(header)
+                    extra = set(header) - set(schema_cols)
+                    raise SchemaError(
+                        f"{path}: header does not match schema '{schema.name}' "
+                        f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
+                    )
+            parsed = _parse_columns(reader, header, schema)
+        if parsed is None:
+            _scan_rows(path, schema)
+    # The scanner re-reads no further than the parse read, so these faults
+    # surface in the parse and ``reader`` locates them.
+    except UnicodeDecodeError as exc:
+        # exc.object is the chunk read after the reader's last complete line
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise LoadError(
+            f"{path}:{line}: cannot decode byte 0x{exc.object[exc.start]:02x} as UTF-8"
+        ) from exc
+    except csv.Error as exc:
+        raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
     features, labels, categories = parsed
     return LabeledDataset(schema, features, labels, categories)
 
@@ -325,28 +336,22 @@ def stratified_split(
     val_frac = spec.fractions[1]
     rng = np.random.default_rng(spec.seed)
 
-    if spec.stratified:
-        val_idx_parts = []
-        train_idx_parts = []
-        for code in sorted(set(ds.labels.tolist())):
-            cls_idx = np.flatnonzero(ds.labels == code)
-            perm = cls_idx[rng.permutation(len(cls_idx))]
-            n_val = int(np.floor(val_frac * len(cls_idx) + 0.5))
-            if n_val == 0 and len(cls_idx) >= 1.0 / val_frac:
-                n_val = 1  # guard against rounding a representable class away
-            if n_val == 0:
-                warnings.warn(
-                    f"class {code} has only {len(cls_idx)} samples; "
-                    f"none assigned to validation"
-                )
-            val_idx_parts.append(perm[:n_val])
-            train_idx_parts.append(perm[n_val:])
-        val_idx = np.sort(np.concatenate(val_idx_parts))
-        train_idx = np.sort(np.concatenate(train_idx_parts))
-    else:
-        perm = rng.permutation(len(ds))
-        n_val = int(np.floor(val_frac * len(ds) + 0.5))
-        val_idx = np.sort(perm[:n_val])
-        train_idx = np.sort(perm[n_val:])
+    val_idx_parts = []
+    train_idx_parts = []
+    for code in sorted(set(ds.labels.tolist())):
+        cls_idx = np.flatnonzero(ds.labels == code)
+        perm = cls_idx[rng.permutation(len(cls_idx))]
+        n_val = int(np.floor(val_frac * len(cls_idx) + 0.5))
+        if n_val == 0 and len(cls_idx) >= 1.0 / val_frac:
+            n_val = 1  # guard against rounding a representable class away
+        if n_val == 0:
+            warnings.warn(
+                f"class {code} has only {len(cls_idx)} samples; "
+                f"none assigned to validation"
+            )
+        val_idx_parts.append(perm[:n_val])
+        train_idx_parts.append(perm[n_val:])
+    val_idx = np.sort(np.concatenate(val_idx_parts))
+    train_idx = np.sort(np.concatenate(train_idx_parts))
 
     return ds.take(train_idx), ds.take(val_idx)

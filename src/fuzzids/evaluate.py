@@ -46,7 +46,7 @@ class ConfusionMatrix:
 
 @dataclass
 class MetricsReport:
-    """Scalar metrics plus optional per-class and ROC artifacts."""
+    """Scalar metrics plus optional per-class metrics and AUC."""
 
     accuracy: float
     precision: float
@@ -57,7 +57,6 @@ class MetricsReport:
     per_class: dict[int, dict[str, float]] = field(default_factory=dict)
     auc: float | None = None
     auc_per_class: dict[int, float] = field(default_factory=dict)
-    roc: list[tuple[float, float, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         doc = {
@@ -189,10 +188,13 @@ def roc_curve(true_binary, scores) -> list[tuple[float, float, float]]:
 
 
 def auc(points) -> float:
-    """Trapezoidal area under a ROC point list."""
+    """Trapezoidal area under a ROC point list, clipped to [0, 1].
+
+    The sum of trapezoids can round past 1 on a perfect ranking, by one ulp.
+    """
     fpr = np.asarray([p[0] for p in points])
     tpr = np.asarray([p[1] for p in points])
-    return float(np.trapezoid(tpr, fpr))
+    return float(np.clip(np.trapezoid(tpr, fpr), 0.0, 1.0))
 
 
 def auc_score(true_binary, scores) -> float:

@@ -65,7 +65,10 @@ def load_model(path: str | Path) -> TrainedModel:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("version") != SERIALIZATION_VERSION:
-            raise ConfigError(f"unsupported model file version {doc.get('version')}")
+            raise ConfigError(
+                f"model file {path} has version {doc.get('version')}, this fuzzids "
+                f"reads version {SERIALIZATION_VERSION}: retrain the model"
+            )
         cls = _MODEL_CLASSES.get(doc["kind"])
         if cls is None:
             raise ConfigError(f"unknown model kind '{doc['kind']}' in {path}")

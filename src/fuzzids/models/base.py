@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from ..errors import ConfigError, SchemaError
 
 MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class ClassifierConfig:
     C: float = 1.0                      # svm
     tolerance: float = 1e-4             # svm
     max_iters: int = 1000               # svm
-    nb_variant: str = "gaussian"        # gaussian | categorical-laplace
-    laplace_alpha: float = 1.0
-    bootstrap: bool = True              # rf test hook
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -57,10 +54,6 @@ class ClassifierConfig:
             raise ConfigError("regularization terms must be nonnegative")
         if self.C <= 0 or self.tolerance <= 0 or self.max_iters < 1:
             raise ConfigError("invalid SVM hyperparameters")
-        if self.nb_variant not in ("gaussian", "categorical-laplace"):
-            raise ConfigError(f"unknown nb_variant '{self.nb_variant}'")
-        if self.laplace_alpha <= 0:
-            raise ConfigError("laplace_alpha must be positive")
         if isinstance(self.features_per_split, str):
             if self.features_per_split not in ("sqrt", "all"):
                 raise ConfigError(

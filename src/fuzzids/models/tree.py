@@ -351,9 +351,7 @@ def _fit_trees(x, y, config: ClassifierConfig, kind: str) -> TrainedModel:
     trees = []
     for t in range(config.n_trees):
         rng = np.random.default_rng((config.seed, t))
-        rows = everything
-        if kind == "rf" and config.bootstrap:
-            rows = rng.integers(0, len(y), size=len(y))
+        rows = rng.integers(0, len(y), size=len(y)) if kind == "rf" else everything
         rule = _class_rule(x, yi, config, len(classes), rng, random_cuts=kind == "et")
         trees.append(grow(x, rows, rule))
     return ForestModel(config, classes, x.shape[1], trees, kind=kind)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class ExperimentConfig:
     task: str = "binary"                      # binary | multiclass
     binary_rule: dict[str, int] | None = None  # label name -> 0/1
     split_fractions: tuple[float, float] = (0.8, 0.2)
-    stratified: bool = True
     triangular: tuple[float, float, float] = (0.0, 0.5, 1.0)
     et_weight: float = 1.0
     vector_names: list[str] | None = None
@@ -97,22 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "schema_path": self.schema_path,
-            "task": self.task,
-            "binary_rule": self.binary_rule,
-            "split_fractions": list(self.split_fractions),
-            "stratified": self.stratified,
-            "triangular": list(self.triangular),
-            "et_weight": self.et_weight,
-            "vector_names": self.vector_names,
-            "vector_lengths": self.vector_lengths,
-            "models": [m.to_dict() for m in self.models],
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -237,7 +221,6 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int],
         if 0 < int((y == 1).sum()) < len(y) and 1 in model.classes:
             col = int(np.flatnonzero(model.classes == 1)[0])
             points = roc_curve(y, scores[:, col])
-            rep.roc = points
             rep.auc = auc(points)
             roc["binary"] = points
     else:
@@ -270,9 +253,7 @@ def load_partitions(config: ExperimentConfig,
         ]
 
     t0 = time.perf_counter()
-    split = SplitSpec(config.split_fractions, seed=config.seed,
-                      stratified=config.stratified)
-    train, val = stratified_split(full_train, split)
+    train, val = stratified_split(full_train, SplitSpec(config.split_fractions, config.seed))
     timings["split"] = time.perf_counter() - t0
     return {"train": train, "validation": val, "test": test}
 

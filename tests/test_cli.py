@@ -169,6 +169,12 @@ BAD_CONFIGS = {
     "not a mapping": "- just\n- a list\n",
     "malformed yaml": "models: [unclosed\n",
     "missing file": None,
+    # runnable configs but for one deleted key
+    "deleted nb_variant key": _run_config(
+        task="multiclass", models=[{"kind": "nb", "nb_variant": "gaussian"}]),
+    "deleted bootstrap key": _run_config(
+        task="multiclass", models=[{"kind": "rf", "n_trees": 2, "bootstrap": False}]),
+    "deleted stratified key": _run_config(task="multiclass", stratified=False),
 }
 
 
@@ -215,6 +221,18 @@ def _predict(model_text=None, model="dt", vector="v1"):
     return argv
 
 
+# A dt model file as version 1 wrote it, config keys since deleted included.
+V1_MODEL = json.dumps({
+    "version": 1, "kind": "dt", "classes": [0, 1, 2], "n_features": 5, "flags": {},
+    "config": {"C": 1.0, "bootstrap": True, "features_per_split": "sqrt",
+               "gbt_max_depth": 6, "impurity": "entropy", "kind": "dt",
+               "laplace_alpha": 1.0, "learning_rate": 0.1, "max_depth": None,
+               "max_iters": 1000, "min_samples_split": 2, "n_rounds": 100,
+               "n_trees": 100, "nb_variant": "gaussian", "reg_gamma": 0.0,
+               "reg_lambda": 1.0, "seed": 0, "tolerance": 0.0001},
+    "params": {"root": {"counts": [1, 0, 0]}},
+})
+
 BAD_FILES = {
     "run, missing schema": (_run_without_schema, 2),
     "ingest, missing schema": (_ingest(None), 2),
@@ -225,7 +243,8 @@ BAD_FILES = {
         "  benign: 0\n  scan: 1\n  ransom: 2", "  - benign\n  - scan\n  - ransom")), 2),
     "predict, missing model file": (_predict(), 1),
     "predict, model file not json": (_predict(model_text="{"), 1),
-    "predict, model file missing a key": (_predict(model_text='{"version": 1}'), 1),
+    "predict, model file missing a key": (_predict(model_text='{"version": 2}'), 1),
+    "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1),
     "predict, model not in config": (_predict(model="rf"), 1),
     "predict, vector not in config": (_predict(vector="v9"), 1),
 }

@@ -33,7 +33,8 @@ def small_schema(encoding=None):
 
 
 def write_csv(path, text):
-    path.write_text(text, encoding="utf-8")
+    # a lone surrogate U+DC80..U+DCFF writes the raw, non-UTF-8 byte 0x80..0xFF
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -133,6 +134,9 @@ BAD_RECORDS = [
      "unknown label 'zzz' (known: ['dos', 'normal', 'probe', 'r2l', 'u2r'])"),
     ("quoted comma in a numeric cell", '"1,5",x,normal',
      "unparseable numeric cell '1,5' in column 'a'"),
+    ("latin-1 cell", "1,caf\udce9,normal", "cannot decode byte 0xe9 as UTF-8"),
+    ("cell over the csv field limit", '1,"' + "x" * 200_000 + '",normal',
+     "field larger than field limit (131072)"),
 ]
 
 
@@ -282,9 +286,3 @@ class TestStratifiedSplit:
         with pytest.warns(UserWarning):
             train, val = stratified_split(ds, SplitSpec((0.9, 0.1), seed=3))
         assert class_distribution(val)[1] == 0
-
-    def test_unstratified_mode(self):
-        ds = make_dataset(np.arange(10).reshape(-1, 1), [0] * 5 + [1] * 5)
-        train, val = stratified_split(ds, SplitSpec((0.8, 0.2), seed=4,
-                                                    stratified=False))
-        assert len(train) == 8 and len(val) == 2

@@ -182,14 +182,6 @@ class TestTreeApply:
 
 
 class TestEnsembles:
-    def test_single_tree_no_bootstrap_equals_dt(self):
-        x, y = xor_clusters(60, seed=0)
-        cfg = ClassifierConfig(kind="rf", n_trees=1, features_per_split="all",
-                               bootstrap=False)
-        rf = fit_rf(x, y, cfg)
-        dt = fit_dt(x, y, ClassifierConfig(kind="dt"))
-        assert np.array_equal(rf.predict(x), dt.predict(x))
-
     def test_majority_vote_fraction(self):
         x, y = xor_clusters(80, seed=1)
         rf = fit_rf(x, y, ClassifierConfig(kind="rf", n_trees=4, seed=5))
@@ -306,13 +298,6 @@ class TestNaiveBayes:
         raw = model.log_priors[None, :] + model._log_likelihood(q)
         shifted = raw + 7.3
         assert np.array_equal(np.argmax(raw, axis=1), np.argmax(shifted, axis=1))
-
-    def test_categorical_laplace_variant(self):
-        x = np.array([[0.0], [0.0], [1.0], [1.0]])
-        y = np.array([0, 0, 1, 1])
-        cfg = ClassifierConfig(kind="nb", nb_variant="categorical-laplace")
-        model = fit_nb(x, y, cfg)
-        assert (model.predict(x) == y).all()
 
 
 class TestSvm:
