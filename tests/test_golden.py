@@ -2,9 +2,8 @@
 
 Three runs on the bundled mini corpus: one multiclass with ET-fused ranking
 (``et_weight: 0.5``) over dt/rf/et/gbt, one binary, and one multiclass over
-nb and svm. Each runs in a temporary
-working directory with relative paths, so the bytes do not depend on where
-the checkout lives. Every file of the run directory except ``timings.json``
+nb and svm. Each runs in a temporary working directory with relative paths,
+so the bytes do not depend on where the checkout lives. Every file of the run directory except ``timings.json``
 (reports, states, ranking, models, ROC curves and confusion matrices) is
 compared byte for byte with ``tests/golden/``.
 
