@@ -148,12 +148,13 @@ def loop_roc_curve(y, scores):
 
 
 class TestRoc:
-    @pytest.mark.parametrize("labels, scores", [
-        ([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]),
+    def test_perfect_scores(self):
+        assert auc_score([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]) == 1.0
+
+    def test_perfect_scores_with_tied_negatives(self):
         # tied negatives: the trapezoid sum rounds to 1 + 1 ulp unclipped
-        ([1] + [0] * 148, [1.0] + [(k % 39) / 100 for k in range(148)]),
-    ], ids=["two per class", "148 tied negatives"])
-    def test_perfect_scores(self, labels, scores):
+        labels = [1] + [0] * 148
+        scores = [1.0] + [(k % 39) / 100 for k in range(148)]
         assert auc_score(labels, scores) == 1.0
 
     def test_inverted_scores(self):
