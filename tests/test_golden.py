@@ -1,8 +1,8 @@
 """Golden artifacts: a fixed mini run must reproduce its stored bytes exactly.
 
-Three runs on the bundled mini corpus: one multiclass with ET-fused ranking
-(``et_weight: 0.5``) over dt/rf/et/gbt, one binary, and one multiclass over
-nb and svm. Each runs in a temporary working directory with relative paths,
+Four runs on the bundled mini corpus: one multiclass with ET-fused ranking
+(``et_weight: 0.5``) over dt/rf/et/gbt, one binary over dt and gbt, one
+multiclass over nb and svm, and one binary over gini rf, gini et and svm. Each runs in a temporary working directory with relative paths,
 so the bytes do not depend on where the checkout lives. Every file of the run directory except ``timings.json``
 (reports, states, ranking, models, ROC curves and confusion matrices) is
 compared byte for byte with ``tests/golden/``.
@@ -57,6 +57,16 @@ RUNS = {
         "vector_lengths": [6, 3],
         "models": [{"kind": "nb"}, {"kind": "svm", "max_iters": 50}],
         "seed": 11,
+    },
+    "gini_binary": {
+        "task": "binary",
+        "binary_rule": {"benign": 0, "scan": 1, "ransom": 1},
+        "vector_names": ["v1", "v2"],
+        "vector_lengths": [7, 4],
+        "models": [{"kind": "rf", "impurity": "gini", "n_trees": 3, "seed": 5},
+                   {"kind": "et", "impurity": "gini", "n_trees": 3, "seed": 5},
+                   {"kind": "svm", "max_iters": 50}],
+        "seed": 5,
     },
 }
 
