@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check of
+the configs."""
+
+import numbers
 
 
 class FuzzidsError(Exception):
@@ -23,3 +26,9 @@ class TrainingError(FuzzidsError):
 
 class EvaluationError(FuzzidsError):
     """Raised for undefined metric computations (e.g. ROC on one class)."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer >= minimum; bools are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

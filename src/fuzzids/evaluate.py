@@ -201,19 +201,22 @@ def auc_score(true_binary, scores) -> float:
     return auc(roc_curve(true_binary, scores))
 
 
-def multiclass_auc(true_labels, score_matrix,
-                   classes) -> tuple[dict[int, float], float]:
-    """One-vs-rest AUC per class plus the unweighted macro average.
+def multiclass_auc(true_labels, score_matrix, classes) -> tuple[
+        dict[int, float], float, dict[int, list[tuple[float, float, float]]]]:
+    """One-vs-rest AUC per class, their unweighted macro average, and the ROC
+    curve each AUC was taken from.
 
     Classes absent from the truth (or covering all of it) are skipped.
     """
     y = np.asarray(true_labels, dtype=np.int64)
     score_matrix = np.asarray(score_matrix, dtype=float)
     per_class: dict[int, float] = {}
+    curves: dict[int, list[tuple[float, float, float]]] = {}
     for col, c in enumerate(classes):
         binary = (y == c).astype(np.int64)
         if binary.min() == binary.max():
             continue
-        per_class[int(c)] = auc_score(binary, score_matrix[:, col])
+        curves[int(c)] = roc_curve(binary, score_matrix[:, col])
+        per_class[int(c)] = auc(curves[int(c)])
     macro = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, macro
+    return per_class, macro, curves

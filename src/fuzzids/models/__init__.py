@@ -16,24 +16,22 @@ from .tree import (
     DecisionTreeModel,
     ForestModel,
     best_split,
-    fit_dt,
-    fit_et,
-    fit_rf,
+    fit_trees,
     impurity,
     mean_impurity_decrease,
 )
 
 __all__ = [
     "ClassifierConfig", "TrainedModel", "MODEL_KINDS",
-    "fit_model", "fit_dt", "fit_rf", "fit_et", "fit_gbt", "fit_nb", "fit_svm",
+    "fit_model", "fit_trees", "fit_gbt", "fit_nb", "fit_svm",
     "impurity", "best_split", "mean_impurity_decrease",
     "save_model", "load_model",
 ]
 
 _FITTERS = {
-    "dt": fit_dt,
-    "rf": fit_rf,
-    "et": fit_et,
+    "dt": fit_trees,
+    "rf": fit_trees,
+    "et": fit_trees,
     "gbt": fit_gbt,
     "nb": fit_nb,
     "svm": fit_svm,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError
+from ..errors import ConfigError, SchemaError, require_int
 
 MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 
@@ -42,26 +42,20 @@ class ClassifierConfig:
             raise ConfigError(f"unknown model kind '{self.kind}'")
         if self.impurity not in ("entropy", "gini"):
             raise ConfigError(f"unknown impurity '{self.impurity}'")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0 or None")
-        if self.min_samples_split < 1:
-            raise ConfigError("min_samples_split must be positive")
-        if self.n_trees < 1 or self.n_rounds < 1:
-            raise ConfigError("n_trees and n_rounds must be positive")
+        for name, minimum in (("seed", 0), ("min_samples_split", 1), ("n_trees", 1),
+                              ("n_rounds", 1), ("gbt_max_depth", 0), ("max_iters", 1)):
+            require_int(name, getattr(self, name), minimum)
+        if self.max_depth is not None:
+            require_int("max_depth", self.max_depth, 0)
+        if self.features_per_split not in ("sqrt", "all"):
+            require_int("features_per_split ('sqrt', 'all' or an int)",
+                        self.features_per_split, 1)
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be nonnegative")
         if self.reg_gamma < 0 or self.reg_lambda < 0:
             raise ConfigError("regularization terms must be nonnegative")
-        if self.C <= 0 or self.tolerance <= 0 or self.max_iters < 1:
+        if self.C <= 0 or self.tolerance <= 0:
             raise ConfigError("invalid SVM hyperparameters")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split not in ("sqrt", "all"):
-                raise ConfigError(
-                    f"features_per_split must be 'sqrt', 'all' or an int, "
-                    f"got '{self.features_per_split}'"
-                )
-        elif self.features_per_split < 1:
-            raise ConfigError("features_per_split int must be positive")
 
     def n_candidate_features(self, n_features: int) -> int:
         if self.features_per_split == "all":

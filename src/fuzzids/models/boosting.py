@@ -157,10 +157,7 @@ def fit_gbt(x: np.ndarray, y: np.ndarray,
         model = GradientBoostedModel(config, classes, x.shape[1], [chain])
         model.flags["degenerate"] = True
         return model
-    if len(classes) == 2:
-        chains = [_fit_binary_chain(x, (y == classes[1]).astype(float), config)]
-    else:
-        chains = [
-            _fit_binary_chain(x, (y == c).astype(float), config) for c in classes
-        ]
+    # one chain for the higher class of a binary task, else one per class
+    targets = classes[1:] if len(classes) == 2 else classes
+    chains = [_fit_binary_chain(x, (y == c).astype(float), config) for c in targets]
     return GradientBoostedModel(config, classes, x.shape[1], chains)

@@ -114,17 +114,9 @@ def fit_svm(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> SvmModel:
                          np.zeros((1, x.shape[1])), np.zeros(1), [[0.0]], True)
         model.flags["degenerate"] = True
         return model
-    if len(classes) == 2:
-        y_pm = np.where(y == classes[1], 1.0, -1.0)
-        w, b, trace, ok = _train_binary(x, y_pm, config)
-        return SvmModel(config, classes, x.shape[1], [w], [b], [trace], ok)
-    weights, biases, traces = [], [], []
-    all_ok = True
-    for c in classes:
-        y_pm = np.where(y == c, 1.0, -1.0)
-        w, b, trace, ok = _train_binary(x, y_pm, config)
-        weights.append(w)
-        biases.append(b)
-        traces.append(trace)
-        all_ok = all_ok and ok
-    return SvmModel(config, classes, x.shape[1], weights, biases, traces, all_ok)
+    # one chain for the higher class of a binary task, else one per class
+    targets = classes[1:] if len(classes) == 2 else classes
+    weights, biases, traces, ok = zip(*(
+        _train_binary(x, np.where(y == c, 1.0, -1.0), config) for c in targets
+    ))
+    return SvmModel(config, classes, x.shape[1], weights, biases, list(traces), all(ok))

@@ -4,7 +4,9 @@ A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
 scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011). ``grow`` builds every
 tree, classification and regression alike, from a node rule; ``_scan`` is the
 one sorted split search, shared by the impurity criteria and the Newton gain
-of gradient boosting (Chen & Guestrin, KDD 2016).
+of gradient boosting (Chen & Guestrin, KDD 2016). Every impurity split rule
+scores its cuts with ``_child_impurity``, and every split rule picks its
+winner with ``_first_best``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ def impurity(class_proportions, kind: str = "entropy") -> float:
     raise EvaluationError(f"unknown impurity kind '{kind}'")
 
 
-def _impurity_counts(counts: np.ndarray, kind: str) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    return impurity(counts / total, kind)
-
-
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
     """Impurity of each row of a (M, K) count matrix, vectorized."""
     totals = counts.sum(axis=1, keepdims=True)
@@ -46,6 +41,33 @@ def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
     if kind == "entropy":
         return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     return 1.0 - (p ** 2).sum(axis=1)
+
+
+def _child_impurity(left_counts, n_left, parent_counts, kind: str) -> np.ndarray:
+    """Size-weighted impurity of the two children of each cut.
+
+    ``left_counts`` is (M, K), the class counts left of each cut; ``n_left``
+    (M,) their row counts; ``parent_counts`` the counts of the cut node,
+    (K,) shared by every cut or (M, K) one per cut.
+    """
+    n = parent_counts.sum(axis=-1)
+    return (
+        n_left * _impurity_rows(left_counts, kind)
+        + (n - n_left) * _impurity_rows(parent_counts - left_counts, kind)
+    ) / n
+
+
+def _first_best(gains) -> int | None:
+    """Index of the winning cut among gains in candidate order, or None.
+
+    A gain must exceed 1e-12 and beat the best before it by more than 1e-12,
+    so near-ties go to the earlier candidate.
+    """
+    best = None
+    for i, gain in enumerate(gains):
+        if gain > 1e-12 and (best is None or gain > gains[best] + 1e-12):
+            best = i
+    return best
 
 
 class Tree:
@@ -156,24 +178,22 @@ def _scan(x: np.ndarray, candidates, gains_along: Callable):
     For each candidate feature, ``gains_along(order)`` gets the stable sort
     order of the rows and returns the gain of cutting after each of the
     first n - 1 sorted rows. Thresholds are midpoints between consecutive
-    distinct values. Ties go to the lower feature index, then the lower
-    threshold; a gain must exceed 1e-12.
+    distinct values. Ties go to the lower threshold, then ``_first_best``
+    picks among the features' best cuts in ascending feature order.
     """
-    best = None  # (gain, feature, threshold)
+    gains, cuts = [], []
     for feat in sorted(candidates):
         order = np.argsort(x[:, feat], kind="stable")
         xs = x[order, feat]
         valid = xs[:-1] != xs[1:]
         if not valid.any():
             continue
-        gains = np.where(valid, gains_along(order), -np.inf)
-        i = int(np.argmax(gains))  # first max wins: lower threshold on ties
-        gain = gains[i]
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (float(gain), feat, (xs[i] + xs[i + 1]) / 2.0)
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
+        along = np.where(valid, gains_along(order), -np.inf)
+        i = int(np.argmax(along))  # first max wins: lower threshold on ties
+        gains.append(along[i])
+        cuts.append((feat, (xs[i] + xs[i + 1]) / 2.0))
+    best = _first_best(gains)
+    return None if best is None else (*cuts[best], float(gains[best]))
 
 
 def best_split(
@@ -194,7 +214,7 @@ def best_split(
     if n_classes is None:
         n_classes = int(y.max()) + 1
     parent_counts = np.bincount(y, minlength=n_classes)
-    parent_imp = _impurity_counts(parent_counts, impurity_kind)
+    parent_imp = _impurity_rows(parent_counts[None], impurity_kind)[0]
     if parent_imp == 0.0:
         return None
     n_left = np.arange(1, n, dtype=float)
@@ -203,12 +223,8 @@ def best_split(
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y[order]] = 1.0
         left_counts = np.cumsum(onehot, axis=0)[:-1]
-        right_counts = parent_counts[None, :] - left_counts
-        child = (
-            n_left * _impurity_rows(left_counts, impurity_kind)
-            + (n - n_left) * _impurity_rows(right_counts, impurity_kind)
-        ) / n
-        return parent_imp - child
+        return parent_imp - _child_impurity(left_counts, n_left, parent_counts,
+                                            impurity_kind)
 
     return _scan(x, candidate_features, gains_along)
 
@@ -221,30 +237,25 @@ def _random_cut_split(
     rng: np.random.Generator,
     n_classes: int,
 ) -> tuple[int, float] | None:
-    """Extra-trees style split: one uniform random threshold per candidate."""
-    n = len(y)
+    """Extra-trees split (Geurts, Ernst & Wehenkel, 2006): one uniform random
+    threshold per non-constant candidate, drawn in ascending feature order,
+    and every candidate scored at once."""
+    feats = np.sort(np.asarray(candidate_features))
+    cols = x[:, feats]
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    varied = lo < hi
+    feats, cols = feats[varied], cols[:, varied]
+    thresholds = rng.uniform(lo[varied], hi[varied])
+    left = cols <= thresholds
+    # one bincount over (candidate, class) cells gives every left class count
+    cells = y[:, None] + n_classes * np.arange(len(feats))
+    left_counts = np.bincount(cells[left], minlength=len(feats) * n_classes)
+    left_counts = left_counts.reshape(-1, n_classes)
     parent_counts = np.bincount(y, minlength=n_classes)
-    parent_imp = _impurity_counts(parent_counts, impurity_kind)
-    best = None  # (gain, feature, threshold)
-    for feat in sorted(candidate_features):
-        col = x[:, feat]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
-            continue
-        threshold = rng.uniform(lo, hi)
-        left = col <= threshold
-        n_left = int(left.sum())
-        if n_left == 0 or n_left == n:
-            continue
-        left_counts = np.bincount(y[left], minlength=n_classes)
-        child = (
-            n_left * _impurity_counts(left_counts, impurity_kind)
-            + (n - n_left) * _impurity_counts(parent_counts - left_counts, impurity_kind)
-        ) / n
-        gain = parent_imp - child
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (gain, feat, float(threshold))
-    return None if best is None else best[1:]
+    gains = _impurity_rows(parent_counts[None], impurity_kind)[0] - _child_impurity(
+        left_counts, left.sum(axis=0), parent_counts, impurity_kind)
+    best = _first_best(gains)
+    return None if best is None else (feats[best], float(thresholds[best]))
 
 
 def _fallback_split(x: np.ndarray, candidate_features) -> tuple[int, float] | None:
@@ -260,8 +271,9 @@ def _fallback_split(x: np.ndarray, candidate_features) -> tuple[int, float] | No
 
 
 def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
-                rng: np.random.Generator | None, random_cuts: bool) -> Callable:
-    """Node rule of dt/rf/et: leaf class counts, split by impurity decrease."""
+                rng: np.random.Generator | None) -> Callable:
+    """Node rule of dt/rf/et: leaf class counts, split by impurity decrease;
+    et cuts at random thresholds."""
     n_features = x.shape[1]
     k = config.n_candidate_features(n_features)
 
@@ -279,7 +291,7 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
             candidates = rng.choice(n_features, size=k, replace=False)
         else:
             candidates = range(n_features)
-        if random_cuts:
+        if config.kind == "et":
             return counts, _random_cut_split(xs, ys, candidates, config.impurity,
                                              rng, n_classes)
         split = best_split(xs, ys, candidates, config.impurity,
@@ -315,10 +327,10 @@ class DecisionTreeModel(TrainedModel):
 class ForestModel(TrainedModel):
     """Majority-vote ensemble; scores are vote fractions."""
 
-    def __init__(self, config, classes, n_features, trees: list[Tree], kind: str):
+    def __init__(self, config, classes, n_features, trees: list[Tree]):
         super().__init__(config, classes, n_features)
         self.trees = trees
-        self.kind = kind
+        self.kind = config.kind  # rf or et
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
@@ -334,42 +346,28 @@ class ForestModel(TrainedModel):
     @classmethod
     def from_params(cls, config, classes, n_features, params):
         trees = [Tree.from_dict(t) for t in params["trees"]]
-        return cls(config, classes, n_features, trees, kind=config.kind)
+        return cls(config, classes, n_features, trees)
 
 
-def _fit_trees(x, y, config: ClassifierConfig, kind: str) -> TrainedModel:
-    """Grow the dt tree or the rf/et ensemble."""
+def fit_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> TrainedModel:
+    """Grow the tree or ensemble of ``config.kind``: dt, one greedy tree on
+    every row and feature; rf, bootstrap rows and random candidate features
+    per node; et, every row, random candidates and random cuts."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if len(y) == 0:
         raise TrainingError("cannot train on an empty dataset")
     classes, yi = np.unique(y, return_inverse=True)
     everything = np.arange(len(y))
-    if kind == "dt":
-        rule = _class_rule(x, yi, config, len(classes), None, random_cuts=False)
+    if config.kind == "dt":
+        rule = _class_rule(x, yi, config, len(classes), None)
         return DecisionTreeModel(config, classes, x.shape[1], grow(x, everything, rule))
     trees = []
     for t in range(config.n_trees):
         rng = np.random.default_rng((config.seed, t))
-        rows = rng.integers(0, len(y), size=len(y)) if kind == "rf" else everything
-        rule = _class_rule(x, yi, config, len(classes), rng, random_cuts=kind == "et")
-        trees.append(grow(x, rows, rule))
-    return ForestModel(config, classes, x.shape[1], trees, kind=kind)
-
-
-def fit_dt(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> DecisionTreeModel:
-    """Greedy recursive tree construction on the full feature set."""
-    return _fit_trees(x, y, config, "dt")
-
-
-def fit_rf(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> ForestModel:
-    """Bootstrap-aggregated trees with random feature candidates per node."""
-    return _fit_trees(x, y, config, "rf")
-
-
-def fit_et(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> ForestModel:
-    """Extra-trees: full sample per tree, uniform random cut per candidate."""
-    return _fit_trees(x, y, config, "et")
+        rows = rng.integers(0, len(y), size=len(y)) if config.kind == "rf" else everything
+        trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng)))
+    return ForestModel(config, classes, x.shape[1], trees)
 
 
 def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
@@ -379,26 +377,23 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
     Used as the tree-ensemble side of fuzzy/ET score fusion.
     """
     totals = np.zeros(n_features)
-    kind = model.config.impurity
-
-    def walk(tree: Tree, node: int) -> np.ndarray:
-        # post-order: both subtrees before the node, left first
-        if tree.left[node] < 0:
-            return tree.value[node]
-        lc = walk(tree, tree.left[node])
-        rc = walk(tree, tree.right[node])
-        counts = lc + rc
-        n = counts.sum()
-        gain = _impurity_counts(counts, kind) - (
-            lc.sum() * _impurity_counts(lc, kind)
-            + rc.sum() * _impurity_counts(rc, kind)
-        ) / n
-        totals[tree.feature[node]] += n * gain
-        return counts
-
     trees = model.trees if isinstance(model, ForestModel) else [model.tree]
     for tree in trees:
-        walk(tree, 0)
+        counts = tree.value.copy()
+        nodes = []  # internal nodes in post-order: both subtrees first, left first
+
+        def walk(node: int) -> np.ndarray:
+            if tree.left[node] >= 0:
+                counts[node] = walk(tree.left[node]) + walk(tree.right[node])
+                nodes.append(node)
+            return counts[node]
+
+        walk(0)
+        parent, left = counts[nodes], counts[tree.left[nodes]]
+        gain = _impurity_rows(parent, model.config.impurity) - _child_impurity(
+            left, left.sum(axis=1), parent, model.config.impurity)
+        # summed in post-order, one node at a time, as the importances were defined
+        np.add.at(totals, tree.feature[nodes], parent.sum(axis=1) * gain)
     totals /= len(trees)
     peak = totals.max()
     return totals / peak if peak > 0 else totals

@@ -18,13 +18,13 @@ import yaml
 
 from . import __version__
 from .dataset import DatasetSchema, LabeledDataset, SplitSpec, load_csv, stratified_split
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError, require_int
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
                        metrics, multiclass_auc, roc_curve)
 from .fuzzy import (FeatureRanking, FeatureVectorSpec, TriangularParams,
                     fuse_with_et_importance, fuzzy_importance, select_vectors)
-from .models import (ClassifierConfig, fit_et, fit_model, load_model,
-                     mean_impurity_decrease, save_model)
+from .models import (ClassifierConfig, fit_model, load_model, mean_impurity_decrease,
+                     save_model)
 from .preprocess import (CategoricalEncoderState, ScalerState, TransformReport,
                          encode_categorical, fit_encoder, fit_scaler, transform)
 
@@ -68,6 +68,21 @@ class ExperimentConfig:
                 raise ConfigError("vector names/lengths length mismatch")
         if not (0.0 <= self.et_weight <= 1.0):
             raise ConfigError("et_weight must lie in [0, 1]")
+        for name in ("train_path", "test_path", "schema_path", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.binary_rule is not None and not isinstance(self.binary_rule, dict):
+            raise ConfigError("binary_rule must map label names to 0 or 1")
+        require_int("seed", self.seed, 0)
+        for length in self.vector_lengths or []:
+            require_int("vector length", length, 1)
+        if len(self.split_fractions) != 2:
+            raise ConfigError("split_fractions must be [train, validation]")
+        try:
+            SplitSpec(self.split_fractions, self.seed)
+            TriangularParams(*self.triangular)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -225,13 +240,8 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int],
             roc["binary"] = points
     else:
         rep = macro_metrics(cm)
-        per_class, macro = multiclass_auc(y, scores, model.classes)
-        rep.auc_per_class = per_class
-        rep.auc = macro
-        for col, c in enumerate(model.classes):
-            binary = (y == c).astype(np.int64)
-            if binary.min() != binary.max():
-                roc[str(int(c))] = roc_curve(binary, scores[:, col])
+        rep.auc_per_class, rep.auc, curves = multiclass_auc(y, scores, model.classes)
+        roc = {str(c): points for c, points in curves.items()}
     return rep, cm, roc
 
 
@@ -304,7 +314,7 @@ def rank_features(
     ranking = fuzzy_importance(train, TriangularParams(*config.triangular))
     if config.et_weight < 1.0:
         et_cfg = ClassifierConfig(kind="et", seed=config.seed, n_trees=50)
-        et_model = fit_et(train.numeric_features(), train.labels, et_cfg)
+        et_model = fit_model(train.numeric_features(), train.labels, et_cfg)
         et_scores = mean_impurity_decrease(et_model, train.n_features)
         ranking = fuse_with_et_importance(ranking, et_scores, config.et_weight)
     names, lengths = vector_layout(config, train.schema)

@@ -175,6 +175,31 @@ BAD_CONFIGS = {
     "deleted bootstrap key": _run_config(
         task="multiclass", models=[{"kind": "rf", "n_trees": 2, "bootstrap": False}]),
     "deleted stratified key": _run_config(task="multiclass", stratified=False),
+    # runnable configs but for one malformed value
+    "fractional seed": _run_config(task="multiclass", seed=1.5),
+    "seed not a number": _run_config(task="multiclass", seed="abc"),
+    "bool seed": _run_config(task="multiclass", seed=True),
+    "fractional n_trees": _run_config(
+        task="multiclass", models=[{"kind": "rf", "n_trees": 2.5}]),
+    "bool n_trees": _run_config(task="multiclass", models=[{"kind": "rf", "n_trees": True}]),
+    "fractional n_rounds": _run_config(
+        task="multiclass", models=[{"kind": "gbt", "n_rounds": 2.5}]),
+    "fractional max_iters": _run_config(
+        task="multiclass", models=[{"kind": "svm", "max_iters": 2.5}]),
+    "fractional max_depth": _run_config(
+        task="multiclass", models=[{"kind": "dt", "max_depth": 2.5}]),
+    "fractional min_samples_split": _run_config(
+        task="multiclass", models=[{"kind": "dt", "min_samples_split": 2.5}]),
+    "negative gbt_max_depth": _run_config(
+        task="multiclass", models=[{"kind": "gbt", "n_rounds": 2, "gbt_max_depth": -1}]),
+    "three split fractions": _run_config(task="multiclass", split_fractions=[0.5, 0.3, 0.2]),
+    "split fractions summing past 1": _run_config(task="multiclass",
+                                                  split_fractions=[0.5, 0.6]),
+    "vector length a string": _run_config(task="multiclass", vector_names=["v1"],
+                                          vector_lengths=["3"]),
+    "binary_rule a list": _run_config(binary_rule=["benign"]),
+    "output_dir a number": _run_config(task="multiclass", output_dir=5),
+    "triangular out of order": _run_config(task="multiclass", triangular=[1, 0.5, 0]),
 }
 
 

@@ -226,6 +226,15 @@ class TestRoc:
         y = rng.integers(0, 3, size=90)
         y[:3] = [0, 1, 2]
         scores = rng.uniform(size=(90, 3))
-        per_class, macro = multiclass_auc(y, scores, [0, 1, 2])
-        assert set(per_class) == {0, 1, 2}
+        per_class, macro, curves = multiclass_auc(y, scores, [0, 1, 2])
+        assert set(per_class) == set(curves) == {0, 1, 2}
         assert macro == pytest.approx(np.mean(list(per_class.values())))
+        for c, points in curves.items():
+            assert points == roc_curve((y == c).astype(int), scores[:, c])
+            assert per_class[c] == auc(points)
+
+    def test_multiclass_skips_absent_class(self, rng):
+        y = rng.integers(0, 2, size=40)
+        y[:2] = [0, 1]
+        per_class, macro, curves = multiclass_auc(y, rng.uniform(size=(40, 3)), [0, 1, 2])
+        assert set(per_class) == set(curves) == {0, 1}

@@ -5,19 +5,17 @@ from fuzzids.errors import EvaluationError, SchemaError, TrainingError
 from fuzzids.models import (
     ClassifierConfig,
     best_split,
-    fit_dt,
-    fit_et,
     fit_gbt,
     fit_model,
     fit_nb,
-    fit_rf,
     fit_svm,
     impurity,
     load_model,
+    mean_impurity_decrease,
     save_model,
 )
 from fuzzids.models.boosting import _BinaryBooster
-from fuzzids.models.tree import Tree
+from fuzzids.models.tree import Tree, _first_best, _random_cut_split
 from fuzzids.models.svm import svm_objective
 
 
@@ -115,10 +113,116 @@ def _brute_force_split(x, y):
     return best
 
 
+@pytest.mark.parametrize("gains, expected", [
+    ([], None),
+    ([1e-13, 0.0, -np.inf, np.nan], None),  # no gain clears 1e-12
+    ([0.5, 0.5 + 1e-13], 0),                # a near-tie goes to the earlier cut
+    ([0.5, 0.5 + 1e-13, 0.6], 2),
+    ([np.nan, 0.3, 0.3], 1),
+])
+def test_first_best_tie_rule(gains, expected):
+    assert _first_best(np.array(gains)) == expected
+
+
+def scalar_random_cut_split(x, y, candidates, kind, rng, n_classes):
+    """Reference: the per-candidate loop the vectorised ET rule replaced,
+    with impurity() as the impurity of each side."""
+    def side(counts):
+        return impurity(counts / counts.sum(), kind)
+
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    best = None  # (gain, feature, threshold)
+    for feat in sorted(candidates):
+        col = x[:, feat]
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            continue
+        threshold = rng.uniform(lo, hi)
+        left = col <= threshold
+        n_left = int(left.sum())
+        if n_left == 0 or n_left == n:
+            continue
+        left_counts = np.bincount(y[left], minlength=n_classes)
+        gain = side(parent_counts) - (
+            n_left * side(left_counts) + (n - n_left) * side(parent_counts - left_counts)
+        ) / n
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, feat, float(threshold))
+    return None if best is None else best[1:]
+
+
+class TestRandomCutSplit:
+    @pytest.mark.parametrize("kind", ["entropy", "gini"])
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_matches_scalar_loop(self, kind, n_classes, rng):
+        found = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 50))
+            x = np.round(rng.uniform(size=(n, 6)), 1)  # repeated values
+            x[:, rng.choice(6, size=int(rng.integers(0, 4)), replace=False)] = 0.5
+            if trial % 10 == 0:
+                x[:] = 0.25  # every column constant: no draw at all
+            y = rng.integers(0, n_classes, size=n)
+            candidates = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+            fast = np.random.default_rng(trial)
+            slow = np.random.default_rng(trial)
+            got = _random_cut_split(x, y, candidates, kind, fast, n_classes)
+            expected = scalar_random_cut_split(x, y, candidates, kind, slow, n_classes)
+            assert got == expected
+            assert fast.bit_generator.state == slow.bit_generator.state
+            found += got is not None
+        assert found > 20
+
+
+def recursive_importance(model, n_features):
+    """Reference: the recursive post-order walk mean_impurity_decrease
+    replaced, with impurity() as the impurity of each node."""
+    def node_impurity(counts):
+        return impurity(counts / counts.sum(), model.config.impurity)
+
+    def walk(tree, node):
+        if tree.left[node] < 0:
+            return tree.value[node]
+        lc, rc = walk(tree, tree.left[node]), walk(tree, tree.right[node])
+        counts = lc + rc
+        n = counts.sum()
+        gain = node_impurity(counts) - (
+            lc.sum() * node_impurity(lc) + rc.sum() * node_impurity(rc)) / n
+        totals[tree.feature[node]] += n * gain
+        return counts
+
+    totals = np.zeros(n_features)
+    trees = model.trees if model.kind != "dt" else [model.tree]
+    for tree in trees:
+        walk(tree, 0)
+    totals /= len(trees)
+    return totals / totals.max() if totals.max() > 0 else totals
+
+
+class TestImportance:
+    @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
+    @pytest.mark.parametrize("impurity_kind", ["entropy", "gini"])
+    def test_matches_recursive_walk(self, kind, impurity_kind, rng):
+        x = np.round(rng.uniform(size=(200, 6)), 2)
+        y = (3 * x[:, 0] + rng.normal(0, 0.4, 200)).astype(np.int64).clip(0, 2)
+        cfg = ClassifierConfig(kind=kind, impurity=impurity_kind, n_trees=4, seed=3)
+        model = fit_model(x, y, cfg)
+        got = mean_impurity_decrease(model, 6)
+        assert np.array_equal(got, recursive_importance(model, 6))
+        assert got.max() == 1.0
+
+    def test_single_leaf_has_no_importance(self, rng):
+        x = rng.uniform(size=(30, 3))
+        model = fit_model(x, rng.integers(0, 2, size=30),
+                          ClassifierConfig(kind="dt", max_depth=0))
+        assert not mean_impurity_decrease(model, 3).any()
+
+
 class TestDecisionTree:
     def test_separable_depth_one(self):
         x, y = separable_1d()
-        model = fit_dt(x, y, ClassifierConfig(kind="dt"))
+        model = fit_model(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
         tree = model.tree
         assert tree.left[0] >= 0 and tree.left[tree.left[0]] < 0
@@ -126,7 +230,7 @@ class TestDecisionTree:
     def test_four_point_xor(self):
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        model = fit_dt(x, y, ClassifierConfig(kind="dt"))
+        model = fit_model(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
         assert tree_depth(model.tree) == 2
 
@@ -134,18 +238,18 @@ class TestDecisionTree:
         x, y = separable_1d()
         y = y.copy()
         y[:] = [0] * 15 + [1] * 5
-        model = fit_dt(x, y, ClassifierConfig(kind="dt", max_depth=0))
+        model = fit_model(x, y, ClassifierConfig(kind="dt", max_depth=0))
         assert len(model.tree.left) == 1 and model.tree.left[0] < 0
         assert (model.predict(x) == 0).all()
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError):
-            fit_dt(np.empty((0, 1)), np.empty(0, dtype=int), ClassifierConfig(kind="dt"))
+            fit_model(np.empty((0, 1)), np.empty(0, dtype=int), ClassifierConfig(kind="dt"))
 
     def test_consistent_data_perfect_fit(self, rng):
         x = rng.uniform(size=(60, 3))
         y = rng.integers(0, 3, size=60)
-        model = fit_dt(x, y, ClassifierConfig(kind="dt"))
+        model = fit_model(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
 
 
@@ -184,7 +288,7 @@ class TestTreeApply:
 class TestEnsembles:
     def test_majority_vote_fraction(self):
         x, y = xor_clusters(80, seed=1)
-        rf = fit_rf(x, y, ClassifierConfig(kind="rf", n_trees=4, seed=5))
+        rf = fit_model(x, y, ClassifierConfig(kind="rf", n_trees=4, seed=5))
         scores = rf.score(x)
         assert np.allclose(scores.sum(axis=1), 1.0)
         assert set(np.round(scores * 4).astype(int).ravel()) <= {0, 1, 2, 3, 4}
@@ -192,13 +296,13 @@ class TestEnsembles:
     def test_same_seed_identical_forests(self):
         x, y = xor_clusters(40, seed=2)
         cfg = ClassifierConfig(kind="rf", n_trees=5, seed=11)
-        f1, f2 = fit_rf(x, y, cfg), fit_rf(x, y, cfg)
+        f1, f2 = fit_model(x, y, cfg), fit_model(x, y, cfg)
         assert all(same_tree(a, b) for a, b in zip(f1.trees, f2.trees))
 
     def test_et_same_seed_identical(self):
         x, y = xor_clusters(40, seed=3)
         cfg = ClassifierConfig(kind="et", n_trees=5, seed=11)
-        f1, f2 = fit_et(x, y, cfg), fit_et(x, y, cfg)
+        f1, f2 = fit_model(x, y, cfg), fit_model(x, y, cfg)
         assert all(same_tree(a, b) for a, b in zip(f1.trees, f2.trees))
 
     def test_training_accuracy_beats_chance(self, rng):
@@ -376,6 +480,15 @@ class TestUniformContract:
         model = fit_model(x, y, cfg)
         with pytest.raises(SchemaError):
             model.predict(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
+    def test_tree_kind_survives_round_trip(self, kind, tmp_path):
+        x, y = xor_clusters(40, seed=8)
+        cfg = ClassifierConfig(kind=kind, n_trees=2, seed=1)
+        model = fit_model(x, y, cfg)
+        save_model(model, tmp_path / "model.json")
+        clone = load_model(tmp_path / "model.json")
+        assert model.kind == clone.kind == clone.config.kind == cfg.kind
 
     @pytest.mark.parametrize("kind", ["dt", "rf", "et", "gbt", "nb", "svm"])
     def test_serialization_round_trip(self, kind, tmp_path, rng):
