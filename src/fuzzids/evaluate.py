@@ -201,8 +201,8 @@ def auc_score(true_binary, scores) -> float:
     return auc(roc_curve(true_binary, scores))
 
 
-def multiclass_auc(true_labels, score_matrix, classes) -> tuple[
-        dict[int, float], float, dict[int, list[tuple[float, float, float]]]]:
+def multiclass_auc(true_labels, score_matrix,
+                   classes) -> tuple[dict[int, float], float, dict[int, list]]:
     """One-vs-rest AUC per class, their unweighted macro average, and the ROC
     curve each AUC was taken from.
 
@@ -211,7 +211,7 @@ def multiclass_auc(true_labels, score_matrix, classes) -> tuple[
     y = np.asarray(true_labels, dtype=np.int64)
     score_matrix = np.asarray(score_matrix, dtype=float)
     per_class: dict[int, float] = {}
-    curves: dict[int, list[tuple[float, float, float]]] = {}
+    curves: dict[int, list] = {}
     for col, c in enumerate(classes):
         binary = (y == c).astype(np.int64)
         if binary.min() == binary.max():
