@@ -50,11 +50,12 @@ class ClassifierConfig:
         if self.features_per_split not in ("sqrt", "all"):
             require_int("features_per_split ('sqrt', 'all' or an int)",
                         self.features_per_split, 1)
-        if self.learning_rate < 0:
+        # written so that NaN fails every check
+        if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be nonnegative")
-        if self.reg_gamma < 0 or self.reg_lambda < 0:
+        if not (self.reg_gamma >= 0 and self.reg_lambda >= 0):
             raise ConfigError("regularization terms must be nonnegative")
-        if self.C <= 0 or self.tolerance <= 0:
+        if not (self.C > 0 and self.tolerance > 0):
             raise ConfigError("invalid SVM hyperparameters")
 
     def n_candidate_features(self, n_features: int) -> int:

@@ -76,8 +76,9 @@ class ExperimentConfig:
         require_int("seed", self.seed, 0)
         for length in self.vector_lengths or []:
             require_int("vector length", length, 1)
-        if len(self.split_fractions) != 2:
-            raise ConfigError("split_fractions must be [train, validation]")
+        if len(self.split_fractions) != 2 or len(self.triangular) != 3:
+            raise ConfigError("split_fractions must be [train, validation] and "
+                              "triangular [a, b, c]")
         try:
             SplitSpec(self.split_fractions, self.seed)
             TriangularParams(*self.triangular)

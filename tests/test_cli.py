@@ -200,6 +200,11 @@ BAD_CONFIGS = {
     "binary_rule a list": _run_config(binary_rule=["benign"]),
     "output_dir a number": _run_config(task="multiclass", output_dir=5),
     "triangular out of order": _run_config(task="multiclass", triangular=[1, 0.5, 0]),
+    "two triangular parameters": _run_config(task="multiclass", triangular=[0, 0.5]),
+    "NaN learning_rate": _run_config(task="multiclass", models=[
+        {"kind": "gbt", "n_rounds": 2, "learning_rate": float("nan")}]),
+    "NaN svm C": _run_config(
+        task="multiclass", models=[{"kind": "svm", "max_iters": 5, "C": float("nan")}]),
 }
 
 

@@ -2,10 +2,12 @@
 
 Four runs on the bundled mini corpus: one multiclass with ET-fused ranking
 (``et_weight: 0.5``) over dt/rf/et/gbt, one binary over dt and gbt, one
-multiclass over nb and svm, and one binary over gini rf, gini et and svm. Each runs in a temporary working directory with relative paths,
-so the bytes do not depend on where the checkout lives. Every file of the run directory except ``timings.json``
-(reports, states, ranking, models, ROC curves and confusion matrices) is
-compared byte for byte with ``tests/golden/``.
+multiclass over nb and svm, and one binary over gini rf, gini et and svm.
+Each runs in a temporary working directory with relative paths, so the
+bytes do not depend on where the checkout lives. Every file of the run
+directory except ``timings.json`` (reports, states, ranking, models, ROC
+curves and confusion matrices) is compared byte for byte with
+``tests/golden/``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py``, and only in a
 change that declares the behaviour change.
