@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from .base import ClassifierConfig, TrainedModel
-from .tree import Tree, _scan, grow
+from .tree import Tree, _presort, _scan, grow
 
 
 def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
@@ -15,23 +15,22 @@ def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     the Newton gain on summed gradients and hessians."""
     lam = config.reg_lambda
 
-    def rule(rows, depth):
-        g_node, h_node = grad[rows], hess[rows]
-        g, h = g_node.sum(), h_node.sum()
+    def rule(rows, order, depth):
+        # summed in row order, not sorted order, so leaf weights keep their bits
+        g, h = grad[rows].sum(), hess[rows].sum()
         weight = -g / (h + lam)
         if depth >= config.gbt_max_depth or len(rows) < config.min_samples_split:
             return weight, None
 
-        def gains_along(order):
-            gl = np.cumsum(g_node[order])[:-1]
-            hl = np.cumsum(h_node[order])[:-1]
+        def gains_along(sorted_rows):
+            gl = np.cumsum(grad[sorted_rows], axis=1)[:, :-1]
+            hl = np.cumsum(hess[sorted_rows], axis=1)[:, :-1]
             gr, hr = g - gl, h - hl
             return 0.5 * (
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
             ) - config.reg_gamma
 
-        split = _scan(x[rows], range(x.shape[1]), gains_along)
-        return weight, None if split is None else split[:2]
+        return weight, _scan(x, order, range(x.shape[1]), gains_along)
 
     return rule
 
@@ -79,8 +78,8 @@ class _BinaryBooster:
         )
 
 
-def _fit_binary_chain(x: np.ndarray, y01: np.ndarray,
-                      config: ClassifierConfig) -> _BinaryBooster:
+def _fit_binary_chain(x: np.ndarray, y01: np.ndarray, config: ClassifierConfig,
+                      order: np.ndarray) -> _BinaryBooster:
     pos = y01.mean()
     pos = min(max(pos, 1e-12), 1 - 1e-12)
     base = float(np.log(pos / (1.0 - pos)))
@@ -96,7 +95,7 @@ def _fit_binary_chain(x: np.ndarray, y01: np.ndarray,
         hess = p * (1.0 - p)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             raise TrainingError(f"non-finite gradient at boosting round {t}")
-        tree = grow(x, np.arange(len(x)), _newton_rule(x, grad, hess, config))
+        tree = grow(x, np.arange(len(x)), _newton_rule(x, grad, hess, config), order)
         stages.append(tree)
         raw = raw + config.learning_rate * tree.value[tree.apply(x)]
         leaves = tree.value[tree.left < 0]  # left to right
@@ -159,5 +158,6 @@ def fit_gbt(x: np.ndarray, y: np.ndarray,
         return model
     # one chain for the higher class of a binary task, else one per class
     targets = classes[1:] if len(classes) == 2 else classes
-    chains = [_fit_binary_chain(x, (y == c).astype(float), config) for c in targets]
+    order = _presort(x, np.arange(len(y)))  # serves every round of every chain
+    chains = [_fit_binary_chain(x, (y == c).astype(float), config, order) for c in targets]
     return GradientBoostedModel(config, classes, x.shape[1], chains)

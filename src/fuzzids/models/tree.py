@@ -2,11 +2,13 @@
 
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
 scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011). ``grow`` builds every
-tree, classification and regression alike, from a node rule; ``_scan`` is the
-one sorted split search, shared by the impurity criteria and the Newton gain
-of gradient boosting (Chen & Guestrin, KDD 2016). Every impurity split rule
-scores its cuts with ``_child_impurity``, and every split rule picks its
-winner with ``_first_best``.
+tree from a node rule. dt, rf and gbt sort each feature once per fit and
+partition the sort down the tree, as XGBoost's sorted column block (Chen &
+Guestrin, KDD 2016) and SLIQ (Mehta et al., EDBT 1996) do. ``_scan``, the one
+exact split search of the impurity criteria and the Newton gain, scores all
+candidate features of a node at once, ``BLOCK_CELLS`` (feature x row) cells
+at a time. Every impurity split rule scores its cuts with ``_child_impurity``,
+and every split rule picks its winner with ``_first_best``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from ..errors import EvaluationError, TrainingError
 from .base import ClassifierConfig, TrainedModel
+
+BLOCK_CELLS = 8192  # a scan block holds this many (feature x row) cells, or one feature
 
 
 def impurity(class_proportions, kind: str = "entropy") -> float:
@@ -35,20 +39,20 @@ def impurity(class_proportions, kind: str = "entropy") -> float:
 
 
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
-    """Impurity of each row of a (M, K) count matrix, vectorized."""
-    totals = counts.sum(axis=1, keepdims=True)
+    """Impurity of each count vector along the last axis of ``counts``."""
+    totals = counts.sum(axis=-1, keepdims=True)
     p = counts / np.maximum(totals, 1)
     if kind == "entropy":
-        return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
-    return 1.0 - (p ** 2).sum(axis=1)
+        return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+    return 1.0 - (p ** 2).sum(axis=-1)
 
 
 def _child_impurity(left_counts, n_left, parent_counts, kind: str) -> np.ndarray:
     """Size-weighted impurity of the two children of each cut.
 
-    ``left_counts`` is (M, K), the class counts left of each cut; ``n_left``
-    (M,) their row counts; ``parent_counts`` the counts of the cut node,
-    (K,) shared by every cut or (M, K) one per cut.
+    ``left_counts`` is (..., M, K), the class counts left of each cut;
+    ``n_left`` (M,) their row counts; ``parent_counts`` the counts of the cut
+    node, (K,) shared by every cut or (M, K) one per cut.
     """
     n = parent_counts.sum(axis=-1)
     return (
@@ -154,44 +158,58 @@ class Tree:
         return cls.build(doc, expand)
 
 
-def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable) -> Tree:
+def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable,
+         order: np.ndarray | None = None) -> Tree:
     """Grow a tree over ``x[rows]``, depth first, left subtree first.
 
-    ``node_rule(rows, depth)`` returns ``(value, None)`` to make a leaf or
-    ``(value, (feature, threshold))`` to split.
+    ``order``, if given, is (F, n): row f holds ``rows`` sorted stably by
+    feature f. A child's order is a stable partition of its parent's, so ties
+    keep their order in ``rows``. ``node_rule(rows, order, depth)`` returns
+    ``(value, None)`` to make a leaf or ``(value, (feature, threshold, ...))``
+    to split.
     """
 
-    def expand(rows, depth):
-        value, split = node_rule(rows, depth)
+    def expand(state, depth):
+        rows, order = state
+        value, split = node_rule(rows, order, depth)
         if split is None:
             return value, None
-        feat, threshold = split
+        feat, threshold = split[:2]
         left = x[rows, feat] <= threshold
-        return value, (feat, threshold, rows[left], rows[~left])
+        if order is None:
+            return value, (feat, threshold, (rows[left], None), (rows[~left], None))
+        goes_left = x[order, feat] <= threshold
+        lo, hi = (order[side].reshape(len(order), -1) for side in (goes_left, ~goes_left))
+        return value, (feat, threshold, (rows[left], lo), (rows[~left], hi))
 
-    return Tree.build(rows, expand)
+    return Tree.build((rows, order), expand)
 
 
-def _scan(x: np.ndarray, candidates, gains_along: Callable):
+def _presort(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(F, n) ``rows`` sorted stably by each feature, ties in ``rows`` order."""
+    return rows[np.argsort(x[rows].T, axis=1, kind="stable")]
+
+
+def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
     """Best (feature, threshold, gain) over sorted midpoints, or None.
 
-    For each candidate feature, ``gains_along(order)`` gets the stable sort
-    order of the rows and returns the gain of cutting after each of the
-    first n - 1 sorted rows. Thresholds are midpoints between consecutive
+    ``gains_along(sorted_rows)`` gets a (B, n) block of the node's ``order``
+    (see ``grow``) and returns the (B, n - 1) gains of cutting after each of
+    the first n - 1 sorted rows. Thresholds are midpoints between consecutive
     distinct values. Ties go to the lower threshold, then ``_first_best``
     picks among the features' best cuts in ascending feature order.
     """
+    if order.shape[1] < 2:
+        return None
+    feats, step = np.sort(candidates), max(1, BLOCK_CELLS // order.shape[1])
     gains, cuts = [], []
-    for feat in sorted(candidates):
-        order = np.argsort(x[:, feat], kind="stable")
-        xs = x[order, feat]
-        valid = xs[:-1] != xs[1:]
-        if not valid.any():
-            continue
-        along = np.where(valid, gains_along(order), -np.inf)
-        i = int(np.argmax(along))  # first max wins: lower threshold on ties
-        gains.append(along[i])
-        cuts.append((feat, (xs[i] + xs[i + 1]) / 2.0))
+    for block in (feats[at:at + step] for at in range(0, len(feats), step)):
+        xs = x[order[block], block[:, None]]
+        along = np.where(xs[:, :-1] != xs[:, 1:], gains_along(order[block]), -np.inf)
+        i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
+        at = np.arange(len(block))
+        gains.extend(along[at, i])
+        cuts.extend(zip(block.tolist(), ((xs[at, i] + xs[at, i + 1]) / 2.0).tolist()))
     best = _first_best(gains)
     return None if best is None else (*cuts[best], float(gains[best]))
 
@@ -203,30 +221,32 @@ def best_split(
     impurity_kind: str = "entropy",
     min_samples_split: int = 2,
     n_classes: int | None = None,
+    order: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
-    """Exhaustive best (feature, threshold, gain) by impurity decrease.
-
-    Returns None when no split yields positive gain.
+    """Exhaustive best (feature, threshold, gain) by impurity decrease, or
+    None when no split yields positive gain. ``order`` holds the node's rows
+    presorted per feature (see ``grow``); by default every row of ``x``.
     """
-    n = len(y)
-    if n < min_samples_split:
+    if order is None:
+        order = _presort(x, np.arange(len(y)))
+    if order.shape[1] < min_samples_split:
         return None
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    parent_counts = np.bincount(y, minlength=n_classes)
+    # the node's rows as the first feature sorts them; none when x has no column
+    parent_counts = np.bincount(y[order[:1]].ravel(), minlength=n_classes)
     parent_imp = _impurity_rows(parent_counts[None], impurity_kind)[0]
     if parent_imp == 0.0:
         return None
-    n_left = np.arange(1, n, dtype=float)
+    n_left = np.arange(1, order.shape[1], dtype=float)
 
-    def gains_along(order):
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y[order]] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[:-1]
+    def gains_along(sorted_rows):
+        onehot = y[sorted_rows][..., None] == np.arange(n_classes)
+        left_counts = np.cumsum(onehot, axis=1)[:, :-1]
         return parent_imp - _child_impurity(left_counts, n_left, parent_counts,
                                             impurity_kind)
 
-    return _scan(x, candidate_features, gains_along)
+    return _scan(x, order, candidate_features, gains_along)
 
 
 def _random_cut_split(
@@ -258,18 +278,6 @@ def _random_cut_split(
     return None if best is None else (feats[best], float(thresholds[best]))
 
 
-def _fallback_split(x: np.ndarray, candidate_features) -> tuple[int, float] | None:
-    """Zero-gain tie split: lowest feature with >1 distinct value, lowest
-    midpoint threshold. Lets growth continue past locally uninformative
-    nodes (e.g. the root of a 4-point XOR, where every split has zero gain
-    but the children become separable)."""
-    for feat in sorted(candidate_features):
-        values = np.unique(x[:, feat])
-        if len(values) > 1:
-            return feat, float((values[0] + values[1]) / 2.0)
-    return None
-
-
 def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
                 rng: np.random.Generator | None) -> Callable:
     """Node rule of dt/rf/et: leaf class counts, split by impurity decrease;
@@ -277,7 +285,7 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
     n_features = x.shape[1]
     k = config.n_candidate_features(n_features)
 
-    def rule(rows, depth):
+    def rule(rows, order, depth):
         ys = y[rows]
         counts = np.bincount(ys, minlength=n_classes)
         if (
@@ -286,17 +294,17 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
             or np.count_nonzero(counts) <= 1
         ):
             return counts, None
-        xs = x[rows]
         if rng is not None and k < n_features:
             candidates = rng.choice(n_features, size=k, replace=False)
         else:
             candidates = range(n_features)
         if config.kind == "et":
-            return counts, _random_cut_split(xs, ys, candidates, config.impurity,
+            return counts, _random_cut_split(x[rows], ys, candidates, config.impurity,
                                              rng, n_classes)
-        split = best_split(xs, ys, candidates, config.impurity,
-                           config.min_samples_split, n_classes)
-        return counts, split[:2] if split else _fallback_split(xs, candidates)
+        split = best_split(x, y, candidates, config.impurity, n_classes=n_classes,
+                           order=order)
+        # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
+        return counts, split or _scan(x, order, candidates, lambda r: np.ones(r[:, 1:].shape))
 
     return rule
 
@@ -361,12 +369,14 @@ def fit_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> Trained
     everything = np.arange(len(y))
     if config.kind == "dt":
         rule = _class_rule(x, yi, config, len(classes), None)
-        return DecisionTreeModel(config, classes, x.shape[1], grow(x, everything, rule))
+        tree = grow(x, everything, rule, _presort(x, everything))
+        return DecisionTreeModel(config, classes, x.shape[1], tree)
     trees = []
     for t in range(config.n_trees):
         rng = np.random.default_rng((config.seed, t))
         rows = rng.integers(0, len(y), size=len(y)) if config.kind == "rf" else everything
-        trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng)))
+        order = _presort(x, rows) if config.kind == "rf" else None  # et reads no sort
+        trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng), order))
     return ForestModel(config, classes, x.shape[1], trees)
 
 

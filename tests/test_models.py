@@ -14,8 +14,10 @@ from fuzzids.models import (
     mean_impurity_decrease,
     save_model,
 )
-from fuzzids.models.boosting import _BinaryBooster
-from fuzzids.models.tree import Tree, _first_best, _random_cut_split
+from fuzzids.models import tree as tree_engine
+from fuzzids.models.boosting import _BinaryBooster, _newton_rule
+from fuzzids.models.tree import (Tree, _child_impurity, _class_rule, _first_best,
+                                 _impurity_rows, _presort, _random_cut_split, grow)
 from fuzzids.models.svm import svm_objective
 
 
@@ -111,6 +113,167 @@ def _brute_force_split(x, y):
             if gain > 1e-12 and (best is None or gain > best[2] + 1e-12):
                 best = (feat, t, gain)
     return best
+
+
+def argsort_scan(x, candidates, gains_along):
+    """Reference: the per-node scan the presorted one replaced, with one stable
+    argsort per candidate feature of ``x``, the node's rows."""
+    gains, cuts = [], []
+    for feat in sorted(candidates):
+        order = np.argsort(x[:, feat], kind="stable")
+        xs = x[order, feat]
+        valid = xs[:-1] != xs[1:]
+        if not valid.any():
+            continue
+        along = np.where(valid, gains_along(order), -np.inf)
+        i = int(np.argmax(along))  # first max wins: lower threshold on ties
+        gains.append(along[i])
+        cuts.append((feat, (xs[i] + xs[i + 1]) / 2.0))
+    best = _first_best(gains)
+    return None if best is None else (*cuts[best], float(gains[best]))
+
+
+def argsort_best_split(x, y, candidates, kind, n_classes):
+    """Reference: best_split as it was, on the node's rows ``x``, ``y``."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    parent_imp = _impurity_rows(parent_counts[None], kind)[0]
+    if parent_imp == 0.0:
+        return None
+    n_left = np.arange(1, n, dtype=float)
+
+    def gains_along(order):
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y[order]] = 1.0
+        left_counts = np.cumsum(onehot, axis=0)[:-1]
+        return parent_imp - _child_impurity(left_counts, n_left, parent_counts, kind)
+
+    return argsort_scan(x, candidates, gains_along)
+
+
+def argsort_newton_split(x, grad, hess, lam, gamma):
+    """Reference: the Newton split of a boosting node as it was."""
+    g, h = grad.sum(), hess.sum()
+
+    def gains_along(order):
+        gl, hl = np.cumsum(grad[order])[:-1], np.cumsum(hess[order])[:-1]
+        gr, hr = g - gl, h - hl
+        return 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
+                      - g ** 2 / (h + lam)) - gamma
+
+    return argsort_scan(x, range(x.shape[1]), gains_along)
+
+
+def unique_fallback(x, candidates):
+    """Reference: the zero-gain cut as it was, one np.unique per feature."""
+    for feat in sorted(candidates):
+        values = np.unique(x[:, feat])
+        if len(values) > 1:
+            return feat, float((values[0] + values[1]) / 2.0)
+    return None
+
+
+def tie_heavy(rng, n, n_features=6, n_classes=3):
+    """Integer-valued features with few levels, some columns constant."""
+    x = rng.integers(0, int(rng.integers(2, 5)), size=(n, n_features)).astype(float)
+    x[:, rng.choice(n_features, size=int(rng.integers(0, 3)), replace=False)] = 1.0
+    return x, rng.integers(0, n_classes, size=n)
+
+
+class TestPresortedScan:
+    """The presorted, all-features-at-once scan gives the (feature, threshold,
+    gain) of the per-node argsort loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["entropy", "gini"])
+    def test_best_split_matches_argsort_scan(self, kind, rng):
+        found = 0
+        for _ in range(40):
+            x, y = tie_heavy(rng, int(rng.integers(2, 80)))
+            candidates = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+            got = best_split(x, y, candidates, kind, n_classes=3)
+            assert got == argsort_best_split(x, y, candidates, kind, 3)
+            found += got is not None
+        assert found > 20
+
+    @pytest.mark.parametrize("kind", ["entropy", "gini"])
+    def test_bootstrap_rows_match_argsort_scan(self, kind, rng):
+        for _ in range(40):
+            x, y = tie_heavy(rng, 60)
+            rows = rng.integers(0, 60, size=int(rng.integers(2, 90)))  # duplicates
+            candidates = rng.choice(6, size=3, replace=False)
+            got = best_split(x, y, candidates, kind, n_classes=3, order=_presort(x, rows))
+            assert got == argsort_best_split(x[rows], y[rows], candidates, kind, 3)
+
+    def test_newton_rule_matches_argsort_scan(self, rng):
+        found = 0
+        for trial in range(40):
+            x, _ = tie_heavy(rng, 80)
+            p = rng.uniform(0.05, 0.95, size=80)
+            grad, hess = p - rng.integers(0, 2, size=80), p * (1 - p)
+            rows = np.sort(rng.choice(80, size=int(rng.integers(1, 81)), replace=False))
+            cfg = ClassifierConfig(kind="gbt", reg_gamma=[0.0, 0.05][trial % 2],
+                                   min_samples_split=1)
+            _, got = _newton_rule(x, grad, hess, cfg)(rows, _presort(x, rows), 0)
+            assert got == argsort_newton_split(x[rows], grad[rows], hess[rows],
+                                               cfg.reg_lambda, cfg.reg_gamma)
+            found += got is not None
+        assert found > 20
+        one = rows[:1]  # a single row has no cut, even with min_samples_split 1
+        assert _newton_rule(x, grad, hess, cfg)(one, _presort(x, one), 0)[1] is None
+
+    def test_children_keep_the_presort(self, rng):
+        # a child's partitioned order is its rows presorted afresh, duplicates
+        # of a bootstrap row array included
+        x, y = tie_heavy(rng, 120)
+        rows = rng.integers(0, 120, size=120)
+        inner = _class_rule(x, y, ClassifierConfig(kind="rf"), 3, rng)
+        seen = []
+
+        def rule(rows, order, depth):
+            assert np.array_equal(order, _presort(x, rows))
+            seen.append(depth)
+            return inner(rows, order, depth)
+
+        grow(x, rows, rule, _presort(x, rows))
+        assert max(seen) >= 3
+
+    def test_zero_gain_cut_matches_unique_fallback(self, rng):
+        # every cut of an XOR of two balanced binary columns gains nothing; the
+        # rule cuts the lowest varying candidate at its lowest midpoint
+        for seed in range(30):
+            a, b = rng.permutation(np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], 5, axis=0)).T
+            x = np.full((20, 5), 0.5)
+            x[:, rng.choice(5, size=2, replace=False)] = np.column_stack([a * 0.3 + 0.2,
+                                                                          b * 0.4 + 0.1])
+            rows = np.arange(20)
+            cfg = ClassifierConfig(kind="rf", features_per_split=3)
+            rule = _class_rule(x, a ^ b, cfg, 2, np.random.default_rng(seed))
+            _, split = rule(rows, _presort(x, rows), 0)
+            candidates = np.random.default_rng(seed).choice(5, size=3, replace=False)
+            assert (split and split[:2]) == unique_fallback(x, candidates)
+
+
+def block_sized_fits(x, y, monkeypatch, cells):
+    monkeypatch.setattr(tree_engine, "BLOCK_CELLS", cells)
+    return [fit_model(x, y, ClassifierConfig(kind=kind, n_trees=3, n_rounds=3,
+                                             max_depth=6, seed=2)).to_dict()
+            for kind in ("dt", "rf", "gbt")]
+
+
+def test_scan_block_size_changes_no_model(rng, monkeypatch):
+    x, y = tie_heavy(rng, 300)
+    one_feature = block_sized_fits(x, y, monkeypatch, 1)
+    assert block_sized_fits(x, y, monkeypatch, 10 ** 9) == one_feature
+
+
+@pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 4), ("et", 0), ("gbt", 1)])
+def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+    x, y = tie_heavy(rng, 200, n_classes=4)
+    fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
+    assert len(calls) == sorts
 
 
 @pytest.mark.parametrize("gains, expected", [
@@ -241,6 +404,13 @@ class TestDecisionTree:
         model = fit_model(x, y, ClassifierConfig(kind="dt", max_depth=0))
         assert len(model.tree.left) == 1 and model.tree.left[0] < 0
         assert (model.predict(x) == 0).all()
+
+    @pytest.mark.parametrize("kind", ["dt", "rf"])
+    def test_no_feature_columns_grow_single_leaves(self, kind):
+        model = fit_model(np.zeros((6, 0)), np.array([0, 1, 1, 0, 1, 1]),
+                          ClassifierConfig(kind=kind, n_trees=2))
+        assert all(len(t.left) == 1 for t in (model.trees if kind == "rf" else [model.tree]))
+        assert len(model.predict(np.zeros((3, 0)))) == 3
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError):
