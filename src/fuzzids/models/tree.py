@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import EvaluationError, TrainingError
 from .base import ClassifierConfig, TrainedModel
 
-BLOCK_CELLS = 8192  # a scan block holds this many (feature x row) cells, or one feature
+BLOCK_CELLS = 8192  # (feature x row) cells per scan block; a larger node scans one feature
 
 
 def impurity(class_proportions, kind: str = "entropy") -> float:
