@@ -168,20 +168,19 @@ def run(config_path):
 @click.option("--run", "run_dir", required=True, type=click.Path())
 @click.option("--format", "fmt", default="table",
               type=click.Choice(["table", "roc", "cm"]))
+@_typed_errors
 def report(run_dir, fmt):
     """Print artifacts of a finished run."""
     run_dir = Path(run_dir)
     if fmt == "table":
         path = run_dir / "metrics_table.csv"
         if not path.exists():
-            click.echo(f"error: no metrics table in {run_dir}", err=True)
-            sys.exit(EXIT_DATA_ERROR)
+            raise LoadError(f"no metrics table in {run_dir}")
         click.echo(path.read_text(encoding="utf-8"), nl=False)
     else:
         sub = run_dir / fmt
         if not sub.is_dir():
-            click.echo(f"error: no {fmt} directory in {run_dir}", err=True)
-            sys.exit(EXIT_DATA_ERROR)
+            raise LoadError(f"no {fmt} directory in {run_dir}")
         for path in sorted(sub.iterdir()):
             click.echo(f"== {path.name}")
             click.echo(path.read_text(encoding="utf-8"), nl=False)

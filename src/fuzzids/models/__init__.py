@@ -1,4 +1,9 @@
-"""Six from-scratch classifiers behind one train/score/predict contract."""
+"""Six from-scratch classifiers behind one train/score/predict contract.
+
+``fit_model`` is the one training entry: it checks the data, indexes the
+classes once and hands the class indices to the ``fit`` of the model class
+named by ``config.kind``.
+"""
 
 from __future__ import annotations
 
@@ -7,36 +12,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, TrainingError
 from .base import ClassifierConfig, TrainedModel, MODEL_KINDS, SERIALIZATION_VERSION
-from .bayes import NaiveBayesModel, fit_nb
-from .boosting import GradientBoostedModel, fit_gbt
-from .svm import SvmModel, fit_svm
-from .tree import (
-    DecisionTreeModel,
-    ForestModel,
-    best_split,
-    fit_trees,
-    impurity,
-    mean_impurity_decrease,
-)
+from .bayes import NaiveBayesModel
+from .boosting import GradientBoostedModel
+from .svm import SvmModel
+from .tree import (DecisionTreeModel, ForestModel, best_split, impurity,
+                   mean_impurity_decrease)
 
 __all__ = [
-    "ClassifierConfig", "TrainedModel", "MODEL_KINDS",
-    "fit_model", "fit_trees", "fit_gbt", "fit_nb", "fit_svm",
+    "ClassifierConfig", "TrainedModel", "MODEL_KINDS", "fit_model",
     "impurity", "best_split", "mean_impurity_decrease",
     "save_model", "load_model",
 ]
-
-_FITTERS = {
-    "dt": fit_trees,
-    "rf": fit_trees,
-    "et": fit_trees,
-    "gbt": fit_gbt,
-    "nb": fit_nb,
-    "svm": fit_svm,
-}
-
 
 _MODEL_CLASSES: dict[str, type[TrainedModel]] = {
     "dt": DecisionTreeModel,
@@ -49,8 +37,13 @@ _MODEL_CLASSES: dict[str, type[TrainedModel]] = {
 
 
 def fit_model(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> TrainedModel:
-    """Train the classifier named by config.kind."""
-    return _FITTERS[config.kind](x, y, config)
+    """Train the classifier named by config.kind on rows ``x`` and labels ``y``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    if len(y) == 0:
+        raise TrainingError("cannot train on an empty dataset")
+    classes, yi = np.unique(y, return_inverse=True)
+    return _MODEL_CLASSES[config.kind].fit(x, yi, classes, config)
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

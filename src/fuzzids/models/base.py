@@ -13,6 +13,12 @@ MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 SERIALIZATION_VERSION = 2
 
 
+def one_vs_rest(n_classes: int) -> range:
+    """Class indices that get their own chain: the higher class of a binary
+    task, else every class."""
+    return range(int(n_classes == 2), n_classes)
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Hyperparameters for any of the six classifier kinds.
@@ -76,10 +82,11 @@ class ClassifierConfig:
 class TrainedModel:
     """Uniform predict/score contract over all classifier kinds.
 
-    ``score`` returns an (N, K) matrix: class probabilities for dt/rf/et/
-    gbt/nb, one-vs-rest margins for svm. ``predict`` is argmax with
-    lowest-class-id tie-break. ``classes`` lists the class ids seen at
-    training time, ascending.
+    ``fit`` trains a model of the class's kind on float rows ``x`` and class
+    indices ``yi`` into ``classes``. ``score`` returns an (N, K) matrix:
+    class probabilities for dt/rf/et/gbt/nb, one-vs-rest margins for svm.
+    ``predict`` is argmax with lowest-class-id tie-break. ``classes`` lists
+    the class ids seen at training time, ascending.
     """
 
     kind: str
@@ -100,6 +107,11 @@ class TrainedModel:
                 f"model expects {self.n_features} features, got {x.shape[1]}"
             )
         return x
+
+    @classmethod
+    def fit(cls, x: np.ndarray, yi: np.ndarray, classes: np.ndarray,
+            config: ClassifierConfig) -> "TrainedModel":
+        raise NotImplementedError
 
     def score(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

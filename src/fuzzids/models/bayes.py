@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
-from .base import ClassifierConfig, TrainedModel
+from .base import TrainedModel
 
 VARIANCE_FLOOR = 1e-9
 
@@ -21,6 +20,16 @@ class NaiveBayesModel(TrainedModel):
         # each (K, F)
         self.means = np.asarray(means, dtype=float)
         self.variances = np.asarray(variances, dtype=float)
+
+    @classmethod
+    def fit(cls, x, yi, classes, config):
+        """Estimate priors N_k / N and per-class feature means and variances."""
+        masks = [yi == k for k in range(len(classes))]
+        priors = np.array([m.mean() for m in masks])
+        means = np.vstack([x[m].mean(axis=0) for m in masks])
+        variances = np.vstack([x[m].var(axis=0) for m in masks])
+        return cls(config, classes, x.shape[1], np.log(priors), means,
+                   np.maximum(variances, VARIANCE_FLOOR))
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         # (N, K, F) broadcast, summed over features
@@ -53,17 +62,3 @@ class NaiveBayesModel(TrainedModel):
     def from_params(cls, config, classes, n_features, params):
         return cls(config, classes, n_features, params["log_priors"],
                    params["means"], params["variances"])
-
-
-def fit_nb(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> NaiveBayesModel:
-    """Estimate priors N_k / N and per-class feature means and variances."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes = np.unique(y)
-    priors = np.array([(y == c).mean() for c in classes])
-    means = np.vstack([x[y == c].mean(axis=0) for c in classes])
-    variances = np.vstack([x[y == c].var(axis=0) for c in classes])
-    return NaiveBayesModel(config, classes, x.shape[1], np.log(priors), means,
-                           np.maximum(variances, VARIANCE_FLOOR))

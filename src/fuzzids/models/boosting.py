@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import ClassifierConfig, TrainedModel
+from .base import ClassifierConfig, TrainedModel, one_vs_rest
 from .tree import Tree, _presort, _scan, grow
 
 
@@ -116,6 +116,18 @@ class GradientBoostedModel(TrainedModel):
         super().__init__(config, classes, n_features)
         self.chains = chains
 
+    @classmethod
+    def fit(cls, x, yi, classes, config):
+        if len(classes) == 1:
+            chain = _BinaryBooster(0.0, [], config.learning_rate, [0.0])
+            model = cls(config, classes, x.shape[1], [chain])
+            model.flags["degenerate"] = True
+            return model
+        order = _presort(x, np.arange(len(yi)))  # serves every round of every chain
+        chains = [_fit_binary_chain(x, (yi == c).astype(float), config, order)
+                  for c in one_vs_rest(len(classes))]
+        return cls(config, classes, x.shape[1], chains)
+
     @property
     def objective_traces(self) -> list[list[float]]:
         return [c.objective_trace for c in self.chains]
@@ -142,22 +154,3 @@ class GradientBoostedModel(TrainedModel):
         chains = [_BinaryBooster.from_dict(c, config.learning_rate)
                   for c in params["chains"]]
         return cls(config, classes, n_features, chains)
-
-
-def fit_gbt(x: np.ndarray, y: np.ndarray,
-            config: ClassifierConfig) -> GradientBoostedModel:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes = np.unique(y)
-    if len(classes) == 1:
-        chain = _BinaryBooster(0.0, [], config.learning_rate, [0.0])
-        model = GradientBoostedModel(config, classes, x.shape[1], [chain])
-        model.flags["degenerate"] = True
-        return model
-    # one chain for the higher class of a binary task, else one per class
-    targets = classes[1:] if len(classes) == 2 else classes
-    order = _presort(x, np.arange(len(y)))  # serves every round of every chain
-    chains = [_fit_binary_chain(x, (y == c).astype(float), config, order) for c in targets]
-    return GradientBoostedModel(config, classes, x.shape[1], chains)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
-from .base import ClassifierConfig, TrainedModel
+from .base import ClassifierConfig, TrainedModel, one_vs_rest
 
 _INITIAL_STEP = 0.1
 _MAX_BACKTRACKS = 40
@@ -75,6 +74,19 @@ class SvmModel(TrainedModel):
         if not converged:
             self.flags["non_converged"] = True
 
+    @classmethod
+    def fit(cls, x, yi, classes, config):
+        if len(classes) == 1:
+            model = cls(config, classes, x.shape[1],
+                        np.zeros((1, x.shape[1])), np.zeros(1), [[0.0]], True)
+            model.flags["degenerate"] = True
+            return model
+        weights, biases, traces, ok = zip(*(
+            _train_binary(x, np.where(yi == c, 1.0, -1.0), config)
+            for c in one_vs_rest(len(classes))
+        ))
+        return cls(config, classes, x.shape[1], weights, biases, list(traces), all(ok))
+
     def decision(self, x: np.ndarray) -> np.ndarray:
         """Raw margins w.x + b, one column per chain."""
         x = self._check_features(x)
@@ -101,22 +113,3 @@ class SvmModel(TrainedModel):
         # a saved non_converged flag comes back with the other flags
         return cls(config, classes, n_features, params["weights"],
                    params["biases"], params["objective_traces"], converged=True)
-
-
-def fit_svm(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> SvmModel:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes = np.unique(y)
-    if len(classes) == 1:
-        model = SvmModel(config, classes, x.shape[1],
-                         np.zeros((1, x.shape[1])), np.zeros(1), [[0.0]], True)
-        model.flags["degenerate"] = True
-        return model
-    # one chain for the higher class of a binary task, else one per class
-    targets = classes[1:] if len(classes) == 2 else classes
-    weights, biases, traces, ok = zip(*(
-        _train_binary(x, np.where(y == c, 1.0, -1.0), config) for c in targets
-    ))
-    return SvmModel(config, classes, x.shape[1], weights, biases, list(traces), all(ok))

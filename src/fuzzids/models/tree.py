@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import EvaluationError, TrainingError
+from ..errors import EvaluationError
 from .base import ClassifierConfig, TrainedModel
 
 BLOCK_CELLS = 8192  # (feature x row) cells per scan block; a larger node scans one feature
@@ -219,7 +219,6 @@ def best_split(
     y: np.ndarray,
     candidate_features,
     impurity_kind: str = "entropy",
-    min_samples_split: int = 2,
     n_classes: int | None = None,
     order: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
@@ -229,7 +228,7 @@ def best_split(
     """
     if order is None:
         order = _presort(x, np.arange(len(y)))
-    if order.shape[1] < min_samples_split:
+    if order.shape[1] < 2:
         return None
     if n_classes is None:
         n_classes = int(y.max()) + 1
@@ -260,7 +259,7 @@ def _random_cut_split(
     """Extra-trees split (Geurts, Ernst & Wehenkel, 2006): one uniform random
     threshold per non-constant candidate, drawn in ascending feature order,
     and every candidate scored at once."""
-    feats = np.sort(np.asarray(candidate_features))
+    feats = np.sort(np.asarray(candidate_features, dtype=np.int64))
     cols = x[:, feats]
     lo, hi = cols.min(axis=0), cols.max(axis=0)
     varied = lo < hi
@@ -316,6 +315,14 @@ class DecisionTreeModel(TrainedModel):
         super().__init__(config, classes, n_features)
         self.tree = tree
 
+    @classmethod
+    def fit(cls, x, yi, classes, config):
+        """One greedy tree on every row and feature."""
+        everything = np.arange(len(yi))
+        tree = grow(x, everything, _class_rule(x, yi, config, len(classes), None),
+                    _presort(x, everything))
+        return cls(config, classes, x.shape[1], tree)
+
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
         counts = self.tree.value
@@ -340,6 +347,19 @@ class ForestModel(TrainedModel):
         self.trees = trees
         self.kind = config.kind  # rf or et
 
+    @classmethod
+    def fit(cls, x, yi, classes, config):
+        """rf: bootstrap rows and random candidate features per node; et: every
+        row, random candidates and random cuts."""
+        trees, n = [], len(yi)
+        for t in range(config.n_trees):
+            rng = np.random.default_rng((config.seed, t))
+            rows = rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
+            order = _presort(x, rows) if config.kind == "rf" else None  # et reads no sort
+            trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng),
+                              order))
+        return cls(config, classes, x.shape[1], trees)
+
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
         votes = np.zeros((len(x), len(self.classes)))
@@ -355,29 +375,6 @@ class ForestModel(TrainedModel):
     def from_params(cls, config, classes, n_features, params):
         trees = [Tree.from_dict(t) for t in params["trees"]]
         return cls(config, classes, n_features, trees)
-
-
-def fit_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> TrainedModel:
-    """Grow the tree or ensemble of ``config.kind``: dt, one greedy tree on
-    every row and feature; rf, bootstrap rows and random candidate features
-    per node; et, every row, random candidates and random cuts."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise TrainingError("cannot train on an empty dataset")
-    classes, yi = np.unique(y, return_inverse=True)
-    everything = np.arange(len(y))
-    if config.kind == "dt":
-        rule = _class_rule(x, yi, config, len(classes), None)
-        tree = grow(x, everything, rule, _presort(x, everything))
-        return DecisionTreeModel(config, classes, x.shape[1], tree)
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng((config.seed, t))
-        rows = rng.integers(0, len(y), size=len(y)) if config.kind == "rf" else everything
-        order = _presort(x, rows) if config.kind == "rf" else None  # et reads no sort
-        trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng), order))
-    return ForestModel(config, classes, x.shape[1], trees)
 
 
 def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,

@@ -24,7 +24,7 @@ from fuzzids.evaluate import (
     metrics,
 )
 from fuzzids.fuzzy import TriangularParams, fuzzy_importance, triangular_membership
-from fuzzids.models import ClassifierConfig, fit_gbt, fit_model, fit_svm
+from fuzzids.models import ClassifierConfig, fit_model
 from fuzzids.pipeline import ExperimentConfig, run_experiment
 
 from conftest import make_dataset
@@ -190,10 +190,10 @@ def test_criterion_7_optimization_sanity():
         x = rng.normal(size=(n, 3))
         y = rng.integers(0, 2, size=n)
         y[:2] = [0, 1]
-        svm = fit_svm(x, y, ClassifierConfig(kind="svm", max_iters=300, seed=1))
+        svm = fit_model(x, y, ClassifierConfig(kind="svm", max_iters=300, seed=1))
         for trace in svm.objective_traces:
             ok &= all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
-        gbt = fit_gbt(x, y, ClassifierConfig(kind="gbt", n_rounds=25, seed=1))
+        gbt = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=25, seed=1))
         for trace in gbt.objective_traces:
             ok &= all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
     _report(7, ok, "svm and gbt objectives non-increasing on 20 random datasets")

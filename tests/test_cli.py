@@ -277,6 +277,9 @@ BAD_FILES = {
     "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1),
     "predict, model not in config": (_predict(model="rf"), 1),
     "predict, vector not in config": (_predict(vector="v9"), 1),
+    "report, missing metrics table": (lambda tmp_path: ["report", "--run", tmp_path], 2),
+    "report, roc without roc/": (
+        lambda tmp_path: ["report", "--run", tmp_path, "--format", "roc"], 2),
 }
 
 

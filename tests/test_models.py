@@ -4,11 +4,10 @@ import pytest
 from fuzzids.errors import EvaluationError, SchemaError, TrainingError
 from fuzzids.models import (
     ClassifierConfig,
+    MODEL_KINDS,
+    _MODEL_CLASSES,
     best_split,
-    fit_gbt,
     fit_model,
-    fit_nb,
-    fit_svm,
     impurity,
     load_model,
     mean_impurity_decrease,
@@ -405,11 +404,11 @@ class TestDecisionTree:
         assert len(model.tree.left) == 1 and model.tree.left[0] < 0
         assert (model.predict(x) == 0).all()
 
-    @pytest.mark.parametrize("kind", ["dt", "rf"])
+    @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
     def test_no_feature_columns_grow_single_leaves(self, kind):
         model = fit_model(np.zeros((6, 0)), np.array([0, 1, 1, 0, 1, 1]),
                           ClassifierConfig(kind=kind, n_trees=2))
-        assert all(len(t.left) == 1 for t in (model.trees if kind == "rf" else [model.tree]))
+        assert all(len(t.left) == 1 for t in (model.trees if kind != "dt" else [model.tree]))
         assert len(model.predict(np.zeros((3, 0)))) == 3
 
     def test_empty_training_set_rejected(self):
@@ -495,19 +494,19 @@ class TestGradientBoosting:
     def test_zero_learning_rate_predicts_majority(self):
         x, y = separable_1d()
         y = np.array([0] * 14 + [1] * 6)
-        model = fit_gbt(x, y, ClassifierConfig(kind="gbt", learning_rate=0.0,
-                                               n_rounds=5))
+        model = fit_model(x, y, ClassifierConfig(kind="gbt", learning_rate=0.0,
+                                                 n_rounds=5))
         assert (model.predict(x) == 0).all()
 
     def test_separable_perfect_fit(self):
         x, y = separable_1d()
-        model = fit_gbt(x, y, ClassifierConfig(kind="gbt", n_rounds=50,
-                                               gbt_max_depth=1))
+        model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=50,
+                                                 gbt_max_depth=1))
         assert (model.predict(x) == y).all()
 
     def test_stage_count_matches_rounds(self):
         x, y = separable_1d()
-        model = fit_gbt(x, y, ClassifierConfig(kind="gbt", n_rounds=7))
+        model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=7))
         assert all(len(c.stages) == 7 for c in model.chains)
 
     def test_objective_non_increasing(self, rng):
@@ -516,14 +515,14 @@ class TestGradientBoosting:
             x = rng.uniform(size=(n, 3))
             y = rng.integers(0, 2, size=n)
             y[:2] = [0, 1]
-            model = fit_gbt(x, y, ClassifierConfig(kind="gbt", n_rounds=20))
+            model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=20))
             for trace in model.objective_traces:
                 assert all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
 
     def test_multiclass_one_vs_rest(self, rng):
         x = rng.uniform(size=(60, 2))
         y = (x[:, 0] * 3).astype(np.int64).clip(0, 2)
-        model = fit_gbt(x, y, ClassifierConfig(kind="gbt", n_rounds=20))
+        model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=20))
         assert len(model.chains) == 3
         scores = model.score(x)
         assert np.allclose(scores.sum(axis=1), 1.0)
@@ -534,21 +533,21 @@ class TestNaiveBayes:
     def test_priors_from_counts(self, rng):
         x = rng.uniform(size=(100, 2))
         y = np.array([0] * 30 + [1] * 70)
-        model = fit_nb(x, y, ClassifierConfig(kind="nb"))
+        model = fit_model(x, y, ClassifierConfig(kind="nb"))
         priors = np.exp(model.log_priors)
         assert priors[0] == pytest.approx(0.3)
         assert priors.sum() == pytest.approx(1.0)
 
     def test_single_class_always_predicted(self, rng):
         x = rng.uniform(size=(10, 2))
-        model = fit_nb(x, np.zeros(10, dtype=int), ClassifierConfig(kind="nb"))
+        model = fit_model(x, np.zeros(10, dtype=int), ClassifierConfig(kind="nb"))
         assert (model.predict(rng.uniform(size=(5, 2))) == 0).all()
 
     def test_symmetric_tie_breaks_low(self):
         # values exactly representable in binary so the posteriors tie exactly
         x = np.array([[-0.25], [0.25], [0.75], [1.25]])
         y = np.array([0, 0, 1, 1])
-        model = fit_nb(x, y, ClassifierConfig(kind="nb"))
+        model = fit_model(x, y, ClassifierConfig(kind="nb"))
         post = model.posterior(np.array([[0.5]]))
         assert post[0, 0] == pytest.approx(post[0, 1], abs=1e-9)
         assert model.predict(np.array([[0.5]]))[0] == 0
@@ -557,7 +556,7 @@ class TestNaiveBayes:
         x = rng.uniform(size=(30, 3))
         y = rng.integers(0, 3, size=30)
         y[:3] = [0, 1, 2]
-        model = fit_nb(x, y, ClassifierConfig(kind="nb"))
+        model = fit_model(x, y, ClassifierConfig(kind="nb"))
         post = model.score(rng.uniform(size=(10, 3)))
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
@@ -567,7 +566,7 @@ class TestNaiveBayes:
         x = rng.uniform(size=(40, 2))
         y = rng.integers(0, 2, size=40)
         y[:2] = [0, 1]
-        model = fit_nb(x, y, ClassifierConfig(kind="nb"))
+        model = fit_model(x, y, ClassifierConfig(kind="nb"))
         q = rng.uniform(size=(10, 2))
         raw = model.log_priors[None, :] + model._log_likelihood(q)
         shifted = raw + 7.3
@@ -587,14 +586,14 @@ class TestSvm:
     def test_symmetric_separable_pair(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = fit_svm(x, y, ClassifierConfig(kind="svm", C=100.0))
+        model = fit_model(x, y, ClassifierConfig(kind="svm", C=100.0))
         assert (model.predict(x) == y).all()
         boundary = -model.biases[0] / model.weights[0, 0]
         assert abs(boundary) < 0.2
 
     def test_degenerate_single_class(self):
-        model = fit_svm(np.array([[1.0], [2.0]]), np.array([1, 1]),
-                        ClassifierConfig(kind="svm"))
+        model = fit_model(np.array([[1.0], [2.0]]), np.array([1, 1]),
+                          ClassifierConfig(kind="svm"))
         assert model.flags.get("degenerate")
         assert (model.predict(np.array([[9.0]])) == 1).all()
 
@@ -604,7 +603,7 @@ class TestSvm:
             x = rng.normal(size=(n, 2))
             y = rng.integers(0, 2, size=n)
             y[:2] = [0, 1]
-            model = fit_svm(x, y, ClassifierConfig(kind="svm", max_iters=200))
+            model = fit_model(x, y, ClassifierConfig(kind="svm", max_iters=200))
             for trace in model.objective_traces:
                 assert all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
 
@@ -619,12 +618,37 @@ class TestSvm:
     def test_multiclass_one_vs_rest(self, rng):
         x = rng.uniform(size=(90, 2))
         y = (x[:, 0] * 3).astype(np.int64).clip(0, 2)
-        model = fit_svm(x, y, ClassifierConfig(kind="svm", max_iters=300))
+        model = fit_model(x, y, ClassifierConfig(kind="svm", max_iters=300))
         assert model.weights.shape == (3, 2)
         assert (model.predict(x) == y).mean() > 0.7
 
 
 class TestUniformContract:
+    def test_one_model_class_per_kind(self):
+        assert set(_MODEL_CLASSES) == set(MODEL_KINDS)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_class_fits_and_scores_its_kind(self, kind):
+        assert {"fit", "score"} <= _MODEL_CLASSES[kind].__dict__.keys()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_empty_data_rejected(self, kind):
+        with pytest.raises(TrainingError):
+            fit_model(np.empty((0, 2)), [], ClassifierConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_list_labels_keep_their_ids(self, kind, tmp_path, rng):
+        x, _ = xor_clusters(60, seed=10)
+        y = [(3, 7, 9)[i % 3] for i in range(60)]
+        cfg = ClassifierConfig(kind=kind, n_trees=3, n_rounds=3, max_iters=20)
+        model = fit_model(x.tolist(), y, cfg)
+        assert model.classes.tolist() == [3, 7, 9]
+        q = rng.uniform(size=(20, 2))
+        assert set(model.predict(q).tolist()) <= {3, 7, 9}
+        save_model(model, tmp_path / "model.json")
+        clone = load_model(tmp_path / "model.json")
+        assert np.array_equal(clone.predict(q), model.predict(q))
+
     @pytest.mark.parametrize("kind", ["dt", "rf", "et", "gbt", "nb", "svm"])
     def test_predict_shape_and_determinism(self, kind, rng):
         x, y = xor_clusters(60, seed=4)
