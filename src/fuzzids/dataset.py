@@ -17,12 +17,6 @@ from .errors import LoadError, SchemaError
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# Records parsed at once by load_csv. A block's cell strings are alive
-# together: 512 rows keeps them in the CPU cache (the fastest block of 64 to
-# 16,384 rows on a 2-core Xeon, 2.3x faster than 8,192) and bounds the
-# memory ingest needs beyond the float matrix.
-BLOCK_ROWS = 512
-
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -170,11 +164,11 @@ class SplitSpec:
 def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     """Load a comma-delimited file with header, typing columns per schema.
 
-    Header may be in any order; columns are permuted to schema order. Records
-    are parsed ``BLOCK_ROWS`` at a time, a column at a time. A file that
-    parse rejects goes to the row scanner, which raises a ``LoadError``
-    naming the line of its first bad record. Bytes that are not UTF-8, and
-    records the csv module rejects, raise a ``LoadError`` naming their line.
+    Header may be in any order; columns are permuted to schema order. The
+    records are parsed by numpy's C text reader, a column set at a time. A
+    file that parse rejects goes to the row scanner, which raises a
+    ``LoadError`` naming the line of its first bad record; bytes that are
+    not UTF-8 and records the csv module rejects are named the same way.
     """
     path = Path(path)
     if not path.exists():
@@ -182,9 +176,8 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise LoadError(f"{path}: empty file, no header row")
             header = [h.strip() for h in header]
@@ -197,21 +190,14 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
                         f"{path}: header does not match schema '{schema.name}' "
                         f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
                     )
-            parsed = _parse_columns(reader, header, schema)
-        if parsed is None:
-            _scan_rows(path, schema)
-    # The scanner re-reads no further than the parse read, so these faults
-    # surface in the parse and ``reader`` locates them.
-    except UnicodeDecodeError as exc:
-        # exc.object is the chunk read after the reader's last complete line
-        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
-        raise LoadError(
-            f"{path}:{line}: cannot decode byte 0x{exc.object[exc.start]:02x} as UTF-8"
-        ) from exc
-    except csv.Error as exc:
-        raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
-    features, labels, categories = parsed
-    return LabeledDataset(schema, features, labels, categories)
+            parsed = _parse_columns(fh, header, schema)
+    except (UnicodeDecodeError, csv.Error):
+        parsed = None  # in the header; the row scanner words it
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc.strerror}") from exc
+    if parsed is None:
+        _scan_rows(path, schema)
+    return LabeledDataset(schema, *parsed)
 
 
 def _layout(header: list[str], schema: DatasetSchema) -> tuple[int, list[tuple]]:
@@ -222,95 +208,122 @@ def _layout(header: list[str], schema: DatasetSchema) -> tuple[int, list[tuple]]
     return col_pos[schema.label_column], feat_info
 
 
-def _is_blank(record: list[str]) -> bool:
-    return not record or (len(record) == 1 and record[0].strip() == "")
+def _read(fh, usecols: list[int], dtype) -> np.ndarray:
+    """Columns ``usecols`` of the records after the header, by numpy's C text
+    reader; like the row scanner, it never sees a whitespace-only line."""
+    fh.seek(0)
+    next(csv.reader(fh))
+    return np.loadtxt(itertools.filterfalse(str.isspace, fh), dtype=dtype, delimiter=",",
+                      quotechar='"', comments=None, usecols=usecols, ndmin=2)
 
 
-def _parse_columns(reader, header: list[str], schema: DatasetSchema):
+def _parse_columns(fh, header: list[str], schema: DatasetSchema):
     """Parse the records after the header into (features, labels, categories),
-    or return None at the first malformed record or cell.
+    or return None if the C reader, or a check on what it read, rejects them.
 
-    Each block of records is transposed and every column parsed at once:
-    numeric cells by the same ``float`` the row scanner calls, categorical
-    cells (stripped) coded by first appearance in the file.
+    One float64 pass reads the numeric columns, one pass the label and
+    categorical cells as ``str``, coded (stripped) by first appearance. The
+    checks accept exactly what the row scanner does: finite values, no cell
+    over the csv field limit, and ``len(header)`` cells per record.
     """
     label_pos, feat_info = _layout(header, schema)
-    vocabs = {j: {} for j, (_, _, kind) in enumerate(feat_info) if kind == CATEGORICAL}
-    blocks = [np.empty((0, len(feat_info)))]
-    label_blocks = [np.empty(0, dtype=np.int64)]
-    while raw := list(itertools.islice(reader, BLOCK_ROWS)):
-        records = [r for r in raw if not _is_blank(r)]
-        if any(len(r) != len(header) for r in records):
-            return None
-        if not records:
-            continue
-        n = len(records)
-        columns = list(zip(*records))
-        block = np.empty((n, len(feat_info)))
-        try:
-            labels = np.fromiter(
-                map(schema.label_encoding.__getitem__, map(str.strip, columns[label_pos])),
-                np.int64, n,
-            )
-            for j, (pos, _, kind) in enumerate(feat_info):
-                if kind == NUMERIC:
-                    block[:, j] = np.fromiter(map(float, columns[pos]), float, n)
-                    continue
-                cells = list(map(str.strip, columns[pos]))
-                vocab = vocabs[j]
-                for cell in dict.fromkeys(cells):
-                    vocab.setdefault(cell, len(vocab))
-                block[:, j] = np.fromiter(map(vocab.__getitem__, cells), float, n)
-        except (KeyError, ValueError):
-            return None
-        if not np.isfinite(block).all() or any("" in v for v in vocabs.values()):
-            return None
-        blocks.append(block)
-        label_blocks.append(labels)
-    return (np.concatenate(blocks), np.concatenate(label_blocks),
-            {j: tuple(v) for j, v in vocabs.items()})
+    num = [p for p, _, kind in feat_info if kind == NUMERIC]
+    cat = [j for j, (_, _, kind) in enumerate(feat_info) if kind == CATEGORICAL]
+    # a categorical slot reads the first numeric column until its codes
+    # replace it, so that the float pass reads the feature matrix itself
+    slots = [p if kind == NUMERIC else num[0] for p, _, kind in feat_info] if num else []
+    limit = csv.field_size_limit()
+    try:
+        commas = longest = 0
+        for chunk in iter(lambda: fh.read(1 << 20), ""):  # fh is past the header
+            commas += chunk.count(",")
+            longest = max(longest, *map(len, chunk.split("\n")))
+        # A numeric cell spans three lines at most, and chunk edges cut a line
+        # in two at most: one over the field limit leaves a piece over a sixth.
+        text = [label_pos] + [feat_info[j][0] for j in cat] + num * (6 * longest > limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # for a body without rows
+            features = _read(fh, slots, float)
+            columns = _read(fh, text, object).T.tolist()
+    except ValueError:
+        return None
+    n = len(columns[0])
+    distinct = [dict.fromkeys(column) for column in columns]  # in order of first appearance
+    # the commas are the delimiters of n records plus those inside cells
+    if (len(features) != n or not np.isfinite(features).all()
+            or max((len(cell) for d in distinct for cell in d), default=0) > limit
+            or commas != n * (len(header) - 1) + sum(
+                column.count(cell) * cell.count(",")
+                for column, d in zip(columns, distinct) for cell in d if "," in cell)):
+        return None
+    if not num:
+        features = np.zeros((n, len(feat_info)))
+    categories = {}
+    for j, column, cells in zip(cat, columns[1:], distinct[1:]):
+        vocab = {}
+        codes = {cell: vocab.setdefault(cell.strip(), len(vocab)) for cell in cells}
+        features[:, j] = np.fromiter(map(codes.__getitem__, column), float, n)
+        categories[j] = tuple(vocab)
+    codes = {cell: schema.label_encoding.get(cell.strip()) for cell in distinct[0]}
+    if None in codes.values() or any("" in v for v in categories.values()):
+        return None
+    return features, np.fromiter(map(codes.__getitem__, columns[0]), np.int64, n), categories
 
 
 def _scan_rows(path: Path, schema: DatasetSchema) -> NoReturn:
     """Re-read the file a record at a time and raise a ``LoadError`` naming
     the line of its first bad record.
 
-    The error reporter for ``load_csv``: it accepts exactly the records the
-    column parse accepts, and runs only after that parse rejected the file.
+    The error reporter for ``load_csv``, run after its parse rejected the
+    file, and the definition of the files it accepts. Like the parse, it
+    drops whitespace-only lines and reads numbers as ``float`` does, less
+    ``_`` and non-ASCII digits.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        label_pos, feat_info = _layout(header, schema)
-        for lineno, record in enumerate(reader, start=2):
-            if _is_blank(record):
-                continue
-            if len(record) != len(header):
-                raise LoadError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(record)}"
-                )
-            raw_label = record[label_pos].strip()
-            if raw_label not in schema.label_encoding:
-                raise LoadError(
-                    f"{path}:{lineno}: unknown label '{raw_label}' "
-                    f"(known: {sorted(schema.label_encoding)})"
-                )
-            for pos, cname, kind in feat_info:
-                cell = record[pos].strip()
-                if cell == "":
-                    raise LoadError(f"{path}:{lineno}: missing value in '{cname}'")
-                if kind == NUMERIC:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}:{lineno}: unparseable numeric cell "
-                            f"'{cell}' in column '{cname}'"
-                        )
-                    if not np.isfinite(value):
-                        raise LoadError(
-                            f"{path}:{lineno}: non-finite value in column '{cname}'"
-                        )
+        # a dropped line still counts in reader.line_num
+        reader = csv.reader("" if line.isspace() else line for line in fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+            label_pos, feat_info = _layout(header, schema)
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise LoadError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(record)}"
+                    )
+                raw_label = record[label_pos].strip()
+                if raw_label not in schema.label_encoding:
+                    raise LoadError(
+                        f"{path}:{lineno}: unknown label '{raw_label}' "
+                        f"(known: {sorted(schema.label_encoding)})"
+                    )
+                for pos, cname, kind in feat_info:
+                    cell = record[pos].strip()
+                    if cell == "":
+                        raise LoadError(f"{path}:{lineno}: missing value in '{cname}'")
+                    if kind == NUMERIC:
+                        try:
+                            if not cell.isascii() or "_" in cell:
+                                raise ValueError(cell)
+                            value = float(cell)
+                        except ValueError:
+                            raise LoadError(
+                                f"{path}:{lineno}: unparseable numeric cell "
+                                f"'{cell}' in column '{cname}'"
+                            )
+                        if not np.isfinite(value):
+                            raise LoadError(
+                                f"{path}:{lineno}: non-finite value in column '{cname}'"
+                            )
+        except UnicodeDecodeError as exc:
+            # exc.object is the chunk read after the reader's last complete line
+            line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+            raise LoadError(
+                f"{path}:{line}: cannot decode byte 0x{exc.object[exc.start]:02x} as UTF-8"
+            ) from exc
+        except csv.Error as exc:
+            raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
     raise LoadError(f"{path}: the column parse rejected a file the row scanner accepts")
 
 

@@ -40,6 +40,8 @@ def fit_model(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> Trained
     """Train the classifier named by config.kind on rows ``x`` and labels ``y``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise TrainingError(f"x of shape {x.shape} needs one row per label, got {y.shape}")
     if len(y) == 0:
         raise TrainingError("cannot train on an empty dataset")
     classes, yi = np.unique(y, return_inverse=True)

@@ -222,12 +222,13 @@ def test_run_bad_config_exits_with_config_error(tmp_path, text):
 MINI_SCHEMA = (DATA / "mini.yaml").read_text(encoding="utf-8")
 
 
-def _ingest(schema_text):
+def _ingest(schema_text, data=DATA / "mini_train.csv"):
+    """argv of an ingest; ``data=None`` reads the test's own directory."""
     def argv(tmp_path):
         schema = tmp_path / "schema.yaml"
         if schema_text is not None:
             schema.write_text(schema_text, encoding="utf-8")
-        return ["ingest", "--data", DATA / "mini_train.csv", "--schema", schema,
+        return ["ingest", "--data", data or tmp_path, "--schema", schema,
                 "--report", tmp_path / "report.json"]
     return argv
 
@@ -271,6 +272,7 @@ BAD_FILES = {
     "ingest, malformed schema yaml": (_ingest("name: [mini\n"), 2),
     "ingest, label encoding not a mapping": (_ingest(MINI_SCHEMA.replace(
         "  benign: 0\n  scan: 1\n  ransom: 2", "  - benign\n  - scan\n  - ransom")), 2),
+    "ingest, data path is a directory": (_ingest(MINI_SCHEMA, data=None), 2),
     "predict, missing model file": (_predict(), 1),
     "predict, model file not json": (_predict(model_text="{"), 1),
     "predict, model file missing a key": (_predict(model_text='{"version": 2}'), 1),

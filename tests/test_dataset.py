@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -6,7 +8,6 @@ from click.testing import CliRunner
 from fuzzids import dataset
 from fuzzids.cli import main
 from fuzzids.dataset import (
-    BLOCK_ROWS,
     DatasetSchema,
     LabeledDataset,
     SplitSpec,
@@ -108,6 +109,14 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="missing"):
             load_csv(path, small_schema())
 
+    def test_schema_without_numeric_columns(self, tmp_path):
+        schema = DatasetSchema("cats", (("b", "categorical"), ("y", "categorical")), "y",
+                               NSL_ENCODING)
+        ds = load_csv(write_csv(tmp_path / "d.csv", "b,y\n x ,normal\nz,dos\n"), schema)
+        assert ds.features.tolist() == [[0.0], [1.0]]
+        assert ds.categories == {0: ("x", "z")}
+        assert ds.labels.tolist() == [0, 4]
+
     def test_missing_value_is_error(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b,y\n,x,normal\n")
         with pytest.raises(LoadError, match="missing value"):
@@ -115,8 +124,12 @@ class TestLoadCsv:
 
 
 GOOD_ROW = "1,x,normal\n"
-# A prefix that ends past the first block: line numbers count the blank line.
-PAST_FIRST_BLOCK = GOOD_ROW * BLOCK_ROWS + "\n" + GOOD_ROW * 3
+# numpy's text reader reads flexible dtypes 50,000 rows at a time; the
+# parse must not depend on where those chunks end. Line numbers count the
+# blank line.
+CHUNK_ROWS = 50_000
+PAST_FIRST_CHUNK = GOOD_ROW * CHUNK_ROWS + "\n" + GOOD_ROW * 3
+SENTINEL = "the column parse rejected a file the row scanner accepts"
 
 # (case, bad record, message after "{path}:{line}: "), as the row scanner
 # words them.
@@ -137,6 +150,13 @@ BAD_RECORDS = [
     ("latin-1 cell", "1,caf\udce9,normal", "cannot decode byte 0xe9 as UTF-8"),
     ("cell over the csv field limit", '1,"' + "x" * 200_000 + '",normal',
      "field larger than field limit (131072)"),
+    ("numeric cell over the csv field limit", "0" * 200_000 + "1,x,normal",
+     "field larger than field limit (131072)"),
+    ("underscore in a number", "1_0,x,normal",
+     "unparseable numeric cell '1_0' in column 'a'"),
+    ("non-ASCII digit", "\u0661,x,normal",
+     "unparseable numeric cell '\u0661' in column 'a'"),
+    ("quoted blank line", '""', "expected 3 cells, got 1"),
 ]
 
 
@@ -148,6 +168,10 @@ def _ingest(tmp_path, path):
                                      str(tmp_path / "report.json")])
 
 
+def _no_scanner(path, schema):
+    raise AssertionError("row scanner called")
+
+
 def _decoded(ds):
     """Rows with categorical codes turned back into their cells."""
     return [[ds.categories[j][int(v)] if j in ds.categories else v
@@ -155,7 +179,7 @@ def _decoded(ds):
 
 
 class TestMalformedCsv:
-    @pytest.mark.parametrize("prefix", ["", PAST_FIRST_BLOCK],
+    @pytest.mark.parametrize("prefix", ["", PAST_FIRST_CHUNK],
                              ids=["first block", "past first block"])
     @pytest.mark.parametrize("record, message", [c[1:] for c in BAD_RECORDS],
                              ids=[c[0] for c in BAD_RECORDS])
@@ -187,7 +211,7 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("text, rows, labels", [
         (" y , a,b\n", [], []),
         ("y,b,a\ndos, q ,2.5\n", [[2.5, "q"]], [4]),
-        ("a,b,y\n1,x,normal\n\n   \n" + "\n" * BLOCK_ROWS + "2,y,dos\n",
+        ("a,b,y\n1,x,normal\n\n   \n" + "\n" * CHUNK_ROWS + "2,y,dos\n",
          [[1.0, "x"], [2.0, "y"]], [0, 4]),
         ('a,b,y\n1,"x,y",normal\n', [[1.0, "x,y"]], [0]),
         ("a,b,y\n 1 , x , normal \n", [[1.0, "x"]], [0]),
@@ -199,16 +223,84 @@ class TestMalformedCsv:
         assert ds.labels.tolist() == labels
 
     def test_well_formed_file_never_reaches_row_scanner(self, tmp_path, monkeypatch):
-        def scanner(path, schema):
-            raise AssertionError("row scanner called")
-        monkeypatch.setattr(dataset, "_scan_rows", scanner)
-        body = "0.5,x,normal\n" * BLOCK_ROWS + "\n" + "1e3, y ,dos\n2,x,probe\n"
+        monkeypatch.setattr(dataset, "_scan_rows", _no_scanner)
+        body = "0.5,x,normal\n" + "\n" + "1e3, y ,dos\n2,x,probe\n"
         ds = load_csv(write_csv(tmp_path / "d.csv", "a,b,y\n" + body), small_schema())
-        assert len(ds) == BLOCK_ROWS + 2
-        # codes follow first appearance in the file, across blocks
+        assert len(ds) == 3
+        # codes follow first appearance in the file
         assert ds.categories == {1: ("x", "y")}
         assert _decoded(ds)[-2:] == [[1000.0, "y"], [2.0, "x"]]
         assert ds.labels[-2:].tolist() == [4, 3]
+
+    def test_values_and_codes_are_exact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_scan_rows", _no_scanner)
+        rng = np.random.default_rng(12)
+        bits = rng.integers(-2**63, 2**63 - 1, 2000, dtype=np.int64).view(np.float64)
+        values = np.concatenate([bits[np.isfinite(bits)],
+                                 rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+        spellings = [repr, "%.17g".__mod__, "%g".__mod__, "%e".__mod__,
+                     lambda v: "+" + repr(abs(v)), lambda v: f"  {v!r}\t"]
+        numbers = [spell(v) for v in values.tolist() for spell in spellings]
+        numbers += ["-0", "0", "+0.0", " -0.0 "]
+        # the first 50,000 rows hold one category; the others appear after them
+        n = CHUNK_ROWS + len(numbers)
+        cats = ["x"] * CHUNK_ROWS + [(" z ", "x", "y ", " w")[i % 4] for i in range(len(numbers))]
+        labels = [("normal", " dos", "probe ")[i % 3] for i in range(n)]
+        cells = [numbers[i % len(numbers)] for i in range(n)]
+        text = "a,b,y\n" + "".join(f"{a},{b},{y}\n" for a, b, y in zip(cells, cats, labels))
+        ds = load_csv(write_csv(tmp_path / "d.csv", text), small_schema())
+        expected = np.array([float(c) for c in cells])
+        assert np.array_equal(ds.features[:, 0].view(np.int64), expected.view(np.int64))
+        assert ds.categories == {1: tuple(dict.fromkeys(c.strip() for c in cats))}
+        assert [ds.categories[1][int(c)] for c in ds.features[:, 1]] == [c.strip() for c in cats]
+        assert ds.labels.tolist() == [NSL_ENCODING[y.strip()] for y in labels]
+
+    def test_unreadable_path_names_it(self, tmp_path):
+        with pytest.raises(LoadError) as exc:
+            load_csv(tmp_path, small_schema())
+        assert str(exc.value) == f"cannot read {tmp_path}: Is a directory"
+
+
+HEADER = "a,b,y\n"
+# Whole files on which the column parse and the row scanner must agree.
+AGREEMENT_FILES = {
+    "quoted comma": HEADER + '1,"x,y",normal\n',
+    "doubled quote": HEADER + '1,"a""b",normal\n',
+    "quote inside an unquoted cell": HEADER + '1,a"b,normal\n',
+    "quoted cell spanning lines": HEADER + '1,"x\ny",normal\n2,x,dos\n',
+    "crlf line ends": "a,b,y\r\n1,x,normal\r\n2,y,dos\r\n",
+    "whitespace-only lines": HEADER + " \t \n1,x,normal\n   \n2,y,dos\n",
+    "trailing blank lines": HEADER + "1,x,normal\n\n\n   \n\n",
+    "header only": HEADER,
+    "1_0": HEADER + "1_0,x,normal\n",
+    "\u0661": HEADER + "\u0661,x,normal\n",
+    "1e3": HEADER + "1e3,x,normal\n",
+    " .5 ": HEADER + " .5 ,x,normal\n",
+    "long row after 50,000 rows": HEADER + GOOD_ROW * CHUNK_ROWS + "1,x,normal,9\n",
+    "over-limit numeric cell after 50,000 rows":
+        HEADER + GOOD_ROW * CHUNK_ROWS + "0" * 200_000 + "1,x,normal\n",
+    "whitespace-only line inside a quoted cell": HEADER + '1,"x\n  \ny",normal\n',
+    "quoted blank line": HEADER + '1,x,normal\n""\n',
+    "lone carriage returns": "a,b,y\r1,x,normal\r2,y,dos\r",
+    "quote left open at the end": HEADER + '1,x,"normal',
+    "NUL in a categorical cell": HEADER + '1,"x\x00",normal\n',
+    "quoted number": HEADER + '"2.5",x,normal\n',
+    "long line of short cells": HEADER + "1," + "x" * 60_000 + ",normal\n",
+    "quoted number padded over three lines":
+        HEADER + '"' + " " * 60_000 + "\n" + " " * 60_000 + "1\n" + " " * 60_000 + '",x,normal\n',
+}
+
+
+@pytest.mark.parametrize("text", AGREEMENT_FILES.values(), ids=list(AGREEMENT_FILES))
+def test_column_parse_agrees_with_row_scanner(tmp_path, text):
+    path = write_csv(tmp_path / "d.csv", text)
+    try:
+        load_csv(path, small_schema())
+    except LoadError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        return
+    with pytest.raises(LoadError, match=SENTINEL):
+        dataset._scan_rows(path, small_schema())
 
 
 class TestClassDistribution:

@@ -637,6 +637,16 @@ class TestUniformContract:
             fit_model(np.empty((0, 2)), [], ClassifierConfig(kind=kind))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((5, 2)), [0, 1, 2]),
+        (np.zeros(3), [0, 1, 2]),
+        (np.zeros((3, 2)), [[0], [1], [2]]),
+    ], ids=["3 labels for 5 rows", "1-D x", "2-D labels"])
+    def test_mismatched_shapes_rejected(self, kind, x, y):
+        with pytest.raises(TrainingError, match="needs one row per label"):
+            fit_model(x, y, ClassifierConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_list_labels_keep_their_ids(self, kind, tmp_path, rng):
         x, _ = xor_clusters(60, seed=10)
         y = [(3, 7, 9)[i % 3] for i in range(60)]
