@@ -171,9 +171,6 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     not UTF-8 and records the csv module rejects are named the same way.
     """
     path = Path(path)
-    if not path.exists():
-        raise LoadError(f"file not found: {path}")
-
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             try:
@@ -285,7 +282,9 @@ def _scan_rows(path: Path, schema: DatasetSchema) -> NoReturn:
         try:
             header = [h.strip() for h in next(reader)]
             label_pos, feat_info = _layout(header, schema)
-            for lineno, record in enumerate(reader, start=2):
+            start = reader.line_num + 1  # a record starts after the last one ends
+            for record in reader:
+                lineno, start = start, reader.line_num + 1
                 if not record:
                     continue
                 if len(record) != len(header):

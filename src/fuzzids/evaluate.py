@@ -197,10 +197,6 @@ def auc(points) -> float:
     return float(np.clip(np.trapezoid(tpr, fpr), 0.0, 1.0))
 
 
-def auc_score(true_binary, scores) -> float:
-    return auc(roc_curve(true_binary, scores))
-
-
 def multiclass_auc(true_labels, score_matrix,
                    classes) -> tuple[dict[int, float], float, dict[int, list]]:
     """One-vs-rest AUC per class, their unweighted macro average, and the ROC

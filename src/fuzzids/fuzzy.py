@@ -63,10 +63,6 @@ class FeatureVectorSpec:
         if len(set(self.indices)) != len(self.indices):
             raise SchemaError(f"vector '{self.name}' has duplicate indices")
 
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
 
 def triangular_membership(x, p: TriangularParams):
     """Membership of x in the triangle (a, b, c); vectorized, total in [0, 1].

@@ -17,13 +17,11 @@ from .base import ClassifierConfig, TrainedModel, MODEL_KINDS, SERIALIZATION_VER
 from .bayes import NaiveBayesModel
 from .boosting import GradientBoostedModel
 from .svm import SvmModel
-from .tree import (DecisionTreeModel, ForestModel, best_split, impurity,
-                   mean_impurity_decrease)
+from .tree import DecisionTreeModel, ForestModel, mean_impurity_decrease
 
 __all__ = [
     "ClassifierConfig", "TrainedModel", "MODEL_KINDS", "fit_model",
-    "impurity", "best_split", "mean_impurity_decrease",
-    "save_model", "load_model",
+    "mean_impurity_decrease", "save_model", "load_model",
 ]
 
 _MODEL_CLASSES: dict[str, type[TrainedModel]] = {
@@ -70,7 +68,7 @@ def load_model(path: str | Path) -> TrainedModel:
             np.asarray(doc["classes"], dtype=np.int64), doc["n_features"], doc["params"],
         )
         model.flags.update(doc.get("flags", {}))
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"cannot load model file {path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"model file {path} missing key {exc}") from exc

@@ -40,16 +40,13 @@ class NaiveBayesModel(TrainedModel):
         )
         return ll.sum(axis=2)
 
-    def posterior(self, x: np.ndarray) -> np.ndarray:
+    def score(self, x: np.ndarray) -> np.ndarray:
         """Normalized class posteriors per row (sum to 1)."""
         x = self._check_features(x)
         log_post = self.log_priors[None, :] + self._log_likelihood(x)
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
         return post / post.sum(axis=1, keepdims=True)
-
-    def score(self, x: np.ndarray) -> np.ndarray:
-        return self.posterior(x)
 
     def params_dict(self) -> dict:
         return {

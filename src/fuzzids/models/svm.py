@@ -65,39 +65,36 @@ class SvmModel(TrainedModel):
 
     kind = "svm"
 
-    def __init__(self, config, classes, n_features, weights, biases, traces,
-                 converged):
+    def __init__(self, config, classes, n_features, weights, biases, traces):
         super().__init__(config, classes, n_features)
         self.weights = np.asarray(weights, dtype=float)   # (n_chains, F)
         self.biases = np.asarray(biases, dtype=float)     # (n_chains,)
         self.objective_traces = traces
-        if not converged:
-            self.flags["non_converged"] = True
 
     @classmethod
     def fit(cls, x, yi, classes, config):
         if len(classes) == 1:
             model = cls(config, classes, x.shape[1],
-                        np.zeros((1, x.shape[1])), np.zeros(1), [[0.0]], True)
+                        np.zeros((1, x.shape[1])), np.zeros(1), [[0.0]])
             model.flags["degenerate"] = True
             return model
         weights, biases, traces, ok = zip(*(
             _train_binary(x, np.where(yi == c, 1.0, -1.0), config)
             for c in one_vs_rest(len(classes))
         ))
-        return cls(config, classes, x.shape[1], weights, biases, list(traces), all(ok))
-
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        """Raw margins w.x + b, one column per chain."""
-        x = self._check_features(x)
-        return x @ self.weights.T + self.biases
+        model = cls(config, classes, x.shape[1], weights, biases, list(traces))
+        if not all(ok):
+            model.flags["non_converged"] = True
+        return model
 
     def score(self, x: np.ndarray) -> np.ndarray:
+        """Margins w.x + b, one column per class. A binary task's one chain
+        scores the higher class and its negation the lower; one class scores 1."""
+        x = self._check_features(x)
         if len(self.classes) == 1:
-            return np.ones((len(self._check_features(x)), 1))
-        margins = self.decision(x)
+            return np.ones((len(x), 1))
+        margins = x @ self.weights.T + self.biases
         if len(self.classes) == 2:
-            # single chain scores the higher class; mirror for the lower one
             return np.column_stack([-margins[:, 0], margins[:, 0]])
         return margins
 
@@ -110,6 +107,5 @@ class SvmModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        # a saved non_converged flag comes back with the other flags
         return cls(config, classes, n_features, params["weights"],
-                   params["biases"], params["objective_traces"], converged=True)
+                   params["biases"], params["objective_traces"])

@@ -17,25 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import EvaluationError
 from .base import ClassifierConfig, TrainedModel
 
 BLOCK_CELLS = 8192  # (feature x row) cells per scan block; a larger node scans one feature
-
-
-def impurity(class_proportions, kind: str = "entropy") -> float:
-    """Entropy (base 2) or Gini impurity of a class-proportion vector."""
-    p = np.asarray(class_proportions, dtype=float)
-    if np.any(p < 0):
-        raise EvaluationError("proportions must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise EvaluationError(f"proportions sum to {p.sum()}, expected 1")
-    if kind == "entropy":
-        nz = p[p > 0]
-        return float(-(nz * np.log2(nz)).sum())
-    if kind == "gini":
-        return float(1.0 - (p ** 2).sum())
-    raise EvaluationError(f"unknown impurity kind '{kind}'")
 
 
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
@@ -214,36 +198,20 @@ def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
     return None if best is None else (*cuts[best], float(gains[best]))
 
 
-def best_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    candidate_features,
-    impurity_kind: str = "entropy",
-    n_classes: int | None = None,
-    order: np.ndarray | None = None,
-) -> tuple[int, float, float] | None:
+def best_split(x: np.ndarray, y: np.ndarray, candidate_features, impurity_kind: str,
+               counts: np.ndarray, order: np.ndarray) -> tuple[int, float, float] | None:
     """Exhaustive best (feature, threshold, gain) by impurity decrease, or
-    None when no split yields positive gain. ``order`` holds the node's rows
-    presorted per feature (see ``grow``); by default every row of ``x``.
+    None when no cut gains. ``counts`` are the class counts of the node's
+    rows, ``order`` those rows presorted per feature (see ``grow``); a node
+    of one row, or a pure one, has no cut that gains.
     """
-    if order is None:
-        order = _presort(x, np.arange(len(y)))
-    if order.shape[1] < 2:
-        return None
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    # the node's rows as the first feature sorts them; none when x has no column
-    parent_counts = np.bincount(y[order[:1]].ravel(), minlength=n_classes)
-    parent_imp = _impurity_rows(parent_counts[None], impurity_kind)[0]
-    if parent_imp == 0.0:
-        return None
+    parent_imp = _impurity_rows(counts[None], impurity_kind)[0]
     n_left = np.arange(1, order.shape[1], dtype=float)
 
     def gains_along(sorted_rows):
-        onehot = y[sorted_rows][..., None] == np.arange(n_classes)
+        onehot = y[sorted_rows][..., None] == np.arange(len(counts))
         left_counts = np.cumsum(onehot, axis=1)[:, :-1]
-        return parent_imp - _child_impurity(left_counts, n_left, parent_counts,
-                                            impurity_kind)
+        return parent_imp - _child_impurity(left_counts, n_left, counts, impurity_kind)
 
     return _scan(x, order, candidate_features, gains_along)
 
@@ -300,8 +268,7 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
         if config.kind == "et":
             return counts, _random_cut_split(x[rows], ys, candidates, config.impurity,
                                              rng, n_classes)
-        split = best_split(x, y, candidates, config.impurity, n_classes=n_classes,
-                           order=order)
+        split = best_split(x, y, candidates, config.impurity, counts, order)
         # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
         return counts, split or _scan(x, order, candidates, lambda r: np.ones(r[:, 1:].shape))
 

@@ -24,10 +24,6 @@ class ScalerState:
         self.mins.setflags(write=False)
         self.maxs.setflags(write=False)
 
-    @property
-    def degenerate_columns(self) -> list[int]:
-        return np.flatnonzero(self.maxs == self.mins).tolist()
-
     def to_dict(self) -> dict:
         return {
             "schema_name": self.schema_name,

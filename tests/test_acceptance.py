@@ -17,7 +17,6 @@ import pytest
 from fuzzids.dataset import DatasetSchema, SplitSpec, load_csv, stratified_split
 from fuzzids.evaluate import (
     ConfusionMatrix,
-    auc_score,
     confusion,
     f1_score,
     macro_metrics,
@@ -28,7 +27,7 @@ from fuzzids.models import ClassifierConfig, fit_model
 from fuzzids.pipeline import ExperimentConfig, run_experiment
 
 from conftest import make_dataset
-from test_evaluate import wilcoxon_auc
+from test_evaluate import auc_score, wilcoxon_auc
 
 DATA = importlib.resources.files("fuzzids") / "data"
 SCHEMAS = importlib.resources.files("fuzzids") / "schemas"

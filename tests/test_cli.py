@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from fuzzids.cli import main
 from fuzzids.dataset import DatasetSchema, load_csv
 from fuzzids.evaluate import confusion
+from fuzzids.models import ClassifierConfig
 
 DATA = importlib.resources.files("fuzzids") / "data"
 
@@ -264,6 +265,13 @@ V1_MODEL = json.dumps({
     "params": {"root": {"counts": [1, 0, 0]}},
 })
 
+# A dt model file whose tree nests 3,000 splits deep, written without recursion.
+DEEP_MODEL = json.dumps({
+    "version": 2, "kind": "dt", "classes": [0, 1, 2], "n_features": 5, "flags": {},
+    "config": ClassifierConfig(kind="dt").to_dict(), "params": {"root": "ROOT"},
+}).replace('"ROOT"', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
+           + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
+
 BAD_FILES = {
     "run, missing schema": (_run_without_schema, 2),
     "ingest, missing schema": (_ingest(None), 2),
@@ -277,6 +285,7 @@ BAD_FILES = {
     "predict, model file not json": (_predict(model_text="{"), 1),
     "predict, model file missing a key": (_predict(model_text='{"version": 2}'), 1),
     "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1),
+    "predict, model file nested too deep": (_predict(model_text=DEEP_MODEL), 1),
     "predict, model not in config": (_predict(model="rf"), 1),
     "predict, vector not in config": (_predict(vector="v9"), 1),
     "report, missing metrics table": (lambda tmp_path: ["report", "--run", tmp_path], 2),

@@ -179,8 +179,9 @@ def _decoded(ds):
 
 
 class TestMalformedCsv:
-    @pytest.mark.parametrize("prefix", ["", PAST_FIRST_CHUNK],
-                             ids=["first block", "past first block"])
+    @pytest.mark.parametrize("prefix", ["", PAST_FIRST_CHUNK, '1,"x\ny",normal\n'],
+                             ids=["first block", "past first block",
+                                  "after a cell spanning lines"])
     @pytest.mark.parametrize("record, message", [c[1:] for c in BAD_RECORDS],
                              ids=[c[0] for c in BAD_RECORDS])
     def test_bad_record_names_its_line(self, tmp_path, prefix, record, message):
@@ -259,6 +260,12 @@ class TestMalformedCsv:
         with pytest.raises(LoadError) as exc:
             load_csv(tmp_path, small_schema())
         assert str(exc.value) == f"cannot read {tmp_path}: Is a directory"
+
+    def test_missing_path_names_it(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(LoadError) as exc:
+            load_csv(path, small_schema())
+        assert str(exc.value) == f"cannot read {path}: No such file or directory"
 
 
 HEADER = "a,b,y\n"

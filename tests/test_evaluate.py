@@ -5,7 +5,6 @@ from fuzzids.errors import EvaluationError
 from fuzzids.evaluate import (
     ConfusionMatrix,
     auc,
-    auc_score,
     confusion,
     f1_score,
     macro_metrics,
@@ -13,6 +12,10 @@ from fuzzids.evaluate import (
     multiclass_auc,
     roc_curve,
 )
+
+
+def auc_score(y, scores):
+    return auc(roc_curve(y, scores))
 
 
 def wilcoxon_auc(y, scores):

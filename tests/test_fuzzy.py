@@ -153,13 +153,13 @@ class TestSelectVectors:
         scores = np.arange(20, 0, -1, dtype=float)
         fr = FeatureRanking(scores, np.arange(20))
         vecs = select_vectors(fr, [11, 9, 9, 10], ["v1", "v2", "v3", "v4"])
-        assert [v.length for v in vecs] == [11, 9, 9, 10]
+        assert [len(v.indices) for v in vecs] == [11, 9, 9, 10]
         assert vecs[0].indices == tuple(range(11))
 
     def test_reference_multiclass_lengths(self):
         fr = FeatureRanking(np.arange(25, 0, -1, dtype=float), np.arange(25))
         vecs = select_vectors(fr, [13, 9, 20, 14], ["g1", "g2", "g3", "g4"])
-        assert [v.length for v in vecs] == [13, 9, 20, 14]
+        assert [len(v.indices) for v in vecs] == [13, 9, 20, 14]
 
     def test_full_length_vector_is_full_ranking(self):
         fr = FeatureRanking(np.array([1.0, 3.0, 2.0]), np.array([1, 2, 0]))

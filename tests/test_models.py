@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from fuzzids.errors import EvaluationError, SchemaError, TrainingError
+from fuzzids.errors import SchemaError, TrainingError
 from fuzzids.models import (
     ClassifierConfig,
     MODEL_KINDS,
     _MODEL_CLASSES,
-    best_split,
     fit_model,
-    impurity,
     load_model,
     mean_impurity_decrease,
     save_model,
@@ -17,7 +15,7 @@ from fuzzids.models import tree as tree_engine
 from fuzzids.models.boosting import _BinaryBooster, _newton_rule
 from fuzzids.models.tree import (Tree, _child_impurity, _class_rule, _first_best,
                                  _impurity_rows, _presort, _random_cut_split, grow)
-from fuzzids.models.svm import svm_objective
+from fuzzids.models.svm import SvmModel, svm_objective
 
 
 def tree_depth(tree, node=0):
@@ -47,22 +45,38 @@ def xor_clusters(n, seed):
     return np.asarray(xs), np.asarray(ys, dtype=np.int64)
 
 
+def impurity(class_proportions, kind):
+    """Reference: entropy (base 2) or Gini impurity of a class-proportion vector."""
+    p = np.asarray(class_proportions, dtype=float)
+    if kind == "entropy":
+        nz = p[p > 0]
+        return float(-(nz * np.log2(nz)).sum())
+    return float(1.0 - (p ** 2).sum())
+
+
+def best_split(x, y, candidates, kind="entropy", n_classes=None, rows=None):
+    """The exact split rule on the node of ``rows`` (default: every row),
+    presorted as ``grow`` hands it over."""
+    rows = np.arange(len(y)) if rows is None else rows
+    counts = np.bincount(y[rows], minlength=n_classes or int(y.max()) + 1)
+    return tree_engine.best_split(x, y, candidates, kind, counts, _presort(x, rows))
+
+
 class TestImpurity:
+    """Impurity of class counts, one count vector per row."""
+
     def test_maximal_binary(self):
-        assert impurity([0.5, 0.5], "entropy") == 1.0
-        assert impurity([0.5, 0.5], "gini") == 0.5
+        assert _impurity_rows(np.array([[2, 2]]), "entropy").tolist() == [1.0]
+        assert _impurity_rows(np.array([[2, 2]]), "gini").tolist() == [0.5]
 
     def test_pure_node(self):
-        assert impurity([1.0, 0.0], "entropy") == 0.0
-        assert impurity([1.0, 0.0], "gini") == 0.0
+        assert _impurity_rows(np.array([[4, 0], [0, 3]]), "entropy").tolist() == [0.0, 0.0]
+        assert _impurity_rows(np.array([[4, 0], [0, 3]]), "gini").tolist() == [0.0, 0.0]
 
     def test_hand_evaluated(self):
-        assert impurity([0.25, 0.75], "entropy") == pytest.approx(0.811278, abs=1e-6)
-        assert impurity([0.25, 0.75], "gini") == pytest.approx(0.375)
-
-    def test_bad_proportions_rejected(self):
-        with pytest.raises(EvaluationError):
-            impurity([0.5, 0.6])
+        assert _impurity_rows(np.array([[1, 3]]), "entropy")[0] == pytest.approx(
+            0.811278, abs=1e-6)
+        assert _impurity_rows(np.array([[1, 3]]), "gini")[0] == pytest.approx(0.375)
 
 
 class TestBestSplit:
@@ -200,7 +214,7 @@ class TestPresortedScan:
             x, y = tie_heavy(rng, 60)
             rows = rng.integers(0, 60, size=int(rng.integers(2, 90)))  # duplicates
             candidates = rng.choice(6, size=3, replace=False)
-            got = best_split(x, y, candidates, kind, n_classes=3, order=_presort(x, rows))
+            got = best_split(x, y, candidates, kind, n_classes=3, rows=rows)
             assert got == argsort_best_split(x[rows], y[rows], candidates, kind, 3)
 
     def test_newton_rule_matches_argsort_scan(self, rng):
@@ -548,7 +562,7 @@ class TestNaiveBayes:
         x = np.array([[-0.25], [0.25], [0.75], [1.25]])
         y = np.array([0, 0, 1, 1])
         model = fit_model(x, y, ClassifierConfig(kind="nb"))
-        post = model.posterior(np.array([[0.5]]))
+        post = model.score(np.array([[0.5]]))
         assert post[0, 0] == pytest.approx(post[0, 1], abs=1e-9)
         assert model.predict(np.array([[0.5]]))[0] == 0
 
@@ -575,12 +589,9 @@ class TestNaiveBayes:
 
 class TestSvm:
     def test_decision_is_linear_score(self):
-        from fuzzids.models.svm import SvmModel
-
         model = SvmModel(ClassifierConfig(kind="svm"), np.array([0, 1]), 2,
-                         [[1.0, 0.0]], [0.0], [[0.0]], True)
-        margin = model.decision(np.array([[2.0, 0.0]]))[0, 0]
-        assert margin == pytest.approx(2.0)
+                         [[1.0, 0.0]], [0.0], [[0.0]])
+        assert model.score(np.array([[2.0, 0.0]])).tolist() == [[-2.0, 2.0]]
         assert model.predict(np.array([[2.0, 0.0]]))[0] == 1
 
     def test_symmetric_separable_pair(self):
