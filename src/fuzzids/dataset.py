@@ -84,15 +84,6 @@ class DatasetSchema:
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"malformed schema file {path}: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "columns": [c for c, _ in self.columns],
-            "kinds": [k for _, k in self.columns],
-            "label_column": self.label_column,
-            "label_encoding": dict(self.label_encoding),
-        }
-
 
 @dataclass(frozen=True)
 class LabeledDataset:

@@ -45,50 +45,17 @@ def _log_loss(y: np.ndarray, raw: np.ndarray) -> float:
     return float(np.logaddexp(0.0, -margin).sum())
 
 
-class _BinaryBooster:
-    """One logistic boosting chain: base score plus shrunken stage trees."""
-
-    def __init__(self, base_score: float, stages: list[Tree],
-                 learning_rate: float, objective_trace: list[float]):
-        self.base_score = base_score
-        self.stages = stages
-        self.learning_rate = learning_rate
-        self.objective_trace = objective_trace
-
-    def raw(self, x: np.ndarray) -> np.ndarray:
-        out = np.full(len(x), self.base_score)
-        for stage in self.stages:
-            out += self.learning_rate * stage.value[stage.apply(x)]
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "stages": [s.to_dict() for s in self.stages],
-            "objective_trace": list(self.objective_trace),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict, learning_rate: float) -> "_BinaryBooster":
-        return cls(
-            doc["base_score"],
-            [Tree.from_dict(s) for s in doc["stages"]],
-            learning_rate,
-            list(doc["objective_trace"]),
-        )
-
-
 def _fit_binary_chain(x: np.ndarray, y01: np.ndarray, config: ClassifierConfig,
-                      order: np.ndarray) -> _BinaryBooster:
+                      order: np.ndarray) -> tuple[float, list[Tree], list[float]]:
+    """One logistic boosting chain: its base score, stage trees and objective trace."""
     pos = y01.mean()
     pos = min(max(pos, 1e-12), 1 - 1e-12)
     base = float(np.log(pos / (1.0 - pos)))
     raw = np.full(len(y01), base)
 
     stages: list[Tree] = []
-    trace: list[float] = []
+    trace = [_log_loss(y01, raw)]
     complexity = 0.0
-    trace.append(_log_loss(y01, raw))
     for t in range(config.n_rounds):
         p = _sigmoid(raw)
         grad = p - y01
@@ -104,53 +71,59 @@ def _fit_binary_chain(x: np.ndarray, y01: np.ndarray, config: ClassifierConfig,
             (config.learning_rate * w) ** 2 for w in leaves
         )
         trace.append(_log_loss(y01, raw) + complexity)
-    return _BinaryBooster(base, stages, config.learning_rate, trace)
+    return base, stages, trace
 
 
 class GradientBoostedModel(TrainedModel):
-    """Binary logistic booster, or one-vs-rest chains for multi-class."""
+    """Binary logistic booster, or one-vs-rest chains for multi-class. Chain ``i``
+    adds ``learning_rate`` times its ``stages[i]`` leaf weights to ``base_scores[i]``."""
 
     kind = "gbt"
 
-    def __init__(self, config, classes, n_features, chains: list[_BinaryBooster]):
+    def __init__(self, config, classes, n_features, base_scores: list[float],
+                 stages: list[list[Tree]], objective_traces: list[list[float]]):
         super().__init__(config, classes, n_features)
-        self.chains = chains
+        self.base_scores = base_scores
+        self.stages = stages
+        self.objective_traces = objective_traces
 
     @classmethod
     def fit(cls, x, yi, classes, config):
         if len(classes) == 1:
-            chain = _BinaryBooster(0.0, [], config.learning_rate, [0.0])
-            model = cls(config, classes, x.shape[1], [chain])
+            model = cls(config, classes, x.shape[1], [0.0], [[]], [[0.0]])
             model.flags["degenerate"] = True
             return model
         order = _presort(x, np.arange(len(yi)))  # serves every round of every chain
         chains = [_fit_binary_chain(x, (yi == c).astype(float), config, order)
                   for c in one_vs_rest(len(classes))]
-        return cls(config, classes, x.shape[1], chains)
+        return cls(config, classes, x.shape[1], *map(list, zip(*chains)))
 
-    @property
-    def objective_traces(self) -> list[list[float]]:
-        return [c.objective_trace for c in self.chains]
+    def _raw(self, x: np.ndarray, chain: int) -> np.ndarray:
+        out = np.full(len(x), self.base_scores[chain])
+        for stage in self.stages[chain]:
+            out += self.config.learning_rate * stage.value[stage.apply(x)]
+        return out
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)
         if len(self.classes) == 1:
             return np.ones((len(x), 1))
-        if len(self.chains) == 1:
-            p1 = _sigmoid(self.chains[0].raw(x))
-            scores = np.column_stack([1.0 - p1, p1])
-        else:
-            scores = np.column_stack([_sigmoid(c.raw(x)) for c in self.chains])
-            totals = scores.sum(axis=1, keepdims=True)
-            totals[totals == 0.0] = 1.0
-            scores = scores / totals
-        return scores
+        scores = np.column_stack([_sigmoid(self._raw(x, chain))
+                                  for chain in range(len(self.stages))])
+        if len(self.stages) == 1:
+            return np.column_stack([1.0 - scores[:, 0], scores[:, 0]])
+        totals = scores.sum(axis=1, keepdims=True)
+        totals[totals == 0.0] = 1.0
+        return scores / totals
 
     def params_dict(self) -> dict:
-        return {"chains": [c.to_dict() for c in self.chains]}
+        chains = zip(self.base_scores, self.stages, self.objective_traces)
+        return {"chains": [{"base_score": base, "stages": [s.to_dict() for s in stages],
+                            "objective_trace": trace} for base, stages, trace in chains]}
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        chains = [_BinaryBooster.from_dict(c, config.learning_rate)
-                  for c in params["chains"]]
-        return cls(config, classes, n_features, chains)
+        chains = params["chains"]
+        return cls(config, classes, n_features, [c["base_score"] for c in chains],
+                   [[Tree.from_dict(s) for s in c["stages"]] for c in chains],
+                   [c["objective_trace"] for c in chains])

@@ -84,22 +84,21 @@ class Tree:
         split, whose value is ignored.
         """
         feature, threshold, left, right, value = cols = ([], [], [], [], [])
-
-        def visit(state, depth: int) -> int:
+        pending = [(root, 0, -1)]  # (state, depth, node whose right child it is, or -1)
+        while pending:
+            state, depth, parent = pending.pop()
             node = len(feature)
+            if parent >= 0:
+                right[parent] = node
             val, split = expand(state, depth)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
+            feat, thr, left_state, right_state = split or (-1, 0.0, None, None)
+            feature.append(feat)
+            threshold.append(thr)
+            left.append(-1 if split is None else node + 1)  # preorder: left child next
             right.append(-1)
             value.append(val if split is None else None)
             if split is not None:
-                feature[node], threshold[node], left_state, right_state = split
-                left[node] = visit(left_state, depth + 1)
-                right[node] = visit(right_state, depth + 1)
-            return node
-
-        visit(root, 0)
+                pending += [(right_state, depth + 1, node), (left_state, depth + 1, -1)]
         zero = np.zeros_like(next(v for v in value if v is not None))
         value[:] = [zero if v is None else v for v in value]
         return cls(*cols)
@@ -180,8 +179,9 @@ def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
     ``gains_along(sorted_rows)`` gets a (B, n) block of the node's ``order``
     (see ``grow``) and returns the (B, n - 1) gains of cutting after each of
     the first n - 1 sorted rows. Thresholds are midpoints between consecutive
-    distinct values. Ties go to the lower threshold, then ``_first_best``
-    picks among the features' best cuts in ascending feature order.
+    distinct values, kept below the higher value so that every cut splits.
+    Ties go to the lower threshold, then ``_first_best`` picks among the
+    features' best cuts in ascending feature order.
     """
     if order.shape[1] < 2:
         return None
@@ -193,7 +193,9 @@ def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
         i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
         at = np.arange(len(block))
         gains.extend(along[at, i])
-        cuts.extend(zip(block.tolist(), ((xs[at, i] + xs[at, i + 1]) / 2.0).tolist()))
+        lo, hi = xs[at, i], xs[at, i + 1]
+        mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
+        cuts.extend(zip(block.tolist(), np.where(mid < hi, mid, lo).tolist()))
     best = _first_best(gains)
     return None if best is None else (*cuts[best], float(gains[best]))
 
@@ -353,16 +355,13 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
     totals = np.zeros(n_features)
     trees = model.trees if isinstance(model, ForestModel) else [model.tree]
     for tree in trees:
-        counts = tree.value.copy()
-        nodes = []  # internal nodes in post-order: both subtrees first, left first
-
-        def walk(node: int) -> np.ndarray:
-            if tree.left[node] >= 0:
-                counts[node] = walk(tree.left[node]) + walk(tree.right[node])
-                nodes.append(node)
-            return counts[node]
-
-        walk(0)
+        counts, end = tree.value.copy(), np.arange(len(tree.left))
+        internal = np.flatnonzero(tree.left >= 0)
+        for node in internal[::-1]:  # reverse preorder: children before parents
+            counts[node] = counts[tree.left[node]] + counts[tree.right[node]]
+            end[node] = end[tree.right[node]]  # last node of the subtree
+        # post-order (both subtrees first, left first): by subtree end, deeper first
+        nodes = internal[np.lexsort((-internal, end[internal]))]
         parent, left = counts[nodes], counts[tree.left[nodes]]
         gain = _impurity_rows(parent, model.config.impurity) - _child_impurity(
             left, left.sum(axis=1), parent, model.config.impurity)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -154,27 +155,24 @@ def binary_mapping(labels: np.ndarray, schema: DatasetSchema,
     return np.array([code_map[c] for c in present.tolist()], dtype=np.int64)[inverse]
 
 
-def _binary_schema(schema: DatasetSchema) -> DatasetSchema:
-    return DatasetSchema(
-        name=schema.name,
-        columns=schema.columns,
-        label_column=schema.label_column,
-        label_encoding=dict(BINARY_SCHEMA_ENCODING),
-    )
+PARTITIONS = ("validation", "test")  # every cell is scored on each, in this order
+
+
+class Evaluation(NamedTuple):
+    """Scores of one trained cell on one partition."""
+
+    metrics: MetricsReport
+    confusion: ConfusionMatrix
+    roc: dict[str, list]  # key: class or "binary"
 
 
 @dataclass
 class CellResult:
-    """Evaluation of one trained (model, vector) pair on both partitions."""
+    """Evaluation of one trained (model, vector) pair on each of ``PARTITIONS``."""
 
     model_name: str
     vector_name: str
-    val: MetricsReport
-    test: MetricsReport
-    val_cm: ConfusionMatrix
-    test_cm: ConfusionMatrix
-    val_roc: dict[str, list] = field(default_factory=dict)   # key: class or "binary"
-    test_roc: dict[str, list] = field(default_factory=dict)
+    evaluations: dict[str, Evaluation]
 
 
 @dataclass
@@ -182,10 +180,9 @@ class RunReport:
     config: ExperimentConfig
     vectors: list[FeatureVectorSpec]
     feature_names: list[str]
-    ranking_scores: list[float]
-    ranking_order: list[int]
+    ranking: FeatureRanking
     cells: list[CellResult]
-    transform_reports: dict[str, dict]
+    transform_reports: dict[str, TransformReport]
     split_counts: dict[str, dict]
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -200,30 +197,27 @@ class RunReport:
             },
             "config": self.config.to_dict(),
             "feature_names": self.feature_names,
-            "ranking": {
-                "scores": self.ranking_scores,
-                "order": self.ranking_order,
-            },
+            "ranking": {"scores": self.ranking.scores.tolist(),
+                        "order": self.ranking.order.tolist()},
             "vectors": {
                 v.name: [self.feature_names[i] for i in v.indices]
                 for v in self.vectors
             },
             "split_counts": self.split_counts,
-            "transform_reports": self.transform_reports,
+            "transform_reports": {name: r.to_dict()
+                                  for name, r in self.transform_reports.items()},
             "cells": {
                 f"{c.model_name}/{c.vector_name}": {
-                    "validation": c.val.to_dict(),
-                    "test": c.test.to_dict(),
-                    "validation_confusion": c.val_cm.to_dict(),
-                    "test_confusion": c.test_cm.to_dict(),
+                    **{part: e.metrics.to_dict() for part, e in c.evaluations.items()},
+                    **{f"{part}_confusion": e.confusion.to_dict()
+                       for part, e in c.evaluations.items()},
                 }
                 for c in self.cells
             },
         }
 
 
-def _evaluate(model, ds: LabeledDataset, cols: list[int],
-              task: str) -> tuple[MetricsReport, ConfusionMatrix, dict[str, list]]:
+def _evaluate(model, ds: LabeledDataset, cols: list[int], task: str) -> Evaluation:
     y = ds.labels
     scores = model.score(ds.numeric_features()[:, cols])
     # same lowest-class-id tie rule as TrainedModel.predict
@@ -243,7 +237,7 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int],
         rep = macro_metrics(cm)
         rep.auc_per_class, rep.auc, curves = multiclass_auc(y, scores, model.classes)
         roc = {str(c): points for c, points in curves.items()}
-    return rep, cm, roc
+    return Evaluation(rep, cm, roc)
 
 
 def load_partitions(config: ExperimentConfig,
@@ -257,7 +251,7 @@ def load_partitions(config: ExperimentConfig,
     timings["ingest"] = time.perf_counter() - t0
 
     if config.task == "binary":
-        bin_schema = _binary_schema(schema)
+        bin_schema = replace(schema, label_encoding=dict(BINARY_SCHEMA_ENCODING))
         full_train, test = [
             ds.with_labels(binary_mapping(ds.labels, schema, config.binary_rule), bin_schema)
             for ds in (full_train, test)
@@ -353,12 +347,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     cells: list[CellResult] = []
     t0 = time.perf_counter()
     for model_name, vec, model in fit_cells(config, scaled["train"], vectors):
-        # stage 5, per cell: score validation and test
-        cols = list(vec.indices)
-        val_rep, val_cm, val_roc = _evaluate(model, scaled["validation"], cols, config.task)
-        test_rep, test_cm, test_roc = _evaluate(model, scaled["test"], cols, config.task)
-        cells.append(CellResult(model_name, vec.name, val_rep, test_rep,
-                                val_cm, test_cm, val_roc, test_roc))
+        # stage 5, per cell: score each partition
+        cells.append(CellResult(model_name, vec.name, {
+            part: _evaluate(model, scaled[part], list(vec.indices), config.task)
+            for part in PARTITIONS
+        }))
         # a cell's time covers its fit and save in fit_cells and its evaluation
         timings[f"cell/{model_name}/{vec.name}"] = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -367,14 +360,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         config=config,
         vectors=vectors,
         feature_names=scaled["train"].schema.feature_names,
-        ranking_scores=[float(s) for s in ranking.scores],
-        ranking_order=[int(i) for i in ranking.order],
+        ranking=ranking,
         cells=cells,
-        transform_reports={name: r.to_dict() for name, r in reports.items()},
+        transform_reports=reports,
         split_counts={name: _counts_by_class(ds) for name, ds in scaled.items()},
         timings=timings,
     )
-    emit_report(report, config.output_dir)
+    emit_report(report)
     return report
 
 
@@ -430,62 +422,44 @@ def write_json(path: str | Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Write the consolidated report plus per-cell ROC and confusion files."""
-    out_dir = Path(out_dir)
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def emit_report(report: RunReport) -> None:
+    """Write the report, its tables and per-cell ROC and confusion files
+    into ``report.config.output_dir``."""
+    out_dir = Path(report.config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    path = out_dir / "report.json"
-    write_json(path, report.to_dict())
-    written.append(path)
-
-    path = out_dir / "timings.json"
-    write_json(path, {"timings": report.timings})
-    written.append(path)
+    write_json(out_dir / "report.json", report.to_dict())
+    write_json(out_dir / "timings.json", {"timings": report.timings})
 
     # metrics table, one row per (cell, partition)
     lines = ["model,vector,partition,accuracy,precision,recall,f1,error,auc"]
     for cell in report.cells:
-        for part, rep in (("validation", cell.val), ("test", cell.test)):
+        for part, (rep, _, _) in cell.evaluations.items():
             auc_txt = "" if rep.auc is None else f"{rep.auc:.6f}"
-            lines.append(
-                f"{cell.model_name},{cell.vector_name},{part},"
-                f"{rep.accuracy:.6f},{rep.precision:.6f},{rep.recall:.6f},"
-                f"{rep.f1:.6f},{rep.error:.6f},{auc_txt}"
-            )
-    path = out_dir / "metrics_table.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
+            lines.append(f"{cell.model_name},{cell.vector_name},{part},"
+                         f"{rep.accuracy:.6f},{rep.precision:.6f},{rep.recall:.6f},"
+                         f"{rep.f1:.6f},{rep.error:.6f},{auc_txt}")
+    _write_lines(out_dir / "metrics_table.csv", lines)
 
     # selected-feature table in rank order
     lines = ["vector,rank,feature_index,feature_name"]
     for vec in report.vectors:
         for rank, idx in enumerate(vec.indices):
             lines.append(f"{vec.name},{rank},{idx},{report.feature_names[idx]}")
-    path = out_dir / "selected_features.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
+    _write_lines(out_dir / "selected_features.csv", lines)
 
-    roc_dir = out_dir / "roc"
-    cm_dir = out_dir / "cm"
-    roc_dir.mkdir(exist_ok=True)
-    cm_dir.mkdir(exist_ok=True)
+    for sub in ("roc", "cm"):
+        (out_dir / sub).mkdir(exist_ok=True)
     for cell in report.cells:
         stem = f"{cell.model_name}_{cell.vector_name}"
         lines = ["partition,class,fpr,tpr,threshold"]
-        for part, curves in (("validation", cell.val_roc), ("test", cell.test_roc)):
-            for cls, points in sorted(curves.items()):
+        for part, e in cell.evaluations.items():
+            for cls, points in sorted(e.roc.items()):
                 for fpr, tpr, thr in points:
                     lines.append(f"{part},{cls},{fpr:.10g},{tpr:.10g},{thr:.10g}")
-        path = roc_dir / f"{stem}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-
-        path = cm_dir / f"{stem}.json"
-        write_json(path, {
-            "validation": cell.val_cm.to_dict(),
-            "test": cell.test_cm.to_dict(),
-        })
-        written.append(path)
-    return written
+        _write_lines(out_dir / "roc" / f"{stem}.csv", lines)
+        write_json(out_dir / "cm" / f"{stem}.json",
+                   {part: e.confusion.to_dict() for part, e in cell.evaluations.items()})

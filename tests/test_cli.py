@@ -272,8 +272,26 @@ DEEP_MODEL = json.dumps({
 }).replace('"ROOT"', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
            + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
 
+def _run_deep_tree(tmp_path):
+    """Run an unbounded dt on one feature whose labels alternate along it, so
+    the train partition grows a tree too deep for the model file."""
+    (tmp_path / "deep.yaml").write_text(yaml.safe_dump({
+        "name": "deep", "columns": ["a", "label"], "kinds": ["numeric", "categorical"],
+        "label_column": "label", "label_encoding": {"even": 0, "odd": 1}}))
+    for name, n in (("train", 1200), ("test", 10)):
+        rows = [f"{i},{('even', 'odd')[i % 2]}" for i in range(n)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(["a,label"] + rows) + "\n")
+    config = tmp_path / "config.yaml"
+    config.write_text(_run_config(
+        train_path=str(tmp_path / "train.csv"), test_path=str(tmp_path / "test.csv"),
+        schema_path=str(tmp_path / "deep.yaml"), task="multiclass",
+        split_fractions=[0.99, 0.01], output_dir=str(tmp_path / "run")))
+    return ["run", "--config", config]
+
+
 BAD_FILES = {
     "run, missing schema": (_run_without_schema, 2),
+    "run, tree too deep to save": (_run_deep_tree, 3),
     "ingest, missing schema": (_ingest(None), 2),
     "ingest, empty schema": (_ingest(""), 2),
     "ingest, schema not a mapping": (_ingest("- name\n- columns\n"), 2),

@@ -33,6 +33,17 @@ def small_schema(encoding=None):
     )
 
 
+def schema_yaml(schema):
+    """The schema file text ``DatasetSchema.from_file`` reads back as ``schema``."""
+    return yaml.safe_dump({
+        "name": schema.name,
+        "columns": [c for c, _ in schema.columns],
+        "kinds": [k for _, k in schema.columns],
+        "label_column": schema.label_column,
+        "label_encoding": dict(schema.label_encoding),
+    })
+
+
 def write_csv(path, text):
     # a lone surrogate U+DC80..U+DCFF writes the raw, non-UTF-8 byte 0x80..0xFF
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -58,11 +69,9 @@ class TestSchema:
             assert schema.decode_label(code) == name
 
     def test_yaml_round_trip(self, tmp_path):
-        import yaml
-
         schema = small_schema()
         path = tmp_path / "schema.yaml"
-        path.write_text(yaml.safe_dump(schema.to_dict()), encoding="utf-8")
+        path.write_text(schema_yaml(schema), encoding="utf-8")
         assert DatasetSchema.from_file(path) == schema
 
 
@@ -162,7 +171,7 @@ BAD_RECORDS = [
 
 def _ingest(tmp_path, path):
     schema_path = tmp_path / "schema.yaml"
-    schema_path.write_text(yaml.safe_dump(small_schema().to_dict()), encoding="utf-8")
+    schema_path.write_text(schema_yaml(small_schema()), encoding="utf-8")
     return CliRunner().invoke(main, ["ingest", "--data", str(path), "--schema",
                                      str(schema_path), "--report",
                                      str(tmp_path / "report.json")])

@@ -12,7 +12,7 @@ from fuzzids.models import (
     save_model,
 )
 from fuzzids.models import tree as tree_engine
-from fuzzids.models.boosting import _BinaryBooster, _newton_rule
+from fuzzids.models.boosting import GradientBoostedModel, _newton_rule
 from fuzzids.models.tree import (Tree, _child_impurity, _class_rule, _first_best,
                                  _impurity_rows, _presort, _random_cut_split, grow)
 from fuzzids.models.svm import SvmModel, svm_objective
@@ -435,6 +435,28 @@ class TestDecisionTree:
         model = fit_model(x, y, ClassifierConfig(kind="dt"))
         assert (model.predict(x) == y).all()
 
+    @pytest.mark.parametrize("kind", ["dt", "gbt"])
+    def test_adjacent_floats_split(self, kind):
+        lo = 0.58
+        hi = np.nextafter(lo, 1.0)
+        assert (lo + hi) / 2.0 == hi  # the midpoint rounds up to the higher value
+        x, y = np.array([[lo], [hi]]), np.array([0, 1])
+        model = fit_model(x, y, ClassifierConfig(kind=kind, n_rounds=3))
+        assert (model.predict(x) == y).all()
+        tree = model.tree if kind == "dt" else model.stages[0][0]
+        assert tree.threshold[0] == lo
+
+    def test_deep_tree_fits_but_is_too_deep_to_save(self, tmp_path):
+        # alternating labels on one feature: one split per row, 999 levels deep
+        x = np.arange(1000.0).reshape(-1, 1)
+        model = fit_model(x, np.arange(1000) % 2, ClassifierConfig(kind="dt"))
+        assert len(model.tree.left) == 1999
+        assert (model.predict(x) == np.arange(1000) % 2).all()
+        assert mean_impurity_decrease(model, 1).tolist() == [1.0]
+        with pytest.raises(TrainingError, match="max_depth"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestTreeApply:
     @staticmethod
@@ -455,7 +477,7 @@ class TestTreeApply:
             if kind == "dt":
                 trees = [model.tree]
             elif kind == "gbt":
-                trees = [stage for chain in model.chains for stage in chain.stages]
+                trees = [stage for stages in model.stages for stage in stages]
             else:
                 trees = model.trees
             for tree in trees:
@@ -502,8 +524,10 @@ class TestEnsembles:
 class TestGradientBoosting:
     def test_single_update_rule(self):
         # base 0, one stage predicting +2, learning rate 0.1 -> raw 0.2
-        chain = _BinaryBooster(0.0, [Tree([-1], [0.0], [-1], [-1], [2.0])], 0.1, [0.0])
-        assert chain.raw(np.zeros((1, 1)))[0] == pytest.approx(0.2)
+        stage = Tree([-1], [0.0], [-1], [-1], [2.0])
+        model = GradientBoostedModel(ClassifierConfig(kind="gbt", learning_rate=0.1),
+                                     np.array([0, 1]), 1, [0.0], [[stage]], [[0.0]])
+        assert model.score(np.zeros((1, 1)))[0, 1] == pytest.approx(1 / (1 + np.exp(-0.2)))
 
     def test_zero_learning_rate_predicts_majority(self):
         x, y = separable_1d()
@@ -521,7 +545,7 @@ class TestGradientBoosting:
     def test_stage_count_matches_rounds(self):
         x, y = separable_1d()
         model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=7))
-        assert all(len(c.stages) == 7 for c in model.chains)
+        assert all(len(stages) == 7 for stages in model.stages)
 
     def test_objective_non_increasing(self, rng):
         for _ in range(5):
@@ -537,7 +561,7 @@ class TestGradientBoosting:
         x = rng.uniform(size=(60, 2))
         y = (x[:, 0] * 3).astype(np.int64).clip(0, 2)
         model = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=20))
-        assert len(model.chains) == 3
+        assert len(model.stages) == 3
         scores = model.score(x)
         assert np.allclose(scores.sum(axis=1), 1.0)
         assert (model.predict(x) == y).mean() > 0.9

@@ -13,7 +13,6 @@ from fuzzids.pipeline import (
     _evaluate,
     binary_mapping,
     default_binary_rule,
-    emit_report,
     run_experiment,
 )
 
@@ -136,7 +135,8 @@ class TestRunExperiment:
                           binary_rule={"benign": 0, "scan": 1, "ransom": 1})
         report = run_experiment(cfg)
         assert set(report.split_counts["train"]) <= {"0", "1"}
-        assert all(c.val.auc is not None for c in report.cells)
+        assert all(c.evaluations["validation"].metrics.auc is not None
+                   for c in report.cells)
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         out = tmp_path / "out"
