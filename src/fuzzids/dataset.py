@@ -12,7 +12,7 @@ from typing import NoReturn
 import numpy as np
 import yaml
 
-from .errors import LoadError, SchemaError
+from .errors import LoadError, SchemaError, require_int
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -38,6 +38,8 @@ class DatasetSchema:
         for col, kind in self.columns:
             if kind not in (NUMERIC, CATEGORICAL):
                 raise SchemaError(f"unknown kind '{kind}' for column '{col}'")
+        for label, code in self.label_encoding.items():
+            require_int(f"code of label '{label}'", code, 0, SchemaError)
         codes = list(self.label_encoding.values())
         if len(set(codes)) != len(codes):
             raise SchemaError("label encoding must be injective")
@@ -77,7 +79,7 @@ class DatasetSchema:
                 name=doc["name"],
                 columns=columns,
                 label_column=doc["label_column"],
-                label_encoding={str(k): int(v) for k, v in doc["label_encoding"].items()},
+                label_encoding={str(k): v for k, v in doc["label_encoding"].items()},
             )
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from exc

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer check of
-the configs."""
+the configs and schemas."""
 
 import numbers
 
@@ -28,7 +28,7 @@ class EvaluationError(FuzzidsError):
     """Raised for undefined metric computations (e.g. ROC on one class)."""
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise ConfigError unless value is an integer >= minimum; bools are not."""
+def require_int(name: str, value, minimum: int, error=ConfigError) -> None:
+    """Raise ``error`` unless value is an integer >= minimum; bools are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -10,7 +10,7 @@ from ..errors import ConfigError, SchemaError, require_int
 
 MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 
-SERIALIZATION_VERSION = 2
+SERIALIZATION_VERSION = 3
 
 
 def one_vs_rest(n_classes: int) -> range:
@@ -23,24 +23,18 @@ def one_vs_rest(n_classes: int) -> range:
 class ClassifierConfig:
     """Hyperparameters for any of the six classifier kinds.
 
-    Fields irrelevant to a kind are simply ignored by its trainer. Together
-    with (data, seed) a config fully determines the trained model.
+    Fields irrelevant to a kind are simply ignored by its trainer; settings
+    that no run varies are constants of the model modules. Together with
+    (data, seed) a config fully determines the trained model.
     """
 
     kind: str
     seed: int = 0
     impurity: str = "entropy"           # dt/rf/et/gbt: entropy | gini
-    max_depth: int | None = None        # None = unlimited
-    min_samples_split: int = 2
+    max_depth: int | None = None        # dt/rf/et; None = unlimited
     n_trees: int = 100                  # rf/et
-    features_per_split: str | int = "sqrt"  # sqrt | all | fixed int
-    learning_rate: float = 0.1          # gbt
     n_rounds: int = 100                 # gbt
     gbt_max_depth: int = 6
-    reg_gamma: float = 0.0              # gbt leaf-count penalty
-    reg_lambda: float = 1.0             # gbt leaf-weight L2 penalty
-    C: float = 1.0                      # svm
-    tolerance: float = 1e-4             # svm
     max_iters: int = 1000               # svm
 
     def __post_init__(self):
@@ -48,28 +42,11 @@ class ClassifierConfig:
             raise ConfigError(f"unknown model kind '{self.kind}'")
         if self.impurity not in ("entropy", "gini"):
             raise ConfigError(f"unknown impurity '{self.impurity}'")
-        for name, minimum in (("seed", 0), ("min_samples_split", 1), ("n_trees", 1),
-                              ("n_rounds", 1), ("gbt_max_depth", 0), ("max_iters", 1)):
+        for name, minimum in (("seed", 0), ("n_trees", 1), ("n_rounds", 1),
+                              ("gbt_max_depth", 0), ("max_iters", 1)):
             require_int(name, getattr(self, name), minimum)
         if self.max_depth is not None:
             require_int("max_depth", self.max_depth, 0)
-        if self.features_per_split not in ("sqrt", "all"):
-            require_int("features_per_split ('sqrt', 'all' or an int)",
-                        self.features_per_split, 1)
-        # written so that NaN fails every check
-        if not self.learning_rate >= 0:
-            raise ConfigError("learning_rate must be nonnegative")
-        if not (self.reg_gamma >= 0 and self.reg_lambda >= 0):
-            raise ConfigError("regularization terms must be nonnegative")
-        if not (self.C > 0 and self.tolerance > 0):
-            raise ConfigError("invalid SVM hyperparameters")
-
-    def n_candidate_features(self, n_features: int) -> int:
-        if self.features_per_split == "all":
-            return n_features
-        if self.features_per_split == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        return min(int(self.features_per_split), n_features)
 
     def to_dict(self) -> dict:
         return asdict(self)

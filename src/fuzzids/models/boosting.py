@@ -8,18 +8,21 @@ from ..errors import TrainingError
 from .base import ClassifierConfig, TrainedModel, one_vs_rest
 from .tree import Tree, _presort, _scan, grow
 
+LEARNING_RATE = 0.1  # shrinkage of every stage's leaf weights
+REG_LAMBDA = 1.0     # L2 penalty on leaf weights
+
 
 def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
                  config: ClassifierConfig):
     """Node rule of a boosting stage: leaf weight -G / (H + lambda), split by
     the Newton gain on summed gradients and hessians."""
-    lam = config.reg_lambda
+    lam = REG_LAMBDA
 
     def rule(rows, order, depth):
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
         weight = -g / (h + lam)
-        if depth >= config.gbt_max_depth or len(rows) < config.min_samples_split:
+        if depth >= config.gbt_max_depth:  # _scan finds no cut in a one-row node
             return weight, None
 
         def gains_along(sorted_rows):
@@ -28,7 +31,7 @@ def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
             gr, hr = g - gl, h - hl
             return 0.5 * (
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
-            ) - config.reg_gamma
+            )
 
         return weight, _scan(x, order, range(x.shape[1]), gains_along)
 
@@ -64,19 +67,16 @@ def _fit_binary_chain(x: np.ndarray, y01: np.ndarray, config: ClassifierConfig,
             raise TrainingError(f"non-finite gradient at boosting round {t}")
         tree = grow(x, np.arange(len(x)), _newton_rule(x, grad, hess, config), order)
         stages.append(tree)
-        raw = raw + config.learning_rate * tree.value[tree.apply(x)]
+        raw = raw + LEARNING_RATE * tree.value[tree.apply(x)]
         leaves = tree.value[tree.left < 0]  # left to right
-        complexity += config.reg_gamma * len(leaves)
-        complexity += 0.5 * config.reg_lambda * sum(
-            (config.learning_rate * w) ** 2 for w in leaves
-        )
+        complexity += 0.5 * REG_LAMBDA * sum((LEARNING_RATE * w) ** 2 for w in leaves)
         trace.append(_log_loss(y01, raw) + complexity)
     return base, stages, trace
 
 
 class GradientBoostedModel(TrainedModel):
     """Binary logistic booster, or one-vs-rest chains for multi-class. Chain ``i``
-    adds ``learning_rate`` times its ``stages[i]`` leaf weights to ``base_scores[i]``."""
+    adds ``LEARNING_RATE`` times its ``stages[i]`` leaf weights to ``base_scores[i]``."""
 
     kind = "gbt"
 
@@ -101,7 +101,7 @@ class GradientBoostedModel(TrainedModel):
     def _raw(self, x: np.ndarray, chain: int) -> np.ndarray:
         out = np.full(len(x), self.base_scores[chain])
         for stage in self.stages[chain]:
-            out += self.config.learning_rate * stage.value[stage.apply(x)]
+            out += LEARNING_RATE * stage.value[stage.apply(x)]
         return out
 
     def score(self, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 
 from .base import ClassifierConfig, TrainedModel, one_vs_rest
 
+C = 1.0           # weight of the hinge losses against (1/2)||w||^2
+TOLERANCE = 1e-4  # stop once an iteration lowers the objective by less
 _INITIAL_STEP = 0.1
 _MAX_BACKTRACKS = 40
 
@@ -29,20 +31,20 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
     w = np.zeros(d)
     b = 0.0
     step = _INITIAL_STEP
-    trace = [svm_objective(w, b, x, y_pm, config.C)]
+    trace = [svm_objective(w, b, x, y_pm, C)]
     converged = False
     for _ in range(config.max_iters):
         margins = y_pm * (x @ w + b)
         violating = margins < 1.0
-        grad_w = w - config.C * (y_pm[violating, None] * x[violating]).sum(axis=0)
-        grad_b = -config.C * y_pm[violating].sum()
+        grad_w = w - C * (y_pm[violating, None] * x[violating]).sum(axis=0)
+        grad_b = -C * y_pm[violating].sum()
 
         current = trace[-1]
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            candidate = svm_objective(w_new, b_new, x, y_pm, config.C)
+            candidate = svm_objective(w_new, b_new, x, y_pm, C)
             if candidate <= current:
                 accepted = True
                 break
@@ -52,7 +54,7 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
             break
         w, b = w_new, b_new
         trace.append(candidate)
-        if current - candidate < config.tolerance:
+        if current - candidate < TOLERANCE:
             converged = True
             break
         step *= 1.1  # cautious growth so progress does not stall

@@ -252,16 +252,14 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
     """Node rule of dt/rf/et: leaf class counts, split by impurity decrease;
     et cuts at random thresholds."""
     n_features = x.shape[1]
-    k = config.n_candidate_features(n_features)
+    k = max(1, int(np.sqrt(n_features)))  # rf/et candidate features per node
 
     def rule(rows, order, depth):
         ys = y[rows]
         counts = np.bincount(ys, minlength=n_classes)
-        if (
-            (config.max_depth is not None and depth >= config.max_depth)
-            or len(ys) < config.min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
+        # a node of one row is pure, so it is a leaf here
+        if ((config.max_depth is not None and depth >= config.max_depth)
+                or np.count_nonzero(counts) <= 1):
             return counts, None
         if rng is not None and k < n_features:
             candidates = rng.choice(n_features, size=k, replace=False)

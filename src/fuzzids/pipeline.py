@@ -18,7 +18,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dataset import DatasetSchema, LabeledDataset, SplitSpec, load_csv, stratified_split
+from .dataset import (DatasetSchema, LabeledDataset, SplitSpec, class_distribution,
+                      load_csv, stratified_split)
 from .errors import ConfigError, SchemaError, require_int
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
                        metrics, multiclass_auc, roc_curve)
@@ -363,7 +364,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         ranking=ranking,
         cells=cells,
         transform_reports=reports,
-        split_counts={name: _counts_by_class(ds) for name, ds in scaled.items()},
+        split_counts={name: {str(k): n for k, n in class_distribution(ds).items() if n}
+                      for name, ds in scaled.items()},
         timings=timings,
     )
     emit_report(report)
@@ -400,11 +402,6 @@ def _load_state(path: Path, cls):
             return cls.from_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load {path.name} of the run: {exc}") from exc
-
-
-def _counts_by_class(ds: LabeledDataset) -> dict:
-    codes, counts = np.unique(ds.labels, return_counts=True)
-    return {str(int(c)): int(n) for c, n in zip(codes, counts)}
 
 
 def _unique_model_names(models: list[ClassifierConfig]) -> list[str]:

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from fuzzids.cli import main
 from fuzzids.dataset import DatasetSchema, load_csv
 from fuzzids.evaluate import confusion
-from fuzzids.models import ClassifierConfig
+from fuzzids.models import SERIALIZATION_VERSION, ClassifierConfig
 
 DATA = importlib.resources.files("fuzzids") / "data"
 
@@ -176,6 +176,20 @@ BAD_CONFIGS = {
     "deleted bootstrap key": _run_config(
         task="multiclass", models=[{"kind": "rf", "n_trees": 2, "bootstrap": False}]),
     "deleted stratified key": _run_config(task="multiclass", stratified=False),
+    "deleted min_samples_split key": _run_config(
+        task="multiclass", models=[{"kind": "dt", "min_samples_split": 2}]),
+    "deleted features_per_split key": _run_config(task="multiclass", models=[
+        {"kind": "rf", "n_trees": 2, "features_per_split": "sqrt"}]),
+    "deleted learning_rate key": _run_config(
+        task="multiclass", models=[{"kind": "gbt", "n_rounds": 2, "learning_rate": 0.1}]),
+    "deleted reg_gamma key": _run_config(
+        task="multiclass", models=[{"kind": "gbt", "n_rounds": 2, "reg_gamma": 0.0}]),
+    "deleted reg_lambda key": _run_config(
+        task="multiclass", models=[{"kind": "gbt", "n_rounds": 2, "reg_lambda": 1.0}]),
+    "deleted C key": _run_config(
+        task="multiclass", models=[{"kind": "svm", "max_iters": 5, "C": 1.0}]),
+    "deleted tolerance key": _run_config(
+        task="multiclass", models=[{"kind": "svm", "max_iters": 5, "tolerance": 1e-4}]),
     # runnable configs but for one malformed value
     "fractional seed": _run_config(task="multiclass", seed=1.5),
     "seed not a number": _run_config(task="multiclass", seed="abc"),
@@ -189,8 +203,6 @@ BAD_CONFIGS = {
         task="multiclass", models=[{"kind": "svm", "max_iters": 2.5}]),
     "fractional max_depth": _run_config(
         task="multiclass", models=[{"kind": "dt", "max_depth": 2.5}]),
-    "fractional min_samples_split": _run_config(
-        task="multiclass", models=[{"kind": "dt", "min_samples_split": 2.5}]),
     "negative gbt_max_depth": _run_config(
         task="multiclass", models=[{"kind": "gbt", "n_rounds": 2, "gbt_max_depth": -1}]),
     "three split fractions": _run_config(task="multiclass", split_fractions=[0.5, 0.3, 0.2]),
@@ -202,10 +214,6 @@ BAD_CONFIGS = {
     "output_dir a number": _run_config(task="multiclass", output_dir=5),
     "triangular out of order": _run_config(task="multiclass", triangular=[1, 0.5, 0]),
     "two triangular parameters": _run_config(task="multiclass", triangular=[0, 0.5]),
-    "NaN learning_rate": _run_config(task="multiclass", models=[
-        {"kind": "gbt", "n_rounds": 2, "learning_rate": float("nan")}]),
-    "NaN svm C": _run_config(
-        task="multiclass", models=[{"kind": "svm", "max_iters": 5, "C": float("nan")}]),
 }
 
 
@@ -265,10 +273,20 @@ V1_MODEL = json.dumps({
     "params": {"root": {"counts": [1, 0, 0]}},
 })
 
+# A dt model file as version 2 wrote it, the seven config keys that version 3
+# dropped included.
+V2_MODEL = json.dumps({
+    "version": 2, "kind": "dt", "classes": [0, 1, 2], "n_features": 5, "flags": {},
+    "config": dict(ClassifierConfig(kind="dt").to_dict(), min_samples_split=2,
+                   features_per_split="sqrt", learning_rate=0.1, reg_gamma=0.0,
+                   reg_lambda=1.0, C=1.0, tolerance=0.0001),
+    "params": {"root": {"counts": [1, 0, 0]}},
+})
+
 # A dt model file whose tree nests 3,000 splits deep, written without recursion.
 DEEP_MODEL = json.dumps({
-    "version": 2, "kind": "dt", "classes": [0, 1, 2], "n_features": 5, "flags": {},
-    "config": ClassifierConfig(kind="dt").to_dict(), "params": {"root": "ROOT"},
+    "version": SERIALIZATION_VERSION, "kind": "dt", "classes": [0, 1, 2], "n_features": 5,
+    "flags": {}, "config": ClassifierConfig(kind="dt").to_dict(), "params": {"root": "ROOT"},
 }).replace('"ROOT"', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
            + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
 
@@ -289,32 +307,45 @@ def _run_deep_tree(tmp_path):
     return ["run", "--config", config]
 
 
+# Each row: argv, exit code, and a fragment of the row's own error text.
 BAD_FILES = {
-    "run, missing schema": (_run_without_schema, 2),
-    "run, tree too deep to save": (_run_deep_tree, 3),
-    "ingest, missing schema": (_ingest(None), 2),
-    "ingest, empty schema": (_ingest(""), 2),
-    "ingest, schema not a mapping": (_ingest("- name\n- columns\n"), 2),
-    "ingest, malformed schema yaml": (_ingest("name: [mini\n"), 2),
+    "run, missing schema": (_run_without_schema, 2, "nope.yaml"),
+    "run, tree too deep to save": (_run_deep_tree, 3, "set max_depth"),
+    "ingest, missing schema": (_ingest(None), 2, "No such file"),
+    "ingest, empty schema": (_ingest(""), 2, "got NoneType"),
+    "ingest, schema not a mapping": (_ingest("- name\n- columns\n"), 2, "got list"),
+    "ingest, malformed schema yaml": (_ingest("name: [mini\n"), 2, "cannot read schema"),
     "ingest, label encoding not a mapping": (_ingest(MINI_SCHEMA.replace(
-        "  benign: 0\n  scan: 1\n  ransom: 2", "  - benign\n  - scan\n  - ransom")), 2),
-    "ingest, data path is a directory": (_ingest(MINI_SCHEMA, data=None), 2),
-    "predict, missing model file": (_predict(), 1),
-    "predict, model file not json": (_predict(model_text="{"), 1),
-    "predict, model file missing a key": (_predict(model_text='{"version": 2}'), 1),
-    "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1),
-    "predict, model file nested too deep": (_predict(model_text=DEEP_MODEL), 1),
-    "predict, model not in config": (_predict(model="rf"), 1),
-    "predict, vector not in config": (_predict(vector="v9"), 1),
-    "report, missing metrics table": (lambda tmp_path: ["report", "--run", tmp_path], 2),
+        "  benign: 0\n  scan: 1\n  ransom: 2", "  - benign\n  - scan\n  - ransom")), 2,
+        "malformed schema"),
+    "ingest, negative label code": (_ingest(MINI_SCHEMA.replace("benign: 0", "benign: -1")),
+                                    2, "label 'benign' must be an integer >= 0"),
+    "ingest, fractional label code": (_ingest(MINI_SCHEMA.replace("scan: 1", "scan: 1.5")),
+                                      2, "label 'scan' must be an integer >= 0"),
+    "ingest, data path is a directory": (_ingest(MINI_SCHEMA, data=None), 2, "directory"),
+    "predict, missing model file": (_predict(), 1, "No such file"),
+    "predict, model file not json": (_predict(model_text="{"), 1, "Expecting property"),
+    "predict, model file missing a key": (
+        _predict(model_text=json.dumps({"version": SERIALIZATION_VERSION})), 1,
+        "missing key 'kind'"),
+    "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1, "has version 1"),
+    "predict, version-2 model file": (_predict(model_text=V2_MODEL), 1, "has version 2"),
+    "predict, model file nested too deep": (_predict(model_text=DEEP_MODEL), 1,
+                                            "recursion depth"),
+    "predict, model not in config": (_predict(model="rf"), 1, "model 'rf' not in"),
+    "predict, vector not in config": (_predict(vector="v9"), 1, "vector 'v9' not in"),
+    "report, missing metrics table": (lambda tmp_path: ["report", "--run", tmp_path], 2,
+                                      "no metrics table"),
     "report, roc without roc/": (
-        lambda tmp_path: ["report", "--run", tmp_path, "--format", "roc"], 2),
+        lambda tmp_path: ["report", "--run", tmp_path, "--format", "roc"], 2,
+        "no roc directory"),
 }
 
 
-@pytest.mark.parametrize("argv, code", BAD_FILES.values(), ids=list(BAD_FILES))
-def test_bad_file_exits_with_typed_error(tmp_path, argv, code):
+@pytest.mark.parametrize("argv, code, fragment", BAD_FILES.values(), ids=list(BAD_FILES))
+def test_bad_file_exits_with_typed_error(tmp_path, argv, code, fragment):
     result = CliRunner().invoke(main, [str(a) for a in argv(tmp_path)])
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output
+    assert fragment in result.output

@@ -164,15 +164,15 @@ def argsort_best_split(x, y, candidates, kind, n_classes):
     return argsort_scan(x, candidates, gains_along)
 
 
-def argsort_newton_split(x, grad, hess, lam, gamma):
-    """Reference: the Newton split of a boosting node as it was."""
-    g, h = grad.sum(), hess.sum()
+def argsort_newton_split(x, grad, hess):
+    """Reference: the Newton split of a boosting node as it was, at lambda 1."""
+    g, h, lam = grad.sum(), hess.sum(), 1.0
 
     def gains_along(order):
         gl, hl = np.cumsum(grad[order])[:-1], np.cumsum(hess[order])[:-1]
         gr, hr = g - gl, h - hl
         return 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
-                      - g ** 2 / (h + lam)) - gamma
+                      - g ** 2 / (h + lam))
 
     return argsort_scan(x, range(x.shape[1]), gains_along)
 
@@ -219,19 +219,17 @@ class TestPresortedScan:
 
     def test_newton_rule_matches_argsort_scan(self, rng):
         found = 0
-        for trial in range(40):
+        cfg = ClassifierConfig(kind="gbt")
+        for _ in range(40):
             x, _ = tie_heavy(rng, 80)
             p = rng.uniform(0.05, 0.95, size=80)
             grad, hess = p - rng.integers(0, 2, size=80), p * (1 - p)
             rows = np.sort(rng.choice(80, size=int(rng.integers(1, 81)), replace=False))
-            cfg = ClassifierConfig(kind="gbt", reg_gamma=[0.0, 0.05][trial % 2],
-                                   min_samples_split=1)
             _, got = _newton_rule(x, grad, hess, cfg)(rows, _presort(x, rows), 0)
-            assert got == argsort_newton_split(x[rows], grad[rows], hess[rows],
-                                               cfg.reg_lambda, cfg.reg_gamma)
+            assert got == argsort_newton_split(x[rows], grad[rows], hess[rows])
             found += got is not None
         assert found > 20
-        one = rows[:1]  # a single row has no cut, even with min_samples_split 1
+        one = rows[:1]  # a single row has no cut
         assert _newton_rule(x, grad, hess, cfg)(one, _presort(x, one), 0)[1] is None
 
     def test_children_keep_the_presort(self, rng):
@@ -259,10 +257,11 @@ class TestPresortedScan:
             x[:, rng.choice(5, size=2, replace=False)] = np.column_stack([a * 0.3 + 0.2,
                                                                           b * 0.4 + 0.1])
             rows = np.arange(20)
-            cfg = ClassifierConfig(kind="rf", features_per_split=3)
+            cfg = ClassifierConfig(kind="rf")
             rule = _class_rule(x, a ^ b, cfg, 2, np.random.default_rng(seed))
             _, split = rule(rows, _presort(x, rows), 0)
-            candidates = np.random.default_rng(seed).choice(5, size=3, replace=False)
+            # rf draws int(sqrt(5)) = 2 candidate features
+            candidates = np.random.default_rng(seed).choice(5, size=2, replace=False)
             assert (split and split[:2]) == unique_fallback(x, candidates)
 
 
@@ -525,16 +524,9 @@ class TestGradientBoosting:
     def test_single_update_rule(self):
         # base 0, one stage predicting +2, learning rate 0.1 -> raw 0.2
         stage = Tree([-1], [0.0], [-1], [-1], [2.0])
-        model = GradientBoostedModel(ClassifierConfig(kind="gbt", learning_rate=0.1),
+        model = GradientBoostedModel(ClassifierConfig(kind="gbt"),
                                      np.array([0, 1]), 1, [0.0], [[stage]], [[0.0]])
         assert model.score(np.zeros((1, 1)))[0, 1] == pytest.approx(1 / (1 + np.exp(-0.2)))
-
-    def test_zero_learning_rate_predicts_majority(self):
-        x, y = separable_1d()
-        y = np.array([0] * 14 + [1] * 6)
-        model = fit_model(x, y, ClassifierConfig(kind="gbt", learning_rate=0.0,
-                                                 n_rounds=5))
-        assert (model.predict(x) == 0).all()
 
     def test_separable_perfect_fit(self):
         x, y = separable_1d()
@@ -621,7 +613,7 @@ class TestSvm:
     def test_symmetric_separable_pair(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = fit_model(x, y, ClassifierConfig(kind="svm", C=100.0))
+        model = fit_model(x, y, ClassifierConfig(kind="svm"))
         assert (model.predict(x) == y).all()
         boundary = -model.biases[0] / model.weights[0, 0]
         assert abs(boundary) < 0.2

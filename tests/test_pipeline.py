@@ -109,6 +109,15 @@ class TestExperimentConfig:
         assert clone.to_dict() == cfg.to_dict()
         assert clone.config_hash() == cfg.config_hash()
 
+    def test_readme_example_loads(self):
+        import yaml
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [part.split("```")[0] for part in readme.split("```yaml\n")[1:]]
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_dict(yaml.safe_load(blocks[0]))
+        assert [m.kind for m in cfg.models] == ["dt", "rf", "gbt", "nb", "svm"]
+
     def test_duplicate_vector_names_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig(
