@@ -41,7 +41,8 @@ def _exit_code(exc: FuzzidsError) -> int:
 
 
 def _typed_errors(command):
-    """Report a package error as ``error: ...`` and exit with its code."""
+    """Report a package error as ``error: ...`` and exit with its code; an
+    output path that cannot be written exits 1."""
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
@@ -49,6 +50,10 @@ def _typed_errors(command):
         except FuzzidsError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
+        except OSError as exc:
+            click.echo(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+                       else f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG_ERROR)
     return wrapper
 
 

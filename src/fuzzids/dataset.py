@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -158,8 +159,8 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     """Load a comma-delimited file with header, typing columns per schema.
 
     Header may be in any order; columns are permuted to schema order. The
-    records are parsed by numpy's C text reader, a column set at a time. A
-    file that parse rejects goes to the row scanner, which raises a
+    records are parsed by numpy's C text reader in one pass. A file that
+    parse rejects goes to the row scanner, which raises a
     ``LoadError`` naming the line of its first bad record; bytes that are
     not UTF-8 and records the csv module rejects are named the same way.
     """
@@ -198,66 +199,57 @@ def _layout(header: list[str], schema: DatasetSchema) -> tuple[int, list[tuple]]
     return col_pos[schema.label_column], feat_info
 
 
-def _read(fh, usecols: list[int], dtype) -> np.ndarray:
-    """Columns ``usecols`` of the records after the header, by numpy's C text
-    reader; like the row scanner, it never sees a whitespace-only line."""
+def _read(fh, dtype, **kwargs) -> np.ndarray:
+    """The records after the header, by numpy's C text reader; like the row
+    scanner, it never sees a whitespace-only line."""
     fh.seek(0)
     next(csv.reader(fh))
     return np.loadtxt(itertools.filterfalse(str.isspace, fh), dtype=dtype, delimiter=",",
-                      quotechar='"', comments=None, usecols=usecols, ndmin=2)
+                      quotechar='"', comments=None, ndmin=2, **kwargs)
 
 
 def _parse_columns(fh, header: list[str], schema: DatasetSchema):
     """Parse the records after the header into (features, labels, categories),
     or return None if the C reader, or a check on what it read, rejects them.
 
-    One float64 pass reads the numeric columns, one pass the label and
-    categorical cells as ``str``, coded (stripped) by first appearance. The
-    checks accept exactly what the row scanner does: finite values, no cell
-    over the csv field limit, and ``len(header)`` cells per record.
+    One float64 pass reads every column, so the reader rejects a record whose
+    cell count differs from the first record's; converters code the label and
+    categorical cells. The checks accept exactly what the row scanner does:
+    ``len(header)`` cells per record, finite values, no cell over the field limit.
     """
     label_pos, feat_info = _layout(header, schema)
-    num = [p for p, _, kind in feat_info if kind == NUMERIC]
-    cat = [j for j, (_, _, kind) in enumerate(feat_info) if kind == CATEGORICAL]
-    # a categorical slot reads the first numeric column until its codes
-    # replace it, so that the float pass reads the feature matrix itself
-    slots = [p if kind == NUMERIC else num[0] for p, _, kind in feat_info] if num else []
     limit = csv.field_size_limit()
+
+    def code(vocab: dict, cell: str) -> int:  # a converter raises only ValueError
+        key = cell.strip()
+        if not key or len(cell) > limit:
+            raise ValueError(cell)
+        return vocab.setdefault(key, len(vocab))  # by first appearance
+
+    vocabs = {j: {} for j, (_, _, kind) in enumerate(feat_info) if kind == CATEGORICAL}
+    converters = {feat_info[j][0]: functools.partial(code, vocab)
+                  for j, vocab in vocabs.items()}
+    converters[label_pos] = lambda cell: (
+        schema.label_encoding.get(cell.strip(), -1) if len(cell) <= limit else -1)
     try:
-        commas = longest = 0
-        for chunk in iter(lambda: fh.read(1 << 20), ""):  # fh is past the header
-            commas += chunk.count(",")
-            longest = max(longest, *map(len, chunk.split("\n")))
-        # A numeric cell spans three lines at most, and chunk edges cut a line
-        # in two at most: one over the field limit leaves a piece over a sixth.
-        text = [label_pos] + [feat_info[j][0] for j in cat] + num * (6 * longest > limit)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # for a body without rows
-            features = _read(fh, slots, float)
-            columns = _read(fh, text, object).T.tolist()
+            table = _read(fh, float, converters=converters)
+            fh.seek(0)
+            # an over-limit numeric cell spans <= 3 lines, one of them over limit / 3
+            if 3 * max(map(len, fh)) > limit and max(
+                    map(len, _read(fh, object).flat), default=0) > limit:
+                return None
     except ValueError:
         return None
-    n = len(columns[0])
-    distinct = [dict.fromkeys(column) for column in columns]  # in order of first appearance
-    # the commas are the delimiters of n records plus those inside cells
-    if (len(features) != n or not np.isfinite(features).all()
-            or max((len(cell) for d in distinct for cell in d), default=0) > limit
-            or commas != n * (len(header) - 1) + sum(
-                column.count(cell) * cell.count(",")
-                for column, d in zip(columns, distinct) for cell in d if "," in cell)):
+    if not len(table):
+        table = np.zeros((0, len(header)))  # a body without rows reads as (0, 1)
+    elif table.shape[1] != len(header):
         return None
-    if not num:
-        features = np.zeros((n, len(feat_info)))
-    categories = {}
-    for j, column, cells in zip(cat, columns[1:], distinct[1:]):
-        vocab = {}
-        codes = {cell: vocab.setdefault(cell.strip(), len(vocab)) for cell in cells}
-        features[:, j] = np.fromiter(map(codes.__getitem__, column), float, n)
-        categories[j] = tuple(vocab)
-    codes = {cell: schema.label_encoding.get(cell.strip()) for cell in distinct[0]}
-    if None in codes.values() or any("" in v for v in categories.values()):
+    features, labels = table[:, [p for p, _, _ in feat_info]], table[:, label_pos]
+    if not np.isfinite(features).all() or (labels < 0).any():
         return None
-    return features, np.fromiter(map(codes.__getitem__, columns[0]), np.int64, n), categories
+    return features, labels.astype(np.int64), {j: tuple(v) for j, v in vocabs.items()}
 
 
 def _scan_rows(path: Path, schema: DatasetSchema) -> NoReturn:

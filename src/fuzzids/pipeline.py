@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -64,17 +65,24 @@ class ExperimentConfig:
         if (self.vector_names is None) != (self.vector_lengths is None):
             raise ConfigError("vector_names and vector_lengths must be set together")
         if self.vector_names is not None:
+            if not (isinstance(self.vector_names, list)
+                    and all(isinstance(n, str) for n in self.vector_names)):
+                raise ConfigError(f"vector_names must be a list of strings, "
+                                  f"got {self.vector_names!r}")
             if len(self.vector_names) != len(set(self.vector_names)):
                 raise ConfigError("vector names must be unique")
             if len(self.vector_names) != len(self.vector_lengths):
                 raise ConfigError("vector names/lengths length mismatch")
-        if not (0.0 <= self.et_weight <= 1.0):
-            raise ConfigError("et_weight must lie in [0, 1]")
+        if (isinstance(self.et_weight, bool) or not isinstance(self.et_weight, numbers.Real)
+                or not 0.0 <= self.et_weight <= 1.0):
+            raise ConfigError(f"et_weight must be a number in [0, 1], got {self.et_weight!r}")
         for name in ("train_path", "test_path", "schema_path", "output_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.binary_rule is not None and not isinstance(self.binary_rule, dict):
-            raise ConfigError("binary_rule must map label names to 0 or 1")
+        if self.binary_rule is not None and not (isinstance(self.binary_rule, dict) and all(
+                type(v) is int and v in (0, 1) for v in self.binary_rule.values())):
+            raise ConfigError(f"binary_rule must map label names to the integers 0 or 1, "
+                              f"got {self.binary_rule!r}")
         require_int("seed", self.seed, 0)
         for length in self.vector_lengths or []:
             require_int("vector length", length, 1)
@@ -142,12 +150,14 @@ def binary_mapping(labels: np.ndarray, schema: DatasetSchema,
                    rule: dict[str, int] | None = None) -> np.ndarray:
     """Collapse encoded class labels to {0, 1} per a name-keyed rule."""
     rule = rule or default_binary_rule(schema)
+    for name in rule:
+        if name not in schema.label_encoding:
+            raise ConfigError(f"binary rule names '{name}', not a label of schema "
+                              f"'{schema.name}'")
     code_map = {}
     for name, code in schema.label_encoding.items():
         if name not in rule:
             raise ConfigError(f"binary rule missing label '{name}'")
-        if rule[name] not in (0, 1):
-            raise ConfigError(f"binary rule for '{name}' must be 0 or 1")
         code_map[code] = rule[name]
     present, inverse = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
     unknown = set(present.tolist()) - set(code_map)

@@ -211,6 +211,12 @@ BAD_CONFIGS = {
     "vector length a string": _run_config(task="multiclass", vector_names=["v1"],
                                           vector_lengths=["3"]),
     "binary_rule a list": _run_config(binary_rule=["benign"]),
+    "bool in binary_rule": _run_config(binary_rule={"benign": False, "scan": True,
+                                                    "ransom": 1}),
+    "1.0 in binary_rule": _run_config(binary_rule={"benign": 0, "scan": 1, "ransom": 1.0}),
+    "vector_names a string": _run_config(task="multiclass", vector_names="ab",
+                                         vector_lengths=[1, 2]),
+    "bool et_weight": _run_config(task="multiclass", et_weight=True),
     "output_dir a number": _run_config(task="multiclass", output_dir=5),
     "triangular out of order": _run_config(task="multiclass", triangular=[1, 0.5, 0]),
     "two triangular parameters": _run_config(task="multiclass", triangular=[0, 0.5]),
@@ -231,14 +237,14 @@ def test_run_bad_config_exits_with_config_error(tmp_path, text):
 MINI_SCHEMA = (DATA / "mini.yaml").read_text(encoding="utf-8")
 
 
-def _ingest(schema_text, data=DATA / "mini_train.csv"):
+def _ingest(schema_text, data=DATA / "mini_train.csv", report="report.json"):
     """argv of an ingest; ``data=None`` reads the test's own directory."""
     def argv(tmp_path):
         schema = tmp_path / "schema.yaml"
         if schema_text is not None:
             schema.write_text(schema_text, encoding="utf-8")
         return ["ingest", "--data", data or tmp_path, "--schema", schema,
-                "--report", tmp_path / "report.json"]
+                "--report", tmp_path / report]
     return argv
 
 
@@ -247,7 +253,7 @@ def _run_without_schema(tmp_path):
             _write_config(tmp_path, schema_path=str(tmp_path / "nope.yaml"))]
 
 
-def _predict(model_text=None, model="dt", vector="v1"):
+def _predict(model_text=None, model="dt", vector="v1", out="preds.txt"):
     """Predict from a run directory holding states and a ranking; the model
     file dt_v1.json holds model_text, or is missing when that is None."""
     def argv(tmp_path):
@@ -257,7 +263,7 @@ def _predict(model_text=None, model="dt", vector="v1"):
             (tmp_path / "run" / "models").mkdir()
             (tmp_path / "run" / "models" / "dt_v1.json").write_text(model_text)
         return ["predict", "--config", config, "--model", model, "--vector", vector,
-                "--data", DATA / "mini_test.csv", "--out", tmp_path / "preds.txt"]
+                "--data", DATA / "mini_test.csv", "--out", tmp_path / out]
     return argv
 
 
@@ -283,12 +289,17 @@ V2_MODEL = json.dumps({
     "params": {"root": {"counts": [1, 0, 0]}},
 })
 
-# A dt model file whose tree nests 3,000 splits deep, written without recursion.
-DEEP_MODEL = json.dumps({
+# A dt model file of one leaf on the five features of v1.
+LEAF_MODEL = json.dumps({
     "version": SERIALIZATION_VERSION, "kind": "dt", "classes": [0, 1, 2], "n_features": 5,
-    "flags": {}, "config": ClassifierConfig(kind="dt").to_dict(), "params": {"root": "ROOT"},
-}).replace('"ROOT"', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
-           + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
+    "flags": {}, "config": ClassifierConfig(kind="dt").to_dict(),
+    "params": {"root": {"counts": [1, 0, 0]}},
+})
+
+# A dt model file whose tree nests 3,000 splits deep, written without recursion.
+DEEP_MODEL = LEAF_MODEL.replace(
+    '{"counts": [1, 0, 0]}', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
+    + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
 
 def _run_deep_tree(tmp_path):
     """Run an unbounded dt on one feature whose labels alternate along it, so
@@ -334,6 +345,14 @@ BAD_FILES = {
                                             "recursion depth"),
     "predict, model not in config": (_predict(model="rf"), 1, "model 'rf' not in"),
     "predict, vector not in config": (_predict(vector="v9"), 1, "vector 'v9' not in"),
+    "ingest, report directory missing": (_ingest(MINI_SCHEMA, report="no/report.json"), 1,
+                                         "no/report.json: No such file or directory"),
+    "predict, out directory missing": (_predict(model_text=LEAF_MODEL, out="no/preds.txt"),
+                                       1, "no/preds.txt: No such file or directory"),
+    "run, output_dir under a regular file": (
+        lambda tmp_path: ["run", "--config", _write_config(
+            tmp_path, output_dir=str(tmp_path / "config.yaml" / "run"))],
+        1, "config.yaml/run: Not a directory"),
     "report, missing metrics table": (lambda tmp_path: ["report", "--run", tmp_path], 2,
                                       "no metrics table"),
     "report, roc without roc/": (

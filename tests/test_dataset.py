@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,10 @@ def small_schema(encoding=None):
         label_column="y",
         label_encoding=encoding or NSL_ENCODING,
     )
+
+
+# a schema without numeric columns
+CATS = DatasetSchema("cats", (("b", "categorical"), ("y", "categorical")), "y", NSL_ENCODING)
 
 
 def schema_yaml(schema):
@@ -119,9 +124,7 @@ class TestLoadCsv:
             load_csv(path, small_schema())
 
     def test_schema_without_numeric_columns(self, tmp_path):
-        schema = DatasetSchema("cats", (("b", "categorical"), ("y", "categorical")), "y",
-                               NSL_ENCODING)
-        ds = load_csv(write_csv(tmp_path / "d.csv", "b,y\n x ,normal\nz,dos\n"), schema)
+        ds = load_csv(write_csv(tmp_path / "d.csv", "b,y\n x ,normal\nz,dos\n"), CATS)
         assert ds.features.tolist() == [[0.0], [1.0]]
         assert ds.categories == {0: ("x", "z")}
         assert ds.labels.tolist() == [0, 4]
@@ -145,6 +148,8 @@ SENTINEL = "the column parse rejected a file the row scanner accepts"
 BAD_RECORDS = [
     ("short row", "1,x", "expected 3 cells, got 2"),
     ("long row", "1,x,normal,9", "expected 3 cells, got 4"),
+    ("long row with a quoted comma", '1,x,normal,"9,9"', "expected 3 cells, got 4"),
+    ("short row with a quoted comma", '1,"x,normal"', "expected 3 cells, got 2"),
     ("nan", "nan,x,normal", "non-finite value in column 'a'"),
     ("inf", "-inf,x,normal", "non-finite value in column 'a'"),
     ("empty numeric cell", ",x,normal", "missing value in 'a'"),
@@ -234,8 +239,11 @@ class TestMalformedCsv:
 
     def test_well_formed_file_never_reaches_row_scanner(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, "_scan_rows", _no_scanner)
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
         body = "0.5,x,normal\n" + "\n" + "1e3, y ,dos\n2,x,probe\n"
         ds = load_csv(write_csv(tmp_path / "d.csv", "a,b,y\n" + body), small_schema())
+        assert loadtxt.call_count == 1  # one pass of the C reader
         assert len(ds) == 3
         # codes follow first appearance in the file
         assert ds.categories == {1: ("x", "y")}
@@ -278,7 +286,8 @@ class TestMalformedCsv:
 
 
 HEADER = "a,b,y\n"
-# Whole files on which the column parse and the row scanner must agree.
+# Whole files on which the column parse and the row scanner must agree; a
+# file whose header is "b,y" is read with CATS, any other with small_schema().
 AGREEMENT_FILES = {
     "quoted comma": HEADER + '1,"x,y",normal\n',
     "doubled quote": HEADER + '1,"a""b",normal\n',
@@ -304,19 +313,25 @@ AGREEMENT_FILES = {
     "long line of short cells": HEADER + "1," + "x" * 60_000 + ",normal\n",
     "quoted number padded over three lines":
         HEADER + '"' + " " * 60_000 + "\n" + " " * 60_000 + "1\n" + " " * 60_000 + '",x,normal\n',
+    "trailing empty cell in every record": HEADER + "1,x,normal,\n2,y,dos,\n",
+    "every record one cell short": HEADER + "1,x\n2,y\n",
+    "label over the csv field limit": HEADER + '1,x,"' + "n" * 200_000 + '"\n',
+    "all-categorical, header only": "b,y\n",
+    "all-categorical, long row": "b,y\nx,normal,1\n",
 }
 
 
 @pytest.mark.parametrize("text", AGREEMENT_FILES.values(), ids=list(AGREEMENT_FILES))
 def test_column_parse_agrees_with_row_scanner(tmp_path, text):
     path = write_csv(tmp_path / "d.csv", text)
+    schema = CATS if text.startswith("b,y\n") else small_schema()
     try:
-        load_csv(path, small_schema())
+        load_csv(path, schema)
     except LoadError as exc:
         assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
         return
     with pytest.raises(LoadError, match=SENTINEL):
-        dataset._scan_rows(path, small_schema())
+        dataset._scan_rows(path, schema)
 
 
 class TestClassDistribution:

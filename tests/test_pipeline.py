@@ -65,6 +65,10 @@ class TestBinaryMapping:
         with pytest.raises(ConfigError, match=r"labels \[7\] outside the binary rule"):
             binary_mapping(np.array([0, 7, 2]), UG_SCHEMA)
 
+    def test_rule_naming_an_unknown_label_rejected(self):
+        with pytest.raises(ConfigError, match="binary rule names 'SSS', not a label"):
+            binary_mapping(np.array([0]), UG_SCHEMA, {"A": 1, "S": 0, "SS": 0, "SSS": 0})
+
     def test_incomplete_rule_rejected(self):
         with pytest.raises(ConfigError):
             binary_mapping(np.array([0]), UG_SCHEMA, {"A": 1})
