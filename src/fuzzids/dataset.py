@@ -142,17 +142,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Proportions and seed for a stratified train/validation partition."""
+    """Proportions, in (0, 1) summing to 1, and seed of a stratified train/validation split."""
 
     fractions: tuple[float, float] = (0.8, 0.2)
     seed: int = 0
-
-    def __post_init__(self):
-        train, val = self.fractions
-        if not (0.0 < train < 1.0 and 0.0 < val < 1.0):
-            raise SchemaError("split fractions must lie in (0, 1)")
-        if abs(train + val - 1.0) > 1e-9:
-            raise SchemaError("split fractions must sum to 1")
 
 
 def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:

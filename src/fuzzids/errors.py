@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the integer check of
-the configs and schemas."""
+"""Exception hierarchy shared across the package, and the integer and
+real-number checks of the configs and schemas."""
 
+import math
 import numbers
 
 
@@ -32,3 +33,10 @@ def require_int(name: str, value, minimum: int, error=ConfigError) -> None:
     """Raise ``error`` unless value is an integer >= minimum; bools are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Raise ``ConfigError`` unless value is a finite number in [low, high]; bools are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and low <= value <= high):
+        raise ConfigError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")

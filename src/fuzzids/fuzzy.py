@@ -12,15 +12,11 @@ from .errors import SchemaError
 
 @dataclass(frozen=True)
 class TriangularParams:
-    """Feet (a, c) and peak (b) of a triangular membership function."""
+    """Feet (a, c) and peak (b), a <= b <= c, of a triangular membership function."""
 
     a: float = 0.0
     b: float = 0.5
     c: float = 1.0
-
-    def __post_init__(self):
-        if not (self.a <= self.b <= self.c):
-            raise SchemaError(f"require a <= b <= c, got ({self.a}, {self.b}, {self.c})")
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,6 @@ def fuse_with_et_importance(
         raise SchemaError(
             f"score length mismatch: fuzzy {len(fr.scores)}, et {len(et_scores)}"
         )
-    if not (0.0 <= weight <= 1.0):
-        raise SchemaError("fusion weight must lie in [0, 1]")
     fused = weight * _max_normalize(fr.scores) + (1.0 - weight) * _max_normalize(et_scores)
     return FeatureRanking(scores=fused, order=_rank(fused), et_weight=weight)
 
@@ -127,8 +121,6 @@ def select_vectors(
     fr: FeatureRanking, lengths: list[int], names: list[str]
 ) -> list[FeatureVectorSpec]:
     """Cut the ranking into named prefixes of the requested lengths."""
-    if len(lengths) != len(names):
-        raise SchemaError("lengths and names must have equal length")
     specs = []
     for name, length in zip(names, lengths):
         if not (0 < length <= len(fr.order)):

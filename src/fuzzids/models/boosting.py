@@ -25,9 +25,9 @@ def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
         if depth >= config.gbt_max_depth:  # _scan finds no cut in a one-row node
             return weight, None
 
-        def gains_along(sorted_rows):
-            gl = np.cumsum(grad[sorted_rows], axis=1)[:, :-1]
-            hl = np.cumsum(hess[sorted_rows], axis=1)[:, :-1]
+        def gains_along(sorted_rows, b, q):
+            gl = np.cumsum(grad[sorted_rows], axis=1)[b, q]
+            hl = np.cumsum(hess[sorted_rows], axis=1)[b, q]
             gr, hr = g - gl, h - hl
             return 0.5 * (
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)

@@ -7,8 +7,9 @@ partition the sort down the tree, as XGBoost's sorted column block (Chen &
 Guestrin, KDD 2016) and SLIQ (Mehta et al., EDBT 1996) do. ``_scan``, the one
 exact split search of the impurity criteria and the Newton gain, scores all
 candidate features of a node at once, ``BLOCK_CELLS`` (feature x row) cells
-at a time. Every impurity split rule scores its cuts with ``_child_impurity``,
-and every split rule picks its winner with ``_first_best``.
+at a time, and only their cuts between distinct values. Every impurity split
+rule scores its cuts with ``_child_impurity``, and every split rule picks its
+winner with ``_first_best``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .base import ClassifierConfig, TrainedModel
 
-BLOCK_CELLS = 8192  # (feature x row) cells per scan block; a larger node scans one feature
+BLOCK_CELLS = 8192  # (feature x row) cells per scan block, bounding its (B, n, K) cumsum
 
 
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
@@ -145,9 +146,10 @@ def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable,
          order: np.ndarray | None = None) -> Tree:
     """Grow a tree over ``x[rows]``, depth first, left subtree first.
 
-    ``order``, if given, is (F, n): row f holds ``rows`` sorted stably by
-    feature f. A child's order is a stable partition of its parent's, so ties
-    keep their order in ``rows``. ``node_rule(rows, order, depth)`` returns
+    ``order``, if given, is (F, n): row f holds ``rows`` sorted by feature f.
+    A child's order is a stable partition of its parent's, so ties keep the
+    root's order: that of ``rows`` for dt and gbt, of row ids for rf, whose
+    class counts cannot see it. ``node_rule(rows, order, depth)`` returns
     ``(value, None)`` to make a leaf or ``(value, (feature, threshold, ...))``
     to split.
     """
@@ -176,10 +178,10 @@ def _presort(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
     """Best (feature, threshold, gain) over sorted midpoints, or None.
 
-    ``gains_along(sorted_rows)`` gets a (B, n) block of the node's ``order``
-    (see ``grow``) and returns the (B, n - 1) gains of cutting after each of
-    the first n - 1 sorted rows. Thresholds are midpoints between consecutive
-    distinct values, kept below the higher value so that every cut splits.
+    ``gains_along(sorted_rows, b, q)`` gets a (B, n) block of the node's
+    ``order`` (see ``grow``) and returns the gains of cutting after sorted row
+    ``q`` of block row ``b``, the cuts between distinct values. Thresholds
+    are midpoints, kept below the higher value so that every cut splits.
     Ties go to the lower threshold, then ``_first_best`` picks among the
     features' best cuts in ascending feature order.
     """
@@ -189,7 +191,9 @@ def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
     gains, cuts = [], []
     for block in (feats[at:at + step] for at in range(0, len(feats), step)):
         xs = x[order[block], block[:, None]]
-        along = np.where(xs[:, :-1] != xs[:, 1:], gains_along(order[block]), -np.inf)
+        b, q = np.nonzero(xs[:, :-1] != xs[:, 1:])
+        along = np.full(xs[:, 1:].shape, -np.inf)
+        along[b, q] = gains_along(order[block], b, q)
         i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
         at = np.arange(len(block))
         gains.extend(along[at, i])
@@ -208,12 +212,11 @@ def best_split(x: np.ndarray, y: np.ndarray, candidate_features, impurity_kind: 
     of one row, or a pure one, has no cut that gains.
     """
     parent_imp = _impurity_rows(counts[None], impurity_kind)[0]
-    n_left = np.arange(1, order.shape[1], dtype=float)
 
-    def gains_along(sorted_rows):
+    def gains_along(sorted_rows, b, q):
         onehot = y[sorted_rows][..., None] == np.arange(len(counts))
-        left_counts = np.cumsum(onehot, axis=1)[:, :-1]
-        return parent_imp - _child_impurity(left_counts, n_left, counts, impurity_kind)
+        left_counts = np.cumsum(onehot, axis=1)[b, q]
+        return parent_imp - _child_impurity(left_counts, q + 1.0, counts, impurity_kind)
 
     return _scan(x, order, candidate_features, gains_along)
 
@@ -270,7 +273,7 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
                                              rng, n_classes)
         split = best_split(x, y, candidates, config.impurity, counts, order)
         # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
-        return counts, split or _scan(x, order, candidates, lambda r: np.ones(r[:, 1:].shape))
+        return counts, split or _scan(x, order, candidates, lambda r, b, q: np.ones(len(b)))
 
     return rule
 
@@ -318,11 +321,15 @@ class ForestModel(TrainedModel):
     def fit(cls, x, yi, classes, config):
         """rf: bootstrap rows and random candidate features per node; et: every
         row, random candidates and random cuts."""
-        trees, n = [], len(yi)
+        trees, n, rf = [], len(yi), config.kind == "rf"
+        ranked = _presort(x, np.arange(n)) if rf else None  # et reads no sort
         for t in range(config.n_trees):
             rng = np.random.default_rng((config.seed, t))
-            rows = rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
-            order = _presort(x, rows) if config.kind == "rf" else None  # et reads no sort
+            rows, order = np.arange(n), None
+            if rf:  # the bootstrap sample's sort: each row repeated by its draws
+                rows = rng.integers(0, n, size=n)
+                times = np.bincount(rows, minlength=n)
+                order = np.repeat(ranked, times[ranked].ravel()).reshape(ranked.shape)
             trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng),
                               order))
         return cls(config, classes, x.shape[1], trees)

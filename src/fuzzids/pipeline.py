@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ import yaml
 from . import __version__
 from .dataset import (DatasetSchema, LabeledDataset, SplitSpec, class_distribution,
                       load_csv, stratified_split)
-from .errors import ConfigError, SchemaError, require_int
+from .errors import ConfigError, require_int, require_real
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
                        metrics, multiclass_auc, roc_curve)
 from .fuzzy import (FeatureRanking, FeatureVectorSpec, TriangularParams,
@@ -73,9 +72,7 @@ class ExperimentConfig:
                 raise ConfigError("vector names must be unique")
             if len(self.vector_names) != len(self.vector_lengths):
                 raise ConfigError("vector names/lengths length mismatch")
-        if (isinstance(self.et_weight, bool) or not isinstance(self.et_weight, numbers.Real)
-                or not 0.0 <= self.et_weight <= 1.0):
-            raise ConfigError(f"et_weight must be a number in [0, 1], got {self.et_weight!r}")
+        require_real("et_weight", self.et_weight, 0.0, 1.0)
         for name in ("train_path", "test_path", "schema_path", "output_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -86,14 +83,20 @@ class ExperimentConfig:
         require_int("seed", self.seed, 0)
         for length in self.vector_lengths or []:
             require_int("vector length", length, 1)
-        if len(self.split_fractions) != 2 or len(self.triangular) != 3:
-            raise ConfigError("split_fractions must be [train, validation] and "
-                              "triangular [a, b, c]")
-        try:
-            SplitSpec(self.split_fractions, self.seed)
-            TriangularParams(*self.triangular)
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, count in (("split_fractions", 2), ("triangular", 3)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or len(values) != count:
+                raise ConfigError(f"{name} must be a list of {count} numbers, got {values!r}")
+            setattr(self, name, tuple(values))  # YAML reads a list
+            for value in values:
+                require_real(name, value)
+        train, val = self.split_fractions
+        if not (0.0 < train < 1.0 and 0.0 < val < 1.0 and abs(train + val - 1.0) <= 1e-9):
+            raise ConfigError(f"split_fractions must lie in (0, 1) and sum to 1, "
+                              f"got {self.split_fractions!r}")
+        a, b, c = self.triangular
+        if not a <= b <= c:
+            raise ConfigError(f"triangular must have a <= b <= c, got {self.triangular!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -113,10 +116,6 @@ class ExperimentConfig:
         doc = dict(doc)
         try:
             models = [ClassifierConfig(**m) for m in doc.pop("models", [])]
-            if "split_fractions" in doc:
-                doc["split_fractions"] = tuple(doc["split_fractions"])
-            if "triangular" in doc:
-                doc["triangular"] = tuple(doc["triangular"])
             return cls(models=models, **doc)
         except TypeError as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc

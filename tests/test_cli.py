@@ -220,18 +220,33 @@ BAD_CONFIGS = {
     "output_dir a number": _run_config(task="multiclass", output_dir=5),
     "triangular out of order": _run_config(task="multiclass", triangular=[1, 0.5, 0]),
     "two triangular parameters": _run_config(task="multiclass", triangular=[0, 0.5]),
+    "bools in triangular": _run_config(task="multiclass", triangular=[False, 0.5, True]),
+    "strings in triangular": _run_config(task="multiclass", triangular=["0", "0.5", "1"]),
+    "infinite triangular foot": _run_config(task="multiclass",
+                                            triangular=[-float("inf"), 0.5, 1]),
+    "strings in split_fractions": _run_config(task="multiclass",
+                                              split_fractions=["0.8", "0.2"]),
+}
+
+# what the error message of a row must name, where the bare "error:" is not enough
+BAD_CONFIG_MESSAGES = {
+    "bools in triangular": "triangular must be a finite number",
+    "strings in triangular": "triangular must be a finite number",
+    "infinite triangular foot": "triangular must be a finite number",
+    "strings in split_fractions": "split_fractions must be a finite number",
 }
 
 
-@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
-def test_run_bad_config_exits_with_config_error(tmp_path, text):
+@pytest.mark.parametrize("name", BAD_CONFIGS, ids=list(BAD_CONFIGS))
+def test_run_bad_config_exits_with_config_error(tmp_path, name):
     config_path = tmp_path / "config.yaml"
-    if text is not None:
-        config_path.write_text(text, encoding="utf-8")
+    if BAD_CONFIGS[name] is not None:
+        config_path.write_text(BAD_CONFIGS[name], encoding="utf-8")
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output
+    assert BAD_CONFIG_MESSAGES.get(name, "error:") in result.output
 
 
 MINI_SCHEMA = (DATA / "mini.yaml").read_text(encoding="utf-8")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fuzzids.errors import SchemaError
+from fuzzids.errors import ConfigError, SchemaError
 from fuzzids.fuzzy import (
     FeatureRanking,
     TriangularParams,
@@ -10,6 +10,7 @@ from fuzzids.fuzzy import (
     select_vectors,
     triangular_membership,
 )
+from fuzzids.pipeline import ExperimentConfig
 
 from conftest import make_dataset
 
@@ -58,8 +59,9 @@ class TestMembership:
         assert np.all(np.diff(mu) <= 0)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(SchemaError):
-            TriangularParams(1.0, 0.5, 0.0)
+        # the experiment config, which hands them to the ranking, checks them
+        with pytest.raises(ConfigError, match="triangular must have a <= b <= c"):
+            ExperimentConfig("t", "t", "s", triangular=[1.0, 0.5, 0.0])
 
 
 class TestImportance:

@@ -248,6 +248,23 @@ class TestPresortedScan:
         grow(x, rows, rule, _presort(x, rows))
         assert max(seen) >= 3
 
+    @pytest.mark.parametrize("kind", ["entropy", "gini"])
+    def test_only_cuts_between_distinct_values_are_scored(self, kind, rng, monkeypatch):
+        # tie-heavy columns have far fewer distinct-value boundaries than rows
+        scored = []
+        child_impurity = tree_engine._child_impurity
+
+        def counting(left_counts, *args):
+            scored.append(left_counts.shape[:-1])
+            return child_impurity(left_counts, *args)
+
+        monkeypatch.setattr(tree_engine, "_child_impurity", counting)
+        x, y = tie_heavy(rng, 200)
+        candidates = [0, 2, 3, 5]
+        assert best_split(x, y, candidates, kind) is not None
+        boundaries = sum(len(np.unique(x[:, f])) - 1 for f in candidates)
+        assert sum(int(np.prod(shape)) for shape in scored) == boundaries < 199
+
     def test_zero_gain_cut_matches_unique_fallback(self, rng):
         # every cut of an XOR of two balanced binary columns gains nothing; the
         # rule cuts the lowest varying candidate at its lowest midpoint
@@ -278,7 +295,7 @@ def test_scan_block_size_changes_no_model(rng, monkeypatch):
     assert block_sized_fits(x, y, monkeypatch, 10 ** 9) == one_feature
 
 
-@pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 4), ("et", 0), ("gbt", 1)])
+@pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 1), ("et", 0), ("gbt", 1)])
 def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
     calls = []
     argsort = np.argsort
@@ -286,6 +303,22 @@ def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, mon
     x, y = tie_heavy(rng, 200, n_classes=4)
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
     assert len(calls) == sorts
+
+
+@pytest.mark.parametrize("impurity", ["entropy", "gini"])
+def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
+    # rf orders the ties of its one sort by row id, a per-tree presort by
+    # bootstrap draw; class counts at a cut cannot tell them apart
+    x, y = tie_heavy(rng, 200, n_classes=4)
+    y = np.array([3, 7, 9, 12])[y]
+    config = ClassifierConfig(kind="rf", impurity=impurity, n_trees=4, seed=5)
+    model = fit_model(x, y, config)
+    yi = np.unique(y, return_inverse=True)[1]
+    for t, tree in enumerate(model.trees):
+        draws = np.random.default_rng((config.seed, t))
+        rows = draws.integers(0, len(y), size=len(y))
+        rule = _class_rule(x, yi, config, 4, draws)
+        assert same_tree(tree, grow(x, rows, rule, _presort(x, rows)))
 
 
 @pytest.mark.parametrize("gains, expected", [
