@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .dataset import DatasetSchema, class_distribution, load_csv
-from .errors import FuzzidsError, LoadError, SchemaError, TrainingError
+from .errors import FuzzidsError, LoadError
 from .pipeline import (
     ExperimentConfig,
     fit_cells,
@@ -27,19 +27,6 @@ from .pipeline import (
     write_json,
 )
 
-EXIT_CONFIG_ERROR = 1
-EXIT_DATA_ERROR = 2
-EXIT_TRAINING_ERROR = 3
-
-
-def _exit_code(exc: FuzzidsError) -> int:
-    if isinstance(exc, (LoadError, SchemaError)):
-        return EXIT_DATA_ERROR
-    if isinstance(exc, TrainingError):
-        return EXIT_TRAINING_ERROR
-    return EXIT_CONFIG_ERROR
-
-
 def _typed_errors(command):
     """Report a package error as ``error: ...`` and exit with its code; an
     output path that cannot be written exits 1."""
@@ -49,11 +36,11 @@ def _typed_errors(command):
             return command(*args, **kwargs)
         except FuzzidsError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
+            sys.exit(exc.exit_code)
         except OSError as exc:
             click.echo(f"error: {exc.filename}: {exc.strerror}" if exc.filename
                        else f"error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG_ERROR)
+            sys.exit(1)
     return wrapper
 
 

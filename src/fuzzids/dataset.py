@@ -140,14 +140,6 @@ class LabeledDataset:
         return self.features
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Proportions, in (0, 1) summing to 1, and seed of a stratified train/validation split."""
-
-    fractions: tuple[float, float] = (0.8, 0.2)
-    seed: int = 0
-
-
 def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     """Load a comma-delimited file with header, typing columns per schema.
 
@@ -313,18 +305,15 @@ def class_distribution(ds: LabeledDataset) -> dict[int, int]:
 
 
 def stratified_split(
-    ds: LabeledDataset, spec: SplitSpec
+    ds: LabeledDataset, val_frac: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Partition into (train, val) with per-class proportions per spec.
-
-    Validation receives round(fraction * class_count) samples per class
-    (half-up); the remainder goes to train. The seed fully determines the
-    partition.
+    """Partition into (train, val): validation receives round(val_frac *
+    class_count) samples per class (half-up), train the rest. The seed fully
+    determines the partition.
     """
     if len(ds) == 0:
         raise SchemaError("cannot split an empty dataset")
-    val_frac = spec.fractions[1]
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
 
     val_idx_parts = []
     train_idx_parts = []

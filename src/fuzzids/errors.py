@@ -6,15 +6,21 @@ import numbers
 
 
 class FuzzidsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the CLI's exit status."""
+
+    exit_code = 1
 
 
 class LoadError(FuzzidsError):
     """Raised when a data file cannot be parsed."""
 
+    exit_code = 2
+
 
 class SchemaError(FuzzidsError):
     """Raised when data does not match its declared schema."""
+
+    exit_code = 2
 
 
 class ConfigError(FuzzidsError):
@@ -23,6 +29,8 @@ class ConfigError(FuzzidsError):
 
 class TrainingError(FuzzidsError):
     """Raised when a model cannot be trained on the given data."""
+
+    exit_code = 3
 
 
 class EvaluationError(FuzzidsError):

@@ -157,8 +157,8 @@ def macro_metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def roc_curve(true_binary, scores) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) points, thresholds descending, ties grouped.
+def roc_curve(true_binary, scores) -> np.ndarray:
+    """(fpr, tpr, threshold) rows, thresholds descending, ties grouped.
 
     Starts at (0, 0) with threshold +inf and ends at (1, 1).
     """
@@ -182,23 +182,20 @@ def roc_curve(true_binary, scores) -> list[tuple[float, float, float]]:
     starts = np.append(0, ends[:-1] + 1)
     tps = np.cumsum(y_sorted == 1)[ends]
     fps = np.cumsum(y_sorted == 0)[ends]
-    return [(0.0, 0.0, float("inf"))] + list(zip(
-        (fps / n_neg).tolist(), (tps / n_pos).tolist(), s_sorted[starts].tolist()
-    ))
+    return np.vstack([(0.0, 0.0, np.inf),
+                      np.column_stack([fps / n_neg, tps / n_pos, s_sorted[starts]])])
 
 
-def auc(points) -> float:
-    """Trapezoidal area under a ROC point list, clipped to [0, 1].
+def auc(points: np.ndarray) -> float:
+    """Trapezoidal area under ``roc_curve`` points, clipped to [0, 1].
 
     The sum of trapezoids can round past 1 on a perfect ranking, by one ulp.
     """
-    fpr = np.asarray([p[0] for p in points])
-    tpr = np.asarray([p[1] for p in points])
-    return float(np.clip(np.trapezoid(tpr, fpr), 0.0, 1.0))
+    return float(np.clip(np.trapezoid(points[:, 1], points[:, 0]), 0.0, 1.0))
 
 
 def multiclass_auc(true_labels, score_matrix,
-                   classes) -> tuple[dict[int, float], float, dict[int, list]]:
+                   classes) -> tuple[dict[int, float], float, dict[int, np.ndarray]]:
     """One-vs-rest AUC per class, their unweighted macro average, and the ROC
     curve each AUC was taken from.
 
@@ -207,7 +204,7 @@ def multiclass_auc(true_labels, score_matrix,
     y = np.asarray(true_labels, dtype=np.int64)
     score_matrix = np.asarray(score_matrix, dtype=float)
     per_class: dict[int, float] = {}
-    curves: dict[int, list] = {}
+    curves: dict[int, np.ndarray] = {}
     for col, c in enumerate(classes):
         binary = (y == c).astype(np.int64)
         if binary.min() == binary.max():

@@ -21,19 +21,22 @@ class TriangularParams:
 
 @dataclass(frozen=True)
 class FeatureRanking:
-    """Per-feature importance scores with a deterministic descending order.
+    """Per-feature importance scores and the descending order they give.
 
     Ties are broken by the smaller original feature index. ``et_weight`` is
     1.0 for pure fuzzy scores and records the fusion weight otherwise.
     """
 
     scores: np.ndarray
-    order: np.ndarray
     et_weight: float = 1.0
 
     def __post_init__(self):
         self.scores.setflags(write=False)
-        self.order.setflags(write=False)
+
+    @property
+    def order(self) -> np.ndarray:
+        # stable sort on negated scores: descending, index-ascending tie-break
+        return np.argsort(-self.scores, kind="stable")
 
     def to_dict(self) -> dict:
         return {
@@ -44,8 +47,7 @@ class FeatureRanking:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureRanking":
-        return cls(np.asarray(doc["scores"], dtype=float),
-                   np.asarray(doc["order"], dtype=np.int64), doc["et_weight"])
+        return cls(np.asarray(doc["scores"], dtype=float), doc["et_weight"])
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class FeatureVectorSpec:
 
     name: str
     indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise SchemaError(f"vector '{self.name}' has duplicate indices")
 
 
 def triangular_membership(x, p: TriangularParams):
@@ -79,18 +77,12 @@ def triangular_membership(x, p: TriangularParams):
     return out if out.ndim else float(out)
 
 
-def _rank(scores: np.ndarray) -> np.ndarray:
-    # stable sort on negated scores gives descending order with
-    # index-ascending tie-break
-    return np.argsort(-scores, kind="stable")
-
-
 def fuzzy_importance(ds: LabeledDataset, p: TriangularParams) -> FeatureRanking:
     """Score each feature as the sum of its samples' membership degrees."""
     if len(ds) == 0:
         raise SchemaError("cannot score features of an empty dataset")
     scores = triangular_membership(ds.numeric_features(), p).sum(axis=0)
-    return FeatureRanking(scores=scores, order=_rank(scores))
+    return FeatureRanking(scores)
 
 
 def _max_normalize(v: np.ndarray) -> np.ndarray:
@@ -114,18 +106,18 @@ def fuse_with_et_importance(
             f"score length mismatch: fuzzy {len(fr.scores)}, et {len(et_scores)}"
         )
     fused = weight * _max_normalize(fr.scores) + (1.0 - weight) * _max_normalize(et_scores)
-    return FeatureRanking(scores=fused, order=_rank(fused), et_weight=weight)
+    return FeatureRanking(fused, weight)
 
 
 def select_vectors(
     fr: FeatureRanking, lengths: list[int], names: list[str]
 ) -> list[FeatureVectorSpec]:
     """Cut the ranking into named prefixes of the requested lengths."""
-    specs = []
+    order, specs = fr.order, []
     for name, length in zip(names, lengths):
-        if not (0 < length <= len(fr.order)):
+        if not (0 < length <= len(order)):
             raise SchemaError(
-                f"vector '{name}' length {length} exceeds feature count {len(fr.order)}"
+                f"vector '{name}' length {length} exceeds feature count {len(order)}"
             )
-        specs.append(FeatureVectorSpec(name, tuple(int(i) for i in fr.order[:length])))
+        specs.append(FeatureVectorSpec(name, tuple(int(i) for i in order[:length])))
     return specs

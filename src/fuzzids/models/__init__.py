@@ -71,7 +71,7 @@ def load_model(path: str | Path) -> TrainedModel:
         if cls is None:
             raise ConfigError(f"unknown model kind '{doc['kind']}' in {path}")
         model = cls.from_params(
-            ClassifierConfig.from_dict(doc["config"]),
+            ClassifierConfig(**doc["config"]),
             np.asarray(doc["classes"], dtype=np.int64), doc["n_features"], doc["params"],
         )
         model.flags.update(doc.get("flags", {}))

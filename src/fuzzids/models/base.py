@@ -51,10 +51,6 @@ class ClassifierConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ClassifierConfig":
-        return cls(**doc)
-
 
 class TrainedModel:
     """Uniform predict/score contract over all classifier kinds.
@@ -77,12 +73,9 @@ class TrainedModel:
 
     def _check_features(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        if x.shape[1] != self.n_features:
-            raise SchemaError(
-                f"model expects {self.n_features} features, got {x.shape[1]}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise SchemaError(f"model expects rows of {self.n_features} features, "
+                              f"got an array of shape {x.shape}")
         return x
 
     @classmethod

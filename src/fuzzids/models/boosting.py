@@ -125,5 +125,6 @@ class GradientBoostedModel(TrainedModel):
     def from_params(cls, config, classes, n_features, params):
         chains = params["chains"]
         return cls(config, classes, n_features, [c["base_score"] for c in chains],
-                   [[Tree.from_dict(s) for s in c["stages"]] for c in chains],
+                   [[Tree.from_dict(s, n_features, len(classes)) for s in c["stages"]]
+                    for c in chains],
                    [c["objective_trace"] for c in chains])

@@ -131,7 +131,9 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
+    def from_dict(cls, doc: dict, n_features: int, n_classes: int) -> "Tree":
+        """Inverse of ``to_dict``; ``ValueError`` if a split names a feature
+        outside [0, n_features) or the count leaves lack one count per class."""
         def expand(doc, depth):
             if "counts" in doc:
                 return np.asarray(doc["counts"], dtype=np.int64), None
@@ -139,7 +141,14 @@ class Tree:
                 return float(doc["weight"]), None
             return None, (doc["feature"], doc["threshold"], doc["left"], doc["right"])
 
-        return cls.build(doc, expand)
+        tree = cls.build(doc, expand)
+        split_on = tree.feature[tree.left >= 0]
+        if np.any((split_on < 0) | (split_on >= n_features)):
+            raise ValueError(f"a split names a feature outside [0, {n_features})")
+        if tree.value.ndim == 2 and tree.value.shape[1] != n_classes:
+            raise ValueError(f"leaf counts have {tree.value.shape[1]} entries "
+                             f"for {n_classes} classes")
+        return tree
 
 
 def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable,
@@ -227,11 +236,13 @@ def _random_cut_split(
     candidate_features,
     impurity_kind: str,
     rng: np.random.Generator,
-    n_classes: int,
+    counts: np.ndarray,
 ) -> tuple[int, float] | None:
     """Extra-trees split (Geurts, Ernst & Wehenkel, 2006): one uniform random
     threshold per non-constant candidate, drawn in ascending feature order,
-    and every candidate scored at once."""
+    and every candidate scored at once. ``counts`` are the class counts of
+    ``y``."""
+    n_classes = len(counts)
     feats = np.sort(np.asarray(candidate_features, dtype=np.int64))
     cols = x[:, feats]
     lo, hi = cols.min(axis=0), cols.max(axis=0)
@@ -243,9 +254,8 @@ def _random_cut_split(
     cells = y[:, None] + n_classes * np.arange(len(feats))
     left_counts = np.bincount(cells[left], minlength=len(feats) * n_classes)
     left_counts = left_counts.reshape(-1, n_classes)
-    parent_counts = np.bincount(y, minlength=n_classes)
-    gains = _impurity_rows(parent_counts[None], impurity_kind)[0] - _child_impurity(
-        left_counts, left.sum(axis=0), parent_counts, impurity_kind)
+    gains = _impurity_rows(counts[None], impurity_kind)[0] - _child_impurity(
+        left_counts, left.sum(axis=0), counts, impurity_kind)
     best = _first_best(gains)
     return None if best is None else (feats[best], float(thresholds[best]))
 
@@ -270,7 +280,7 @@ def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
             candidates = range(n_features)
         if config.kind == "et":
             return counts, _random_cut_split(x[rows], ys, candidates, config.impurity,
-                                             rng, n_classes)
+                                             rng, counts)
         split = best_split(x, y, candidates, config.impurity, counts, order)
         # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
         return counts, split or _scan(x, order, candidates, lambda r, b, q: np.ones(len(b)))
@@ -306,7 +316,8 @@ class DecisionTreeModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        return cls(config, classes, n_features, Tree.from_dict(params["root"]))
+        return cls(config, classes, n_features,
+                   Tree.from_dict(params["root"], n_features, len(classes)))
 
 
 class ForestModel(TrainedModel):
@@ -347,17 +358,17 @@ class ForestModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        trees = [Tree.from_dict(t) for t in params["trees"]]
+        trees = [Tree.from_dict(t, n_features, len(classes)) for t in params["trees"]]
         return cls(config, classes, n_features, trees)
 
 
-def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
-                           n_features: int) -> np.ndarray:
-    """Per-feature importance: summed (weighted) impurity decrease over nodes.
+def mean_impurity_decrease(model: ForestModel | DecisionTreeModel) -> np.ndarray:
+    """Per-feature importance: the (weighted) impurity decrease summed over
+    each tree's nodes, averaged over the trees.
 
     Used as the tree-ensemble side of fuzzy/ET score fusion.
     """
-    totals = np.zeros(n_features)
+    totals = np.zeros(model.n_features)
     trees = model.trees if isinstance(model, ForestModel) else [model.tree]
     for tree in trees:
         counts, end = tree.value.copy(), np.arange(len(tree.left))
@@ -372,6 +383,4 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel,
             left, left.sum(axis=1), parent, model.config.impurity)
         # summed in post-order, one node at a time, as the importances were defined
         np.add.at(totals, tree.feature[nodes], parent.sum(axis=1) * gain)
-    totals /= len(trees)
-    peak = totals.max()
-    return totals / peak if peak > 0 else totals
+    return totals / len(trees)

@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dataset import (DatasetSchema, LabeledDataset, SplitSpec, class_distribution,
-                      load_csv, stratified_split)
+from .dataset import (DatasetSchema, LabeledDataset, class_distribution, load_csv,
+                      stratified_split)
 from .errors import ConfigError, require_int, require_real
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
                        metrics, multiclass_auc, roc_curve)
@@ -173,7 +173,7 @@ class Evaluation(NamedTuple):
 
     metrics: MetricsReport
     confusion: ConfusionMatrix
-    roc: dict[str, list]  # key: class or "binary"
+    roc: dict[str, np.ndarray]  # roc_curve points; key: class or "binary"
 
 
 @dataclass
@@ -235,7 +235,7 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int], task: str) -> Evaluati
     # the class axis comes from the schema, so validation and test share it
     n_classes = max(2, max(ds.schema.label_encoding.values()) + 1)
     cm = confusion(y, pred, n_classes)
-    roc: dict[str, list] = {}
+    roc: dict[str, np.ndarray] = {}
     if task == "binary":
         rep = metrics(cm, positive_class=1)
         if 0 < int((y == 1).sum()) < len(y) and 1 in model.classes:
@@ -268,7 +268,7 @@ def load_partitions(config: ExperimentConfig,
         ]
 
     t0 = time.perf_counter()
-    train, val = stratified_split(full_train, SplitSpec(config.split_fractions, config.seed))
+    train, val = stratified_split(full_train, config.split_fractions[1], config.seed)
     timings["split"] = time.perf_counter() - t0
     return {"train": train, "validation": val, "test": test}
 
@@ -320,8 +320,8 @@ def rank_features(
     if config.et_weight < 1.0:
         et_cfg = ClassifierConfig(kind="et", seed=config.seed, n_trees=50)
         et_model = fit_model(train.numeric_features(), train.labels, et_cfg)
-        et_scores = mean_impurity_decrease(et_model, train.n_features)
-        ranking = fuse_with_et_importance(ranking, et_scores, config.et_weight)
+        ranking = fuse_with_et_importance(ranking, mean_impurity_decrease(et_model),
+                                          config.et_weight)
     names, lengths = vector_layout(config, train.schema)
     vectors = select_vectors(ranking, lengths, names)
     timings["select"] = time.perf_counter() - t0
@@ -399,6 +399,10 @@ def predict_file(config: ExperimentConfig, model_name: str, vector_name: str,
     encoder = _load_state(out_dir / "encoder_state.json", CategoricalEncoderState)
     scaler = _load_state(out_dir / "scaler_state.json", ScalerState)
     ranking = _load_state(out_dir / "ranking.json", FeatureRanking)
+    n_features = len(schema.feature_columns)
+    if ranking.scores.shape != (n_features,):
+        raise ConfigError(f"ranking.json of the run must score the schema's {n_features} "
+                          f"features, got scores of shape {ranking.scores.shape}")
     vec = select_vectors(ranking, lengths, names)[names.index(vector_name)]
     model = load_model(out_dir / "models" / f"{model_name}_{vector_name}.json")
     ds = transform(scaler, encode_categorical(encoder, load_csv(data_path, schema)))
@@ -464,7 +468,7 @@ def emit_report(report: RunReport) -> None:
         lines = ["partition,class,fpr,tpr,threshold"]
         for part, e in cell.evaluations.items():
             for cls, points in sorted(e.roc.items()):
-                for fpr, tpr, thr in points:
+                for fpr, tpr, thr in points.tolist():
                     lines.append(f"{part},{cls},{fpr:.10g},{tpr:.10g},{thr:.10g}")
         _write_lines(out_dir / "roc" / f"{stem}.csv", lines)
         write_json(out_dir / "cm" / f"{stem}.json",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzids.dataset import DatasetSchema, SplitSpec, load_csv, stratified_split
+from fuzzids.dataset import DatasetSchema, load_csv, stratified_split
 from fuzzids.evaluate import (
     ConfusionMatrix,
     confusion,
@@ -288,7 +288,7 @@ def test_criterion_10_split_proportion_on_real_files():
     train_path, _, schema_path = _ugransome_paths()
     schema = DatasetSchema.from_file(schema_path)
     ds = load_csv(train_path, schema)
-    train, val = stratified_split(ds, SplitSpec((0.7, 0.3), seed=0))
+    train, val = stratified_split(ds, 0.3, 0)
     ratio = len(val) / len(ds)
     ok = abs(ratio - 0.30) <= 0.01
     _report(10, ok, f"validation ratio {ratio:.4f} within 0.30 +/- 0.01")

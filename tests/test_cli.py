@@ -75,6 +75,21 @@ def test_preprocess_select_train_predict(tmp_path):
     assert len(preds.read_text().splitlines()) == 200
 
 
+def test_predict_cuts_vectors_in_the_order_of_the_ranking_scores(tmp_path):
+    """ranking.json writes its order for readers; predict derives it from the scores."""
+    config = _write_config(tmp_path)
+    _invoke("train", "--config", config)
+    ranking = tmp_path / "run" / "ranking.json"
+    written = json.loads(ranking.read_text())
+    preds = {}
+    for name, order in (("written", written["order"]), ("reversed", written["order"][::-1])):
+        ranking.write_text(json.dumps(dict(written, order=order)))
+        _invoke("predict", "--config", config, "--model", "dt", "--vector", "v1",
+                "--data", DATA / "mini_test.csv", "--out", tmp_path / f"{name}.txt")
+        preds[name] = (tmp_path / f"{name}.txt").read_text()
+    assert preds["reversed"] == preds["written"]
+
+
 ALL_KINDS = [{"kind": "dt", "max_depth": 5}, {"kind": "dt", "impurity": "gini"},
              {"kind": "rf", "n_trees": 3}, {"kind": "et", "n_trees": 3},
              {"kind": "gbt", "n_rounds": 3, "gbt_max_depth": 3}, {"kind": "nb"},
@@ -238,7 +253,8 @@ BAD_CONFIG_MESSAGES = {
 
 
 @pytest.mark.parametrize("name", BAD_CONFIGS, ids=list(BAD_CONFIGS))
-def test_run_bad_config_exits_with_config_error(tmp_path, name):
+def test_run_bad_config_exits_with_config_error(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # the rows set no output_dir: runs/out lands here
     config_path = tmp_path / "config.yaml"
     if BAD_CONFIGS[name] is not None:
         config_path.write_text(BAD_CONFIGS[name], encoding="utf-8")
@@ -268,12 +284,20 @@ def _run_without_schema(tmp_path):
             _write_config(tmp_path, schema_path=str(tmp_path / "nope.yaml"))]
 
 
-def _predict(model_text=None, model="dt", vector="v1", out="preds.txt"):
+def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=None):
     """Predict from a run directory holding states and a ranking; the model
-    file dt_v1.json holds model_text, or is missing when that is None."""
+    file dt_v1.json holds model_text, or is missing when that is None.
+    ``scores``, if given, rewrites the ranking's score list, and its order to
+    match."""
     def argv(tmp_path):
         config = _write_config(tmp_path)
         _invoke("select", "--config", config)
+        if scores is not None:
+            ranking = tmp_path / "run" / "ranking.json"
+            doc = json.loads(ranking.read_text())
+            doc["scores"] = scores(doc["scores"])
+            doc["order"] = np.argsort(-np.array(doc["scores"]), kind="stable").tolist()
+            ranking.write_text(json.dumps(doc))
         if model_text is not None:
             (tmp_path / "run" / "models").mkdir()
             (tmp_path / "run" / "models" / "dt_v1.json").write_text(model_text)
@@ -360,6 +384,13 @@ BAD_FILES = {
                                             "recursion depth"),
     "predict, model not in config": (_predict(model="rf"), 1, "model 'rf' not in"),
     "predict, vector not in config": (_predict(vector="v9"), 1, "vector 'v9' not in"),
+    "predict, ranking one score too long": (
+        _predict(model_text=LEAF_MODEL, scores=lambda s: s + [max(s) + 1.0]), 1,
+        "ranking.json of the run must score the schema's 8 features, got scores of "
+        "shape (9,)"),
+    "predict, ranking one score too short": (
+        _predict(model_text=LEAF_MODEL, scores=lambda s: s[:-1]), 1,
+        "ranking.json of the run must score the schema's 8 features"),
     "ingest, report directory missing": (_ingest(MINI_SCHEMA, report="no/report.json"), 1,
                                          "no/report.json: No such file or directory"),
     "predict, out directory missing": (_predict(model_text=LEAF_MODEL, out="no/preds.txt"),

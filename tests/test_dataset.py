@@ -11,7 +11,6 @@ from fuzzids.cli import main
 from fuzzids.dataset import (
     DatasetSchema,
     LabeledDataset,
-    SplitSpec,
     class_distribution,
     load_csv,
     stratified_split,
@@ -358,7 +357,7 @@ class TestStratifiedSplit:
     def test_exact_stratification(self):
         y = [0] * 5 + [1] * 5
         ds = make_dataset(np.arange(10).reshape(-1, 1), y)
-        train, val = stratified_split(ds, SplitSpec((0.8, 0.2), seed=1))
+        train, val = stratified_split(ds, 0.2, 1)
         assert len(train) == 8 and len(val) == 2
         assert class_distribution(train) == {0: 4, 1: 4}
         assert class_distribution(val) == {0: 1, 1: 1}
@@ -366,15 +365,15 @@ class TestStratifiedSplit:
     def test_same_seed_identical_partition(self):
         ds = make_dataset(np.arange(30).reshape(-1, 1), [0, 1, 2] * 10,
                           labels={"a": 0, "b": 1, "c": 2})
-        t1, v1 = stratified_split(ds, SplitSpec(seed=1))
-        t2, v2 = stratified_split(ds, SplitSpec(seed=1))
+        t1, v1 = stratified_split(ds, 0.2, 1)
+        t2, v2 = stratified_split(ds, 0.2, 1)
         assert np.array_equal(t1.features, t2.features)
         assert np.array_equal(v1.labels, v2.labels)
 
     def test_different_seed_different_partition_same_counts(self):
         ds = make_dataset(np.arange(50).reshape(-1, 1), [0, 1] * 25)
-        t1, v1 = stratified_split(ds, SplitSpec(seed=1))
-        t2, v2 = stratified_split(ds, SplitSpec(seed=2))
+        t1, v1 = stratified_split(ds, 0.2, 1)
+        t2, v2 = stratified_split(ds, 0.2, 2)
         assert class_distribution(v1) == class_distribution(v2)
         assert not np.array_equal(v1.features, v2.features)
 
@@ -385,7 +384,7 @@ class TestStratifiedSplit:
             y[:3] = [0, 1, 2]  # each class represented
             x = np.arange(n, dtype=float).reshape(-1, 1)
             ds = make_dataset(x, y, labels={"a": 0, "b": 1, "c": 2})
-            train, val = stratified_split(ds, SplitSpec(seed=int(rng.integers(1e6))))
+            train, val = stratified_split(ds, 0.2, int(rng.integers(1e6)))
             merged = sorted(
                 train.features[:, 0].tolist() + val.features[:, 0].tolist()
             )
@@ -398,7 +397,7 @@ class TestStratifiedSplit:
             y[:3] = [0, 1, 2]
             ds = make_dataset(rng.uniform(size=(n, 1)), y,
                               labels={"a": 0, "b": 1, "c": 2})
-            _, val = stratified_split(ds, SplitSpec((0.7, 0.3), seed=9))
+            _, val = stratified_split(ds, 0.3, 9)
             total = class_distribution(ds)
             in_val = class_distribution(val)
             for c, count in total.items():
@@ -407,5 +406,5 @@ class TestStratifiedSplit:
     def test_tiny_class_warns(self):
         ds = make_dataset(np.arange(11).reshape(-1, 1), [0] * 10 + [1])
         with pytest.warns(UserWarning):
-            train, val = stratified_split(ds, SplitSpec((0.9, 0.1), seed=3))
+            train, val = stratified_split(ds, 0.1, 3)
         assert class_distribution(val)[1] == 0

@@ -197,7 +197,7 @@ class TestRoc:
             scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
             points = roc_curve(y, scores)
             expected = loop_roc_curve(y, scores)
-            assert points == expected
+            assert np.array_equal(points, expected)
             # the same thresholds, down to the sign of zero
             assert [np.signbit(t) for _, _, t in points] == [
                 np.signbit(t) for _, _, t in expected]
@@ -233,7 +233,7 @@ class TestRoc:
         assert set(per_class) == set(curves) == {0, 1, 2}
         assert macro == pytest.approx(np.mean(list(per_class.values())))
         for c, points in curves.items():
-            assert points == roc_curve((y == c).astype(int), scores[:, c])
+            assert np.array_equal(points, roc_curve((y == c).astype(int), scores[:, c]))
             assert per_class[c] == auc(points)
 
     def test_multiclass_skips_absent_class(self, rng):

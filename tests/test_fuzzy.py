@@ -121,31 +121,31 @@ class TestImportance:
 
 class TestFusion:
     def test_weight_one_is_identity_ranking(self):
-        fr = FeatureRanking(np.array([3.0, 1.0, 2.0]), np.array([0, 2, 1]))
+        fr = FeatureRanking(np.array([3.0, 1.0, 2.0]))
         fused = fuse_with_et_importance(fr, [0.0, 5.0, 0.0], 1.0)
         assert fused.order.tolist() == fr.order.tolist()
 
     def test_weight_zero_is_et_ranking(self):
-        fr = FeatureRanking(np.array([3.0, 1.0, 2.0]), np.array([0, 2, 1]))
+        fr = FeatureRanking(np.array([3.0, 1.0, 2.0]))
         fused = fuse_with_et_importance(fr, [0.0, 5.0, 1.0], 0.0)
         assert fused.order.tolist() == [1, 2, 0]
 
     def test_hand_evaluated_fusion(self):
-        fr = FeatureRanking(np.array([2.0, 0.0]), np.array([0, 1]))
+        fr = FeatureRanking(np.array([2.0, 0.0]))
         fused = fuse_with_et_importance(fr, [0.0, 4.0], 0.5)
         assert fused.scores.tolist() == [0.5, 0.5]
         assert fused.order.tolist() == [0, 1]
         assert fused.et_weight == 0.5
 
     def test_length_mismatch_rejected(self):
-        fr = FeatureRanking(np.array([1.0]), np.array([0]))
+        fr = FeatureRanking(np.array([1.0]))
         with pytest.raises(SchemaError):
             fuse_with_et_importance(fr, [1.0, 2.0], 0.5)
 
     def test_argmax_endpoint_invariance(self, rng):
         scores = rng.uniform(size=8)
         et = rng.uniform(size=8)
-        fr = FeatureRanking(scores, np.argsort(-scores, kind="stable"))
+        fr = FeatureRanking(scores)
         assert fuse_with_et_importance(fr, et, 1.0).order[0] == fr.order[0]
         assert fuse_with_et_importance(fr, et, 0.0).order[0] == int(np.argmax(et))
 
@@ -153,22 +153,30 @@ class TestFusion:
 class TestSelectVectors:
     def test_reference_binary_lengths(self):
         scores = np.arange(20, 0, -1, dtype=float)
-        fr = FeatureRanking(scores, np.arange(20))
+        fr = FeatureRanking(scores)
         vecs = select_vectors(fr, [11, 9, 9, 10], ["v1", "v2", "v3", "v4"])
         assert [len(v.indices) for v in vecs] == [11, 9, 9, 10]
         assert vecs[0].indices == tuple(range(11))
 
     def test_reference_multiclass_lengths(self):
-        fr = FeatureRanking(np.arange(25, 0, -1, dtype=float), np.arange(25))
+        fr = FeatureRanking(np.arange(25, 0, -1, dtype=float))
         vecs = select_vectors(fr, [13, 9, 20, 14], ["g1", "g2", "g3", "g4"])
         assert [len(v.indices) for v in vecs] == [13, 9, 20, 14]
 
     def test_full_length_vector_is_full_ranking(self):
-        fr = FeatureRanking(np.array([1.0, 3.0, 2.0]), np.array([1, 2, 0]))
+        fr = FeatureRanking(np.array([1.0, 3.0, 2.0]))
         (vec,) = select_vectors(fr, [3], ["all"])
         assert vec.indices == (1, 2, 0)
 
+    def test_saved_order_that_disagrees_with_the_scores_is_not_read(self):
+        fr = FeatureRanking.from_dict({"scores": [1.0, 3.0, 2.0], "order": [0, 1, 2],
+                                       "et_weight": 1.0})
+        assert fr.order.tolist() == [1, 2, 0]
+        (vec,) = select_vectors(fr, [3], ["all"])
+        assert vec.indices == (1, 2, 0)
+        assert fr.to_dict()["order"] == [1, 2, 0]
+
     def test_overlong_vector_rejected(self):
-        fr = FeatureRanking(np.array([1.0]), np.array([0]))
+        fr = FeatureRanking(np.array([1.0]))
         with pytest.raises(SchemaError):
             select_vectors(fr, [2], ["v1"])

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fuzzids.errors import SchemaError, TrainingError
+from fuzzids.errors import ConfigError, SchemaError, TrainingError
 from fuzzids.models import (
     ClassifierConfig,
     MODEL_KINDS,
@@ -375,7 +377,8 @@ class TestRandomCutSplit:
             candidates = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
             fast = np.random.default_rng(trial)
             slow = np.random.default_rng(trial)
-            got = _random_cut_split(x, y, candidates, kind, fast, n_classes)
+            counts = np.bincount(y, minlength=n_classes)
+            got = _random_cut_split(x, y, candidates, kind, fast, counts)
             expected = scalar_random_cut_split(x, y, candidates, kind, slow, n_classes)
             assert got == expected
             assert fast.bit_generator.state == slow.bit_generator.state
@@ -383,7 +386,7 @@ class TestRandomCutSplit:
         assert found > 20
 
 
-def recursive_importance(model, n_features):
+def recursive_importance(model):
     """Reference: the recursive post-order walk mean_impurity_decrease
     replaced, with impurity() as the impurity of each node."""
     def node_impurity(counts):
@@ -400,12 +403,11 @@ def recursive_importance(model, n_features):
         totals[tree.feature[node]] += n * gain
         return counts
 
-    totals = np.zeros(n_features)
+    totals = np.zeros(model.n_features)
     trees = model.trees if model.kind != "dt" else [model.tree]
     for tree in trees:
         walk(tree, 0)
-    totals /= len(trees)
-    return totals / totals.max() if totals.max() > 0 else totals
+    return totals / len(trees)
 
 
 class TestImportance:
@@ -416,15 +418,25 @@ class TestImportance:
         y = (3 * x[:, 0] + rng.normal(0, 0.4, 200)).astype(np.int64).clip(0, 2)
         cfg = ClassifierConfig(kind=kind, impurity=impurity_kind, n_trees=4, seed=3)
         model = fit_model(x, y, cfg)
-        got = mean_impurity_decrease(model, 6)
-        assert np.array_equal(got, recursive_importance(model, 6))
-        assert got.max() == 1.0
+        got = mean_impurity_decrease(model)
+        assert np.array_equal(got, recursive_importance(model))
+        # unnormalised: a tree's decreases telescope to its root's weighted
+        # impurity less its leaves', and the trees' sums are averaged
+        def weighted(counts):
+            return counts.sum() * impurity(counts / counts.sum(), impurity_kind)
+
+        def telescoped(t):
+            leaves = t.value[t.left < 0]
+            return weighted(leaves.sum(axis=0)) - sum(weighted(c) for c in leaves)
+
+        trees = model.trees if kind != "dt" else [model.tree]
+        assert got.sum() == pytest.approx(np.mean([telescoped(t) for t in trees]))
 
     def test_single_leaf_has_no_importance(self, rng):
         x = rng.uniform(size=(30, 3))
         model = fit_model(x, rng.integers(0, 2, size=30),
                           ClassifierConfig(kind="dt", max_depth=0))
-        assert not mean_impurity_decrease(model, 3).any()
+        assert not mean_impurity_decrease(model).any()
 
 
 class TestDecisionTree:
@@ -484,7 +496,8 @@ class TestDecisionTree:
         model = fit_model(x, np.arange(1000) % 2, ClassifierConfig(kind="dt"))
         assert len(model.tree.left) == 1999
         assert (model.predict(x) == np.arange(1000) % 2).all()
-        assert mean_impurity_decrease(model, 1).tolist() == [1.0]
+        # the decreases telescope to the root's 1000 rows x 1 bit of entropy
+        assert mean_impurity_decrease(model).tolist() == pytest.approx([1000.0])
         with pytest.raises(TrainingError, match="max_depth"):
             save_model(model, tmp_path / "model.json")
         assert not (tmp_path / "model.json").exists()
@@ -766,3 +779,45 @@ class TestUniformContract:
         q = rng.uniform(size=(30, 2))
         assert np.array_equal(model.predict(q), clone.predict(q))
         assert np.allclose(model.score(q), clone.score(q))
+
+    @staticmethod
+    def tree_docs(doc):
+        """The tree documents of a dt, rf or gbt model document."""
+        params = doc["params"]
+        if doc["kind"] == "dt":
+            return [params["root"]]
+        return params.get("trees") or [s for c in params["chains"] for s in c["stages"]]
+
+    @pytest.mark.parametrize("kind", ["dt", "rf", "gbt"])
+    def test_split_on_a_missing_feature_rejected_on_load(self, kind, tmp_path):
+        model = fit_model(*xor_clusters(40, seed=6),
+                          ClassifierConfig(kind=kind, n_trees=2, n_rounds=2))
+        doc = model.to_dict()
+        root = self.tree_docs(doc)[0]
+        assert root["feature"] in (0, 1)
+        root["feature"] = 7
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="model.json: a split names a feature "
+                                              r"outside \[0, 2\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["dt", "rf"])
+    def test_leaf_counts_short_of_the_classes_rejected_on_load(self, kind, tmp_path):
+        model = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind=kind, n_trees=2))
+        doc = model.to_dict()
+
+        def drop_last_count(node):
+            if "counts" in node:
+                node["counts"] = node["counts"][:-1]
+            else:
+                drop_last_count(node["left"])
+                drop_last_count(node["right"])
+
+        for tree in self.tree_docs(doc):
+            drop_last_count(tree)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="model.json: leaf counts have 1 entries "
+                                              "for 2 classes"):
+            load_model(path)
