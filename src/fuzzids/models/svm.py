@@ -13,11 +13,12 @@ _MAX_BACKTRACKS = 40
 
 
 def svm_objective(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray,
-                  c: float) -> float:
-    """Primal objective: (1/2)||w||^2 + C * sum of hinge losses."""
+                  c: float) -> tuple[float, np.ndarray]:
+    """Primal objective, (1/2)||w||^2 + C * sum of hinge losses, and the
+    margins y (x.w + b) it is made of."""
     margins = y_pm * (x @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * w @ w + c * hinge.sum())
+    return float(0.5 * w @ w + c * hinge.sum()), margins
 
 
 def _train_binary(x: np.ndarray, y_pm: np.ndarray,
@@ -31,10 +32,10 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
     w = np.zeros(d)
     b = 0.0
     step = _INITIAL_STEP
-    trace = [svm_objective(w, b, x, y_pm, C)]
+    objective, margins = svm_objective(w, b, x, y_pm, C)
+    trace = [objective]
     converged = False
     for _ in range(config.max_iters):
-        margins = y_pm * (x @ w + b)
         violating = margins < 1.0
         grad_w = w - C * (y_pm[violating, None] * x[violating]).sum(axis=0)
         grad_b = -C * y_pm[violating].sum()
@@ -44,7 +45,7 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
         for _ in range(_MAX_BACKTRACKS):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            candidate = svm_objective(w_new, b_new, x, y_pm, C)
+            candidate, new_margins = svm_objective(w_new, b_new, x, y_pm, C)
             if candidate <= current:
                 accepted = True
                 break
@@ -52,7 +53,7 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
         if not accepted:
             converged = True
             break
-        w, b = w_new, b_new
+        w, b, margins = w_new, b_new, new_margins
         trace.append(candidate)
         if current - candidate < TOLERANCE:
             converged = True

@@ -1,26 +1,41 @@
 """One array-backed tree engine for dt/rf/et/gbt, and the tree classifiers.
 
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
-scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011). ``grow`` builds every
-tree from a node rule. dt, rf and gbt sort each feature once per fit and
-partition the sort down the tree, as XGBoost's sorted column block (Chen &
-Guestrin, KDD 2016) and SLIQ (Mehta et al., EDBT 1996) do. ``_scan``, the one
-exact split search of the impurity criteria and the Newton gain, scores all
-candidate features of a node at once, ``BLOCK_CELLS`` (feature x row) cells
-at a time, and only their cuts between distinct values. Every impurity split
-rule scores its cuts with ``_child_impurity``, and every split rule picks its
-winner with ``_first_best``.
+scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.builder``
+lays them out. A dt tree or gbt stage grows alone through ``grow``: it sorts
+each feature once per fit and partitions the sort down the tree, as XGBoost's
+sorted column block (Chen & Guestrin, KDD 2016) and SLIQ (Mehta et al., EDBT
+1996) do, and ``_scan``, the one exact split search of the impurity criteria
+and the Newton gain, scores all features of a node at once, ``BLOCK_CELLS``
+(feature x row) cells at a time, and only their cuts between distinct values.
+A lone tree has nothing to batch its nodes with, and its presort spares every
+node a sort.
+
+An rf or et forest grows all of its trees together (``_grow_forest``): each
+step takes the next preorder node of every unfinished tree, up to
+``BLOCK_CELLS`` (candidate x row) cells, and counts, tests and splits all of
+them with flat array operations. rf sorts each step's cells by node,
+candidate and the value codes ranked once per fit; a node keeps only its
+rows, a slice of its tree's root rows partitioned in place, since a sorted
+order per node would hold (F, n) rows for every tree. Each tree draws its
+candidates and et thresholds from its own generator, in preorder, so every
+tree is the one it would grow alone.
+
+Every impurity split rule counts the classes left of its cuts with
+``_left_counts`` (rf and dt), scores the cuts with ``_child_impurity`` and
+picks its winner with ``_first_best``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .base import ClassifierConfig, TrainedModel
 
-BLOCK_CELLS = 8192  # (feature x row) cells per scan block, bounding its (B, n, K) cumsum
+BLOCK_CELLS = 16384  # cells per scan block or forest step, bounding their temporaries
 
 
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
@@ -46,17 +61,39 @@ def _child_impurity(left_counts, n_left, parent_counts, kind: str) -> np.ndarray
     ) / n
 
 
-def _first_best(gains) -> int | None:
-    """Index of the winning cut among gains in candidate order, or None.
+def _left_counts(labels: np.ndarray, new_run: np.ndarray, ends: np.ndarray,
+                 starts: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class counts left of each cut, from one bincount over runs.
+
+    Cells are grouped by segment and sorted by value within it; ``labels``
+    are their classes and ``new_run`` marks the first cell of each run of
+    equal values (every segment starts one). Cut ``i`` follows cell
+    ``ends[i]``, the last of a run, in the segment that starts at cell
+    ``starts[i]``. Returns (cuts, n_classes): the counts of the cells from
+    ``starts[i]`` through ``ends[i]``.
+    """
+    run = np.cumsum(new_run)  # of each cell, from 1
+    totals = np.bincount(run * n_classes + labels, minlength=(run[-1] + 1) * n_classes)
+    totals = np.cumsum(totals.reshape(-1, n_classes), axis=0)  # row r: runs 1 to r
+    return totals[run[ends]] - totals[run[starts] - 1]
+
+
+def _first_best(gains) -> np.ndarray:
+    """Index of the winning cut along the last axis of ``gains``, in
+    candidate order, or -1 where none wins.
 
     A gain must exceed 1e-12 and beat the best before it by more than 1e-12,
     so near-ties go to the earlier candidate.
     """
-    best = None
-    for i, gain in enumerate(gains):
-        if gain > 1e-12 and (best is None or gain > gains[best] + 1e-12):
-            best = i
-    return best
+    gains = np.asarray(gains, dtype=float)
+    winners = []
+    for row in gains.reshape(math.prod(gains.shape[:-1]), gains.shape[-1]).tolist():
+        best = -1
+        for i, gain in enumerate(row):
+            if gain > 1e-12 and (best < 0 or gain > row[best] + 1e-12):
+                best = i
+        winners.append(best)
+    return np.array(winners, dtype=np.int64).reshape(gains.shape[:-1])
 
 
 class Tree:
@@ -77,12 +114,13 @@ class Tree:
         self.value = np.asarray(value)
 
     @classmethod
-    def build(cls, root, expand: Callable) -> "Tree":
-        """Lay out nodes in preorder, left subtree first.
+    def builder(cls, root):
+        """Generator that lays out nodes in preorder, left subtree first.
 
-        ``expand(state, depth)`` returns ``(value, None)`` for a leaf or
-        ``(value, (feature, threshold, left_state, right_state))`` for a
-        split, whose value is ignored.
+        It yields ``(state, depth)`` of each node in turn and is sent back
+        ``(value, None)`` for a leaf or ``(value, (feature, threshold,
+        left_state, right_state))`` for a split, whose value is ignored. It
+        returns the ``Tree``.
         """
         feature, threshold, left, right, value = cols = ([], [], [], [], [])
         pending = [(root, 0, -1)]  # (state, depth, node whose right child it is, or -1)
@@ -91,7 +129,7 @@ class Tree:
             node = len(feature)
             if parent >= 0:
                 right[parent] = node
-            val, split = expand(state, depth)
+            val, split = yield state, depth
             feat, thr, left_state, right_state = split or (-1, 0.0, None, None)
             feature.append(feat)
             threshold.append(thr)
@@ -103,6 +141,18 @@ class Tree:
         zero = np.zeros_like(next(v for v in value if v is not None))
         value[:] = [zero if v is None else v for v in value]
         return cls(*cols)
+
+    @classmethod
+    def build(cls, root, expand: Callable) -> "Tree":
+        """The tree ``builder`` lays out when ``expand(state, depth)``
+        answers each node."""
+        builder = cls.builder(root)
+        node = next(builder)
+        while True:
+            try:
+                node = builder.send(expand(*node))
+            except StopIteration as done:
+                return done.value
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf index of every row, moving all rows down one level at a time."""
@@ -132,14 +182,27 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict, n_features: int, n_classes: int) -> "Tree":
-        """Inverse of ``to_dict``; ``ValueError`` if a split names a feature
-        outside [0, n_features) or the count leaves lack one count per class."""
+        """Inverse of ``to_dict``; ``ValueError`` unless every split names an
+        integer feature in [0, n_features) and a finite threshold, every leaf
+        weight is finite and every count leaf holds one count per class, each
+        a non-negative integer."""
+        def number(value, what: str) -> float:
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{what} {value!r} is not a finite number")
+            return float(value)
+
         def expand(doc, depth):
             if "counts" in doc:
+                if not all(type(c) is int and c >= 0 for c in doc["counts"]):
+                    raise ValueError(f"leaf counts {doc['counts']!r} are not "
+                                     "non-negative integers")
                 return np.asarray(doc["counts"], dtype=np.int64), None
             if "weight" in doc:
-                return float(doc["weight"]), None
-            return None, (doc["feature"], doc["threshold"], doc["left"], doc["right"])
+                return number(doc["weight"], "leaf weight"), None
+            if type(doc["feature"]) is not int:
+                raise ValueError(f"split feature {doc['feature']!r} is not an integer")
+            return None, (doc["feature"], number(doc["threshold"], "split threshold"),
+                          doc["left"], doc["right"])
 
         tree = cls.build(doc, expand)
         split_on = tree.feature[tree.left >= 0]
@@ -151,16 +214,13 @@ class Tree:
         return tree
 
 
-def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable,
-         order: np.ndarray | None = None) -> Tree:
+def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable, order: np.ndarray) -> Tree:
     """Grow a tree over ``x[rows]``, depth first, left subtree first.
 
-    ``order``, if given, is (F, n): row f holds ``rows`` sorted by feature f.
-    A child's order is a stable partition of its parent's, so ties keep the
-    root's order: that of ``rows`` for dt and gbt, of row ids for rf, whose
-    class counts cannot see it. ``node_rule(rows, order, depth)`` returns
-    ``(value, None)`` to make a leaf or ``(value, (feature, threshold, ...))``
-    to split.
+    ``order`` is (F, n): row f holds ``rows`` sorted by feature f. A child's
+    order is a stable partition of its parent's, so ties keep the order of
+    ``rows``. ``node_rule(rows, order, depth)`` returns ``(value, None)`` to
+    make a leaf or ``(value, (feature, threshold, ...))`` to split.
     """
 
     def expand(state, depth):
@@ -170,8 +230,6 @@ def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable,
             return value, None
         feat, threshold = split[:2]
         left = x[rows, feat] <= threshold
-        if order is None:
-            return value, (feat, threshold, (rows[left], None), (rows[~left], None))
         goes_left = x[order, feat] <= threshold
         lo, hi = (order[side].reshape(len(order), -1) for side in (goes_left, ~goes_left))
         return value, (feat, threshold, (rows[left], lo), (rows[~left], hi))
@@ -209,8 +267,8 @@ def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
         lo, hi = xs[at, i], xs[at, i + 1]
         mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
         cuts.extend(zip(block.tolist(), np.where(mid < hi, mid, lo).tolist()))
-    best = _first_best(gains)
-    return None if best is None else (*cuts[best], float(gains[best]))
+    best = int(_first_best(gains))
+    return None if best < 0 else (*cuts[best], float(gains[best]))
 
 
 def best_split(x: np.ndarray, y: np.ndarray, candidate_features, impurity_kind: str,
@@ -223,69 +281,199 @@ def best_split(x: np.ndarray, y: np.ndarray, candidate_features, impurity_kind: 
     parent_imp = _impurity_rows(counts[None], impurity_kind)[0]
 
     def gains_along(sorted_rows, b, q):
-        onehot = y[sorted_rows][..., None] == np.arange(len(counts))
-        left_counts = np.cumsum(onehot, axis=1)[b, q]
+        new_run = np.zeros(sorted_rows.shape, dtype=bool)
+        new_run[:, 0] = new_run[b, q + 1] = True
+        starts = b * sorted_rows.shape[1]
+        left_counts = _left_counts(y[sorted_rows].ravel(), new_run.ravel(), starts + q,
+                                   starts, len(counts))
         return parent_imp - _child_impurity(left_counts, q + 1.0, counts, impurity_kind)
 
     return _scan(x, order, candidate_features, gains_along)
 
 
-def _random_cut_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    candidate_features,
-    impurity_kind: str,
-    rng: np.random.Generator,
-    counts: np.ndarray,
-) -> tuple[int, float] | None:
-    """Extra-trees split (Geurts, Ernst & Wehenkel, 2006): one uniform random
-    threshold per non-constant candidate, drawn in ascending feature order,
-    and every candidate scored at once. ``counts`` are the class counts of
-    ``y``."""
-    n_classes = len(counts)
-    feats = np.sort(np.asarray(candidate_features, dtype=np.int64))
-    cols = x[:, feats]
-    lo, hi = cols.min(axis=0), cols.max(axis=0)
-    varied = lo < hi
-    feats, cols = feats[varied], cols[:, varied]
-    thresholds = rng.uniform(lo[varied], hi[varied])
-    left = cols <= thresholds
-    # one bincount over (candidate, class) cells gives every left class count
-    cells = y[:, None] + n_classes * np.arange(len(feats))
-    left_counts = np.bincount(cells[left], minlength=len(feats) * n_classes)
-    left_counts = left_counts.reshape(-1, n_classes)
-    gains = _impurity_rows(counts[None], impurity_kind)[0] - _child_impurity(
-        left_counts, left.sum(axis=0), counts, impurity_kind)
-    best = _first_best(gains)
-    return None if best is None else (feats[best], float(thresholds[best]))
-
-
-def _class_rule(x, y, config: ClassifierConfig, n_classes: int,
-                rng: np.random.Generator | None) -> Callable:
-    """Node rule of dt/rf/et: leaf class counts, split by impurity decrease;
-    et cuts at random thresholds."""
-    n_features = x.shape[1]
-    k = max(1, int(np.sqrt(n_features)))  # rf/et candidate features per node
+def _class_rule(x, y, config: ClassifierConfig, n_classes: int) -> Callable:
+    """Node rule of dt: leaf class counts, split by impurity decrease over
+    every feature."""
+    features = range(x.shape[1])
 
     def rule(rows, order, depth):
-        ys = y[rows]
-        counts = np.bincount(ys, minlength=n_classes)
+        counts = np.bincount(y[rows], minlength=n_classes)
         # a node of one row is pure, so it is a leaf here
         if ((config.max_depth is not None and depth >= config.max_depth)
                 or np.count_nonzero(counts) <= 1):
             return counts, None
-        if rng is not None and k < n_features:
-            candidates = rng.choice(n_features, size=k, replace=False)
-        else:
-            candidates = range(n_features)
-        if config.kind == "et":
-            return counts, _random_cut_split(x[rows], ys, candidates, config.impurity,
-                                             rng, counts)
-        split = best_split(x, y, candidates, config.impurity, counts, order)
+        split = best_split(x, y, features, config.impurity, counts, order)
         # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
-        return counts, split or _scan(x, order, candidates, lambda r, b, q: np.ones(len(b)))
+        return counts, split or _scan(x, order, features, lambda r, b, q: np.ones(len(b)))
 
     return rule
+
+
+def _value_codes(x: np.ndarray) -> np.ndarray:
+    """(F, n) dense rank of every cell of ``x`` among its feature's distinct
+    values, from one presort."""
+    ranked = _presort(x, np.arange(len(x)))
+    xs = x[ranked, np.arange(x.shape[1])[:, None]]
+    rises = np.zeros(ranked.shape, dtype=bool)
+    rises[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    codes = np.empty(ranked.shape, dtype=np.int32)
+    np.put_along_axis(codes, ranked, np.cumsum(rises, axis=1, dtype=np.int32), axis=1)
+    return codes
+
+
+def _grow_forest(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
+                 n_classes: int) -> list[Tree]:
+    """Grow the trees of an rf or et forest together. Tree ``t`` draws from
+    its own generator, seeded ``(config.seed, t)``: rf first its bootstrap
+    rows, then every node its candidates; et grows on every row.
+
+    A node's rows are a slice of its tree's root row array, so that growing
+    allocates no row list per node. Each step takes the next pending node of
+    every unfinished tree, largest first, while the step holds at most
+    ``BLOCK_CELLS`` (candidate x row) cells; the largest always goes, so a
+    step holds at most ``max(BLOCK_CELLS, k x rows of its largest node)``
+    cells. Taking the largest first keeps the trees at nodes of like size, so
+    that small nodes find others to share a step with.
+    """
+    n_features = x.shape[1]
+    k = min(n_features, max(1, int(np.sqrt(n_features))))  # candidate features per node
+    codes = _value_codes(x) if config.kind == "rf" else None  # et reads no sort
+    n = len(y)
+    draws = [np.random.default_rng((config.seed, t)) for t in range(config.n_trees)]
+    builders = [Tree.builder(rng.integers(0, n, size=n) if config.kind == "rf"
+                             else np.arange(n)) for rng in draws]
+    pending = {t: next(builder) for t, builder in enumerate(builders)}  # (rows, depth)
+    trees = [None] * len(builders)
+    while pending:
+        step, cells = [], 0
+        for t in sorted(pending, key=lambda t: -len(pending[t][0])):
+            rows = pending[t][0]
+            if not step or cells + k * len(rows) <= BLOCK_CELLS:
+                step.append(t)
+                cells += k * len(rows)
+        nodes = [(*pending[t], draws[t]) for t in step]
+        for t, answer in zip(step, _forest_step(x, y, codes, config, n_classes, k, nodes)):
+            try:
+                pending[t] = builders[t].send(answer)
+            except StopIteration as done:
+                trees[t] = done.value
+                del pending[t]
+    return trees
+
+
+def _forest_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
+                 nodes: list) -> list[tuple]:
+    """Answer a batch of forest nodes, each ``(rows, depth, generator)``,
+    as ``Tree.builder`` expects: one bincount counts every node's classes,
+    and one split search scores every (node, candidate) cell. A split node's
+    children are views of its ``rows``, which are reordered in place.
+
+    Each splitting node draws ``k`` candidate features (unless ``k`` is every
+    feature), and for et one uniform threshold per non-constant candidate,
+    from its own generator. rf cuts between the distinct values of its
+    cells, sorted by (node, candidate, value code), like ``best_split``; a
+    node whose cuts gain nothing takes its first cut, like dt. et scores its
+    random cuts (Geurts, Ernst & Wehenkel, 2006).
+    """
+    sizes = np.array([len(rows) for rows, _, _ in nodes])
+    rows = np.concatenate([rows for rows, _, _ in nodes])
+    node_of_row = np.repeat(np.arange(len(nodes)), sizes)
+    counts = np.bincount(node_of_row * n_classes + y[rows],
+                         minlength=len(nodes) * n_classes).reshape(-1, n_classes)
+    answers = [(c, None) for c in counts]
+    # a node of one row is pure, so it is a leaf here
+    grows = np.count_nonzero(counts, axis=1) > 1
+    if config.max_depth is not None:
+        grows &= np.array([depth for _, depth, _ in nodes]) < config.max_depth
+    picked = np.flatnonzero(grows)
+    n_features = x.shape[1]
+    if k < n_features:
+        candidates = np.sort([nodes[i][2].choice(n_features, size=k, replace=False)
+                              for i in picked]).reshape(-1, k)
+    else:
+        candidates = np.tile(np.arange(n_features), (len(picked), 1))
+    if not candidates.size:
+        return answers
+    # cells: segment s holds the rows of node picked[s // k] on candidate s % k
+    seg_len = np.repeat(sizes[picked], k)
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    offset = np.repeat((np.cumsum(sizes) - sizes)[picked], k) - seg_start
+    cell_rows = rows[offset[seg] + np.arange(len(seg))]
+    cell_feat = candidates.ravel()[seg]
+    seg_node = np.repeat(picked, k)
+    parent_imp = _impurity_rows(counts, config.impurity)[seg_node]
+    if config.kind == "rf":
+        key = seg * x.shape[0] + codes[cell_feat, cell_rows]
+        order = np.argsort(key)
+        key, cell_rows = key[order], cell_rows[order]  # seg and cell_feat keep their place
+        new_run = np.ones(len(seg), dtype=bool)
+        new_run[1:] = key[1:] != key[:-1]
+        ends = np.flatnonzero(new_run[1:] & (seg[1:] == seg[:-1]))  # last cell before each cut
+        cut_seg = seg[ends]
+        starts = seg_start[cut_seg]
+        left = _left_counts(y[cell_rows], new_run, ends, starts, n_classes)
+        gains = parent_imp[cut_seg] - _child_impurity(
+            left, ends - starts + 1, counts[seg_node[cut_seg]], config.impurity)
+        # each segment's best cut: its first maximum, the lowest threshold on ties
+        has_cut = np.bincount(cut_seg, minlength=len(seg_len)) > 0
+        first_cut = np.searchsorted(cut_seg, np.arange(len(seg_len)))
+        seg_gain = np.full(len(seg_len), -np.inf)
+        if gains.size:
+            seg_gain[has_cut] = np.maximum.reduceat(gains, first_cut[has_cut])
+        top = np.flatnonzero(gains == seg_gain[cut_seg])
+        first_top = np.ones(len(top), dtype=bool)
+        first_top[1:] = cut_seg[top[1:]] != cut_seg[top[:-1]]
+        best_cut = first_cut.copy()
+        best_cut[has_cut] = top[first_top]
+        col = _first_best(seg_gain.reshape(-1, k))
+        # no cut gains (a 4-point XOR's root): a flat gain takes the first cut
+        flat = col < 0
+        if flat.any():
+            col[flat] = _first_best(np.where(has_cut, 1.0, -np.inf).reshape(-1, k))[flat]
+            best_cut[np.repeat(flat, k)] = first_cut[np.repeat(flat, k)]
+        chosen = np.flatnonzero(col >= 0)
+        cut = best_cut.reshape(-1, k)[chosen, col[chosen]]
+        feats = candidates[chosen, col[chosen]]
+        lo, hi = x[cell_rows[ends[cut]], feats], x[cell_rows[ends[cut] + 1], feats]
+        mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
+        thresholds = np.where(mid < hi, mid, lo)
+    else:
+        values = x[cell_rows, cell_feat]
+        lo = np.minimum.reduceat(values, seg_start)
+        hi = np.maximum.reduceat(values, seg_start)
+        varied = lo < hi
+        cuts = np.full(len(seg_len), -np.inf)  # no row goes left of a constant candidate
+        for at, i in zip(range(0, len(seg_len), k), picked):
+            v = varied[at:at + k]
+            cuts[at:at + k][v] = nodes[i][2].uniform(lo[at:at + k][v], hi[at:at + k][v])
+        left_of = values <= cuts[seg]
+        left = np.bincount(seg[left_of] * n_classes + y[cell_rows[left_of]],
+                           minlength=len(seg_len) * n_classes).reshape(-1, n_classes)
+        gains = parent_imp - _child_impurity(
+            left, np.bincount(seg[left_of], minlength=len(seg_len)), counts[seg_node],
+            config.impurity)
+        col = _first_best(np.where(varied, gains, -np.inf).reshape(-1, k))
+        chosen = np.flatnonzero(col >= 0)
+        feats = candidates[chosen, col[chosen]]
+        thresholds = cuts.reshape(-1, k)[chosen, col[chosen]]
+    # children: every row of the step goes left or right of its node's cut,
+    # and each node's rows are partitioned in place, left child first
+    splitting = picked[chosen]
+    feature = np.zeros(len(nodes), dtype=np.int64)
+    threshold = np.full(len(nodes), -np.inf)
+    feature[splitting], threshold[splitting] = feats, thresholds
+    goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
+    n_left = np.bincount(node_of_row[goes_left], minlength=len(nodes))
+    lefts, rights = rows[goes_left], rows[~goes_left]
+    left_start = (np.cumsum(n_left) - n_left).tolist()
+    right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
+    for i, feat, thr in zip(splitting.tolist(), feats.tolist(), thresholds.tolist()):
+        node_rows, n = nodes[i][0], int(n_left[i])
+        node_rows[:n] = lefts[left_start[i]:left_start[i] + n]
+        node_rows[n:] = rights[right_start[i]:right_start[i] + len(node_rows) - n]
+        answers[i] = (counts[i], (feat, thr, node_rows[:n], node_rows[n:]))
+    return answers
 
 
 class DecisionTreeModel(TrainedModel):
@@ -299,7 +487,7 @@ class DecisionTreeModel(TrainedModel):
     def fit(cls, x, yi, classes, config):
         """One greedy tree on every row and feature."""
         everything = np.arange(len(yi))
-        tree = grow(x, everything, _class_rule(x, yi, config, len(classes), None),
+        tree = grow(x, everything, _class_rule(x, yi, config, len(classes)),
                     _presort(x, everything))
         return cls(config, classes, x.shape[1], tree)
 
@@ -332,18 +520,7 @@ class ForestModel(TrainedModel):
     def fit(cls, x, yi, classes, config):
         """rf: bootstrap rows and random candidate features per node; et: every
         row, random candidates and random cuts."""
-        trees, n, rf = [], len(yi), config.kind == "rf"
-        ranked = _presort(x, np.arange(n)) if rf else None  # et reads no sort
-        for t in range(config.n_trees):
-            rng = np.random.default_rng((config.seed, t))
-            rows, order = np.arange(n), None
-            if rf:  # the bootstrap sample's sort: each row repeated by its draws
-                rows = rng.integers(0, n, size=n)
-                times = np.bincount(rows, minlength=n)
-                order = np.repeat(ranked, times[ranked].ravel()).reshape(ranked.shape)
-            trees.append(grow(x, rows, _class_rule(x, yi, config, len(classes), rng),
-                              order))
-        return cls(config, classes, x.shape[1], trees)
+        return cls(config, classes, x.shape[1], _grow_forest(x, yi, config, len(classes)))
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = self._check_features(x)

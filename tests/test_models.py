@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from fuzzids.models import (
 from fuzzids.models import tree as tree_engine
 from fuzzids.models.boosting import GradientBoostedModel, _newton_rule
 from fuzzids.models.tree import (Tree, _child_impurity, _class_rule, _first_best,
-                                 _impurity_rows, _presort, _random_cut_split, grow)
+                                 _forest_step, _impurity_rows, _presort, _value_codes, grow)
 from fuzzids.models.svm import SvmModel, svm_objective
 
 
@@ -145,7 +146,7 @@ def argsort_scan(x, candidates, gains_along):
         gains.append(along[i])
         cuts.append((feat, (xs[i] + xs[i + 1]) / 2.0))
     best = _first_best(gains)
-    return None if best is None else (*cuts[best], float(gains[best]))
+    return None if best < 0 else (*cuts[best], float(gains[best]))
 
 
 def argsort_best_split(x, y, candidates, kind, n_classes):
@@ -239,7 +240,7 @@ class TestPresortedScan:
         # of a bootstrap row array included
         x, y = tie_heavy(rng, 120)
         rows = rng.integers(0, 120, size=120)
-        inner = _class_rule(x, y, ClassifierConfig(kind="rf"), 3, rng)
+        inner = _class_rule(x, y, ClassifierConfig(kind="dt"), 3)
         seen = []
 
         def rule(rows, order, depth):
@@ -268,18 +269,20 @@ class TestPresortedScan:
         assert sum(int(np.prod(shape)) for shape in scored) == boundaries < 199
 
     def test_zero_gain_cut_matches_unique_fallback(self, rng):
-        # every cut of an XOR of two balanced binary columns gains nothing; the
-        # rule cuts the lowest varying candidate at its lowest midpoint
+        # every cut of an XOR of two balanced binary columns gains nothing; dt
+        # and a forest node cut the lowest varying candidate at its lowest midpoint
         for seed in range(30):
             a, b = rng.permutation(np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], 5, axis=0)).T
             x = np.full((20, 5), 0.5)
             x[:, rng.choice(5, size=2, replace=False)] = np.column_stack([a * 0.3 + 0.2,
                                                                           b * 0.4 + 0.1])
             rows = np.arange(20)
-            cfg = ClassifierConfig(kind="rf")
-            rule = _class_rule(x, a ^ b, cfg, 2, np.random.default_rng(seed))
-            _, split = rule(rows, _presort(x, rows), 0)
+            _, split = _class_rule(x, a ^ b, ClassifierConfig(kind="dt"), 2)(
+                rows, _presort(x, rows), 0)
+            assert (split and split[:2]) == unique_fallback(x, range(5))
             # rf draws int(sqrt(5)) = 2 candidate features
+            (_, split), = _forest_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
+                                       2, 2, [(rows, 0, np.random.default_rng(seed))])
             candidates = np.random.default_rng(seed).choice(5, size=2, replace=False)
             assert (split and split[:2]) == unique_fallback(x, candidates)
 
@@ -288,10 +291,12 @@ def block_sized_fits(x, y, monkeypatch, cells):
     monkeypatch.setattr(tree_engine, "BLOCK_CELLS", cells)
     return [fit_model(x, y, ClassifierConfig(kind=kind, n_trees=3, n_rounds=3,
                                              max_depth=6, seed=2)).to_dict()
-            for kind in ("dt", "rf", "gbt")]
+            for kind in ("dt", "rf", "et", "gbt")]
 
 
 def test_scan_block_size_changes_no_model(rng, monkeypatch):
+    # one cell per block scans one feature at a time and grows one forest
+    # node per step
     x, y = tie_heavy(rng, 300)
     one_feature = block_sized_fits(x, y, monkeypatch, 1)
     assert block_sized_fits(x, y, monkeypatch, 10 ** 9) == one_feature
@@ -299,28 +304,101 @@ def test_scan_block_size_changes_no_model(rng, monkeypatch):
 
 @pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 1), ("et", 0), ("gbt", 1)])
 def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
+    # one (F, n) presort per fit; rf also sorts the cells of each forest step,
+    # at most BLOCK_CELLS of them here
     calls = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
     x, y = tie_heavy(rng, 200, n_classes=4)
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
-    assert len(calls) == sorts
+    assert sum(np.ndim(a[0]) == 2 for a in calls) == sorts
+    step_sorts = [len(a[0]) for a in calls if np.ndim(a[0]) == 1]
+    assert bool(step_sorts) == (kind == "rf")
+    assert all(cells <= tree_engine.BLOCK_CELLS for cells in step_sorts)
+
+
+def random_cut_split(x, y, candidate_features, impurity_kind, rng, counts):
+    """Reference: the et split of a tree grown alone (Geurts, Ernst & Wehenkel,
+    2006): one uniform random threshold per non-constant candidate, drawn in
+    ascending feature order, and every candidate scored at once. ``counts``
+    are the class counts of ``y``."""
+    n_classes = len(counts)
+    feats = np.sort(np.asarray(candidate_features, dtype=np.int64))
+    cols = x[:, feats]
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    varied = lo < hi
+    feats, cols = feats[varied], cols[:, varied]
+    thresholds = rng.uniform(lo[varied], hi[varied])
+    left = cols <= thresholds
+    cells = y[:, None] + n_classes * np.arange(len(feats))
+    left_counts = np.bincount(cells[left], minlength=len(feats) * n_classes)
+    left_counts = left_counts.reshape(-1, n_classes)
+    gains = _impurity_rows(counts[None], impurity_kind)[0] - _child_impurity(
+        left_counts, left.sum(axis=0), counts, impurity_kind)
+    best = _first_best(gains)
+    return None if best < 0 else (feats[best], float(thresholds[best]))
+
+
+def lone_tree_rule(x, y, config, n_classes, rng):
+    """Reference: the node rule of an rf or et tree grown alone, in preorder,
+    drawing its candidates (and et thresholds) from ``rng``."""
+    n_features = x.shape[1]
+    k = max(1, int(np.sqrt(n_features)))
+
+    def rule(rows, order, depth):
+        counts = np.bincount(y[rows], minlength=n_classes)
+        if ((config.max_depth is not None and depth >= config.max_depth)
+                or np.count_nonzero(counts) <= 1):
+            return counts, None
+        if k < n_features:
+            candidates = rng.choice(n_features, size=k, replace=False)
+        else:
+            candidates = range(n_features)
+        if config.kind == "et":
+            return counts, random_cut_split(x[rows], y[rows], candidates, config.impurity,
+                                            rng, counts)
+        split = tree_engine.best_split(x, y, candidates, config.impurity, counts, order)
+        flat = tree_engine._scan(x, order, candidates, lambda r, b, q: np.ones(len(b)))
+        return counts, split or flat
+
+    return rule
 
 
 @pytest.mark.parametrize("impurity", ["entropy", "gini"])
 def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
-    # rf orders the ties of its one sort by row id, a per-tree presort by
-    # bootstrap draw; class counts at a cut cannot tell them apart
-    x, y = tie_heavy(rng, 200, n_classes=4)
-    y = np.array([3, 7, 9, 12])[y]
-    config = ClassifierConfig(kind="rf", impurity=impurity, n_trees=4, seed=5)
-    model = fit_model(x, y, config)
-    yi = np.unique(y, return_inverse=True)[1]
-    for t, tree in enumerate(model.trees):
-        draws = np.random.default_rng((config.seed, t))
-        rows = draws.integers(0, len(y), size=len(y))
-        rule = _class_rule(x, yi, config, 4, draws)
-        assert same_tree(tree, grow(x, rows, rule, _presort(x, rows)))
+    # the trees grown together equal trees grown alone from the same draws;
+    # no random cut of the balanced XOR gains, so each et tree is one leaf
+    xor = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], 25, axis=0)
+    for x, y in (tie_heavy(rng, 200, n_classes=4), (xor, (xor[:, 0] != xor[:, 1]) * 2)):
+        y = np.array([3, 7, 9, 12])[y]
+        yi = np.unique(y, return_inverse=True)[1]
+        for kind in ("rf", "et"):
+            config = ClassifierConfig(kind=kind, impurity=impurity, n_trees=4, seed=5)
+            model = fit_model(x, y, config)
+            for t, tree in enumerate(model.trees):
+                draws = np.random.default_rng((config.seed, t))
+                rows = (draws.integers(0, len(y), size=len(y)) if kind == "rf"
+                        else np.arange(len(y)))
+                rule = lone_tree_rule(x, yi, config, yi.max() + 1, draws)
+                assert same_tree(tree, grow(x, rows, rule, _presort(x, rows)))
+
+
+@pytest.mark.parametrize("kind", ["rf", "et"])
+def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
+    budget = 1000
+    monkeypatch.setattr(tree_engine, "BLOCK_CELLS", budget)
+    steps = []
+
+    def recording(x, y, codes, config, n_classes, k, nodes):
+        steps.append((k, [len(rows) for rows, _, _ in nodes]))
+        return _forest_step(x, y, codes, config, n_classes, k, nodes)
+
+    monkeypatch.setattr(tree_engine, "_forest_step", recording)
+    x, y = tie_heavy(rng, 300)  # 6 features: 2 candidates, so 600 cells at a root
+    fit_model(x, y, ClassifierConfig(kind=kind, n_trees=5, seed=1))
+    assert all(k * sum(sizes) <= max(budget, k * max(sizes)) for k, sizes in steps)
+    assert max(len(sizes) for _, sizes in steps) == 5  # every tree in one step
+    assert [300] in [sizes for _, sizes in steps]  # a root alone
 
 
 @pytest.mark.parametrize("gains, expected", [
@@ -331,7 +409,12 @@ def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
     ([np.nan, 0.3, 0.3], 1),
 ])
 def test_first_best_tie_rule(gains, expected):
-    assert _first_best(np.array(gains)) == expected
+    # -1 stands for no winner
+    assert _first_best(np.array(gains)) == (-1 if expected is None else expected)
+    # one row per node: the rule runs across nodes at once
+    rows = np.array([gains, gains[::-1], np.zeros(len(gains))]).reshape(3, len(gains))
+    singly = [int(_first_best(row)) for row in rows]
+    assert _first_best(rows).tolist() == singly
 
 
 def scalar_random_cut_split(x, y, candidates, kind, rng, n_classes):
@@ -363,6 +446,8 @@ def scalar_random_cut_split(x, y, candidates, kind, rng, n_classes):
 
 
 class TestRandomCutSplit:
+    """The et reference split of the forest oracle agrees with a scalar loop."""
+
     @pytest.mark.parametrize("kind", ["entropy", "gini"])
     @pytest.mark.parametrize("n_classes", [2, 5])
     def test_matches_scalar_loop(self, kind, n_classes, rng):
@@ -378,7 +463,7 @@ class TestRandomCutSplit:
             fast = np.random.default_rng(trial)
             slow = np.random.default_rng(trial)
             counts = np.bincount(y, minlength=n_classes)
-            got = _random_cut_split(x, y, candidates, kind, fast, counts)
+            got = random_cut_split(x, y, candidates, kind, fast, counts)
             expected = scalar_random_cut_split(x, y, candidates, kind, slow, n_classes)
             assert got == expected
             assert fast.bit_generator.state == slow.bit_generator.state
@@ -461,6 +546,15 @@ class TestDecisionTree:
         model = fit_model(x, y, ClassifierConfig(kind="dt", max_depth=0))
         assert len(model.tree.left) == 1 and model.tree.left[0] < 0
         assert (model.predict(x) == 0).all()
+
+    @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
+    def test_one_class_grows_single_leaves(self, kind, rng):
+        model = fit_model(rng.uniform(size=(30, 4)), np.full(30, 7),
+                          ClassifierConfig(kind=kind, n_trees=3))
+        trees = model.trees if kind != "dt" else [model.tree]
+        assert [t.value.tolist() for t in trees] == [[[30]]] * len(trees)
+        assert all(len(t.left) == 1 for t in trees)
+        assert (model.predict(rng.uniform(size=(5, 4))) == 7).all()
 
     @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
     def test_no_feature_columns_grow_single_leaves(self, kind):
@@ -686,7 +780,9 @@ class TestSvm:
         y_pm = np.array([1.0, -1.0])
         # by hand: 0.5*||w||^2 + C*(hinge(1*1.5) + hinge(-1*(-0.5)))
         expected = 0.5 * 2.0 + 2.0 * (0.0 + 0.5)
-        assert svm_objective(w, b, x, y_pm, 2.0) == pytest.approx(expected)
+        objective, margins = svm_objective(w, b, x, y_pm, 2.0)
+        assert objective == pytest.approx(expected)
+        assert margins.tolist() == [1.5, 0.5]
 
     def test_multiclass_one_vs_rest(self, rng):
         x = rng.uniform(size=(90, 2))
@@ -821,3 +917,55 @@ class TestUniformContract:
         with pytest.raises(ConfigError, match="model.json: leaf counts have 1 entries "
                                               "for 2 classes"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda root: root.update(feature=0.7), "split feature 0.7 is not an integer"),
+        (lambda root: root.update(feature=True), "split feature True is not an integer"),
+        (lambda root: root.update(threshold="nan"), "split threshold 'nan' is not a finite"),
+        (lambda root: root.update(left={"counts": [-5, 3]}),
+         r"leaf counts \[-5, 3\] are not non-negative integers"),
+    ], ids=["fractional feature", "boolean feature", "string threshold", "negative count"])
+    def test_malformed_tree_rejected_on_load(self, edit, message, tmp_path):
+        model = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind="dt"))
+        doc = model.to_dict()
+        edit(doc["params"]["root"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"model.json: {message}"):
+            load_model(path)
+
+
+def digest_datasets():
+    """Small datasets that reach the tree engine's paths: continuous values,
+    ties and constant columns, many classes, one class, two features."""
+    r = np.random.default_rng(2024)
+    x = r.normal(size=(150, 5))
+    yield x, (x[:, 0] + r.normal(0, 0.7, 150) > 0).astype(np.int64) + (x[:, 1] > 1)
+    yield tie_heavy(r, 150)
+    x = np.round(r.normal(size=(180, 6)), 1)
+    yield x, np.clip((x[:, 0] * 3 + 6 + r.normal(0, 1, 180)).astype(np.int64), 0, 11)
+    yield r.normal(size=(40, 3)), np.full(40, 2)
+    x = r.normal(size=(120, 2))
+    yield x, ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(np.int64)
+
+
+# sha256 of the 80 fits of test_tree_fits_keep_their_digest. A change that
+# alters any tree-kind model regenerates it and says why.
+FITS_DIGEST = "0c26e698ba490f0da29676c824d51b6c8ce704c7785fda757c372994b350e105"
+
+
+def test_tree_fits_keep_their_digest():
+    # model documents and scores of dt/rf/et/gbt x entropy/gini x unlimited
+    # and depth 4; no score goes through BLAS
+    digest = hashlib.sha256()
+    for x, y in digest_datasets():
+        for kind in ("dt", "rf", "et", "gbt"):
+            for impurity in ("entropy", "gini"):
+                for depth in (None, 4):
+                    config = ClassifierConfig(kind=kind, impurity=impurity, max_depth=depth,
+                                              gbt_max_depth=depth or 6, n_trees=5,
+                                              n_rounds=3, seed=7)
+                    model = fit_model(x, y, config)
+                    digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
+                    digest.update(model.score(x).tobytes())
+    assert digest.hexdigest() == FITS_DIGEST
