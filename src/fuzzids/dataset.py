@@ -8,7 +8,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 import yaml
@@ -193,14 +193,29 @@ def _read(fh, dtype, **kwargs) -> np.ndarray:
                       quotechar='"', comments=None, ndmin=2, **kwargs)
 
 
+class _PerCell(dict):
+    """``convert`` of each distinct raw cell, computed at the cell's first
+    lookup; a call that raises stores nothing."""
+
+    def __init__(self, convert: Callable[[str], int]):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = value = self.convert(cell)
+        return value
+
+
 def _parse_columns(fh, header: list[str], schema: DatasetSchema):
     """Parse the records after the header into (features, labels, categories),
     or return None if the C reader, or a check on what it read, rejects them.
 
     One float64 pass reads every column, so the reader rejects a record whose
     cell count differs from the first record's; converters code the label and
-    categorical cells. The checks accept exactly what the row scanner does:
-    ``len(header)`` cells per record, finite values, no cell over the field limit.
+    categorical cells. Each converts a distinct raw cell once, at its first
+    appearance, so categories keep their codes by first appearance. The checks
+    accept exactly what the row scanner does: ``len(header)`` cells per record,
+    finite values, no cell over the field limit.
     """
     label_pos, feat_info = _layout(header, schema)
     limit = csv.field_size_limit()
@@ -216,6 +231,7 @@ def _parse_columns(fh, header: list[str], schema: DatasetSchema):
                   for j, vocab in vocabs.items()}
     converters[label_pos] = lambda cell: (
         schema.label_encoding.get(cell.strip(), -1) if len(cell) <= limit else -1)
+    converters = {pos: _PerCell(convert).__getitem__ for pos, convert in converters.items()}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # for a body without rows

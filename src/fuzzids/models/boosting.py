@@ -93,6 +93,7 @@ class GradientBoostedModel(TrainedModel):
             model = cls(config, classes, x.shape[1], [0.0], [[]], [[0.0]])
             model.flags["degenerate"] = True
             return model
+        x = np.ascontiguousarray(x)  # one copy for every stage's apply
         order = _presort(x, np.arange(len(yi)))  # serves every round of every chain
         chains = [_fit_binary_chain(x, (yi == c).astype(float), config, order)
                   for c in one_vs_rest(len(classes))]
@@ -105,7 +106,7 @@ class GradientBoostedModel(TrainedModel):
         return out
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_features(x)
+        x = np.ascontiguousarray(self._check_features(x))  # one copy for every stage
         if len(self.classes) == 1:
             return np.ones((len(x), 1))
         scores = np.column_stack([_sigmoid(self._raw(x, chain))

@@ -35,9 +35,11 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
     objective, margins = svm_objective(w, b, x, y_pm, C)
     trace = [objective]
     converged = False
+    # exact products; signed[violating] is C-ordered, as those products were
+    signed = y_pm[:, None] * x
     for _ in range(config.max_iters):
         violating = margins < 1.0
-        grad_w = w - C * (y_pm[violating, None] * x[violating]).sum(axis=0)
+        grad_w = w - C * signed[violating].sum(axis=0)
         grad_b = -C * y_pm[violating].sum()
 
         current = trace[-1]

@@ -155,15 +155,32 @@ class Tree:
                 return done.value
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf index of every row, moving all rows down one level at a time."""
-        internal = self.left >= 0
-        node = np.zeros(len(x), dtype=np.int64)
-        active = np.flatnonzero(internal[node])
-        while active.size:
-            at = node[active]
-            go_left = x[active, self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[internal[node[active]]]
+        """Leaf index of every row, moving all rows down one level at a time.
+
+        A step sends a row at node ``a`` to ``child[a + n_nodes * go_left]``,
+        ``go_left = cell <= threshold[a]``: ties go left and NaN right. Each
+        leaf is its own child, on feature 0 at threshold +inf (predication,
+        Asadi et al., IEEE TKDE 2014), and rows at leaves leave the walk once
+        they are half of those walking. Cells come from ``x.ravel()``, a copy
+        unless ``x`` is C-ordered.
+        """
+        n_nodes, (n_rows, width) = len(self.left), x.shape
+        node = np.zeros(n_rows, dtype=np.int64)
+        leaf = self.left < 0
+        if leaf[0]:
+            return node
+        child = np.where(np.tile(leaf, 2), np.tile(np.arange(n_nodes), 2),
+                         np.concatenate([self.right, self.left]))
+        feature = np.where(leaf, 0, self.feature)
+        threshold = np.where(leaf, np.inf, self.threshold)
+        cells = x.ravel()
+        rows, at = np.arange(n_rows), node
+        while rows.size:
+            at = child[at + n_nodes * (cells[rows * width + feature[at]] <= threshold[at])]
+            done = leaf[at]
+            if 2 * np.count_nonzero(done) >= rows.size:
+                node[rows[done]] = at[done]
+                rows, at = rows[~done], at[~done]
         return node
 
     def to_dict(self, node: int = 0) -> dict:
@@ -523,12 +540,12 @@ class ForestModel(TrainedModel):
         return cls(config, classes, x.shape[1], _grow_forest(x, yi, config, len(classes)))
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_features(x)
-        votes = np.zeros((len(x), len(self.classes)))
-        rows = np.arange(len(x))
-        for tree in self.trees:
-            votes[rows, np.argmax(tree.value, axis=1)[tree.apply(x)]] += 1.0
-        return votes / len(self.trees)
+        x = np.ascontiguousarray(self._check_features(x))  # one copy for every tree
+        offset = np.arange(len(x)) * len(self.classes)  # of each row's class-0 vote
+        votes = sum(np.bincount(offset + np.argmax(tree.value, axis=1)[tree.apply(x)],
+                                minlength=offset.size * len(self.classes))
+                    for tree in self.trees)
+        return votes.reshape(len(x), len(self.classes)) / len(self.trees)
 
     def params_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}

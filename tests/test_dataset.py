@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 from unittest import mock
 
@@ -271,6 +273,38 @@ class TestMalformedCsv:
         assert ds.categories == {1: tuple(dict.fromkeys(c.strip() for c in cats))}
         assert [ds.categories[1][int(c)] for c in ds.features[:, 1]] == [c.strip() for c in cats]
         assert ds.labels.tolist() == [NSL_ENCODING[y.strip()] for y in labels]
+
+    def test_per_cell_coding_matches_reference(self, tmp_path, monkeypatch):
+        # raw cells that differ only by surrounding whitespace, seen in the first
+        # 50,000 rows and again after them; "w" first appears after them
+        monkeypatch.setattr(dataset, "_scan_rows", _no_scanner)
+        rng = np.random.default_rng(5)
+        head = ["x", " x", "x ", "\tx ", "y", " y ", "z\t"]
+        tail = head + ["w ", " w", "w"]
+        labels = ["normal", " normal", "dos ", " dos ", "probe"]
+        cats = [head[i] for i in rng.integers(0, len(head), CHUNK_ROWS)]
+        cats += [tail[i] for i in rng.integers(0, len(tail), 3000)]
+        text = "a,b,y\n" + "".join(f"{i % 7},{b},{labels[i % len(labels)]}\n"
+                                   for i, b in enumerate(cats))
+        ds = load_csv(write_csv(tmp_path / "d.csv", text), small_schema())
+        # unmemoised reference: every record's cells coded one by one
+        records = list(csv.reader(io.StringIO(text)))[1:]
+        vocab: dict = {}
+        codes = [vocab.setdefault(r[1].strip(), len(vocab)) for r in records]
+        assert ds.categories == {1: tuple(vocab)}
+        assert ds.features[:, 1].tolist() == codes
+        assert ds.labels.tolist() == [NSL_ENCODING[r[2].strip()] for r in records]
+
+    @pytest.mark.parametrize("case", ["empty categorical cell", "unknown label",
+                                      "cell over the csv field limit"])
+    def test_bad_cell_after_repeated_cells_names_its_line(self, tmp_path, case):
+        # the good cells repeat 50,000 times first, and the bad record twice
+        record, message = {c[0]: c[1:] for c in BAD_RECORDS}[case]
+        text = "a,b,y\n" + GOOD_ROW * CHUNK_ROWS + (record + "\n") * 2 + GOOD_ROW
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(LoadError) as exc:
+            load_csv(path, small_schema())
+        assert str(exc.value) == f"{path}:{CHUNK_ROWS + 2}: {message}"
 
     def test_unreadable_path_names_it(self, tmp_path):
         with pytest.raises(LoadError) as exc:

@@ -607,26 +607,80 @@ class TestTreeApply:
             node = tree.left[node] if go_left else tree.right[node]
         return node
 
+    @staticmethod
+    def trees(model):
+        if model.kind == "dt":
+            return [model.tree]
+        if model.kind == "gbt":
+            return [stage for stages in model.stages for stage in stages]
+        return model.trees
+
+    @staticmethod
+    def ties(tree, width):
+        """Rows sitting exactly on every threshold, on every feature."""
+        return np.tile(tree.threshold[tree.left >= 0][:, None], (1, width))
+
     def test_matches_per_row_walk(self, rng):
         for kind in ("dt", "rf", "et", "gbt"):
             x = np.round(rng.uniform(size=(80, 3)), 1)
             y = rng.integers(0, 3, size=80)
             cfg = ClassifierConfig(kind=kind, n_trees=3, n_rounds=2, seed=4)
-            model = fit_model(x, y, cfg)
-            if kind == "dt":
-                trees = [model.tree]
-            elif kind == "gbt":
-                trees = [stage for stages in model.stages for stage in stages]
-            else:
-                trees = model.trees
-            for tree in trees:
-                internal = np.flatnonzero(tree.left >= 0)
-                # rows sitting exactly on every threshold, on every feature
-                ties = np.tile(tree.threshold[internal][:, None], (1, 3))
-                q = np.vstack([x, rng.uniform(-0.5, 1.5, size=(40, 3)), ties])
+            for tree in self.trees(fit_model(x, y, cfg)):
+                q = np.vstack([x, rng.uniform(-0.5, 1.5, size=(40, 3)), self.ties(tree, 3)])
                 expected = [self.walk(tree, row) for row in q]
                 assert tree.apply(q).tolist() == expected
                 assert (tree.left[tree.apply(q)] < 0).all()
+
+    def test_f_ordered_column_slice(self, rng):
+        # the pipeline scores numeric_features()[:, vector], an F-ordered copy
+        x = np.round(rng.uniform(size=(150, 3)), 1)
+        y = rng.integers(0, 3, size=150)
+        for kind in ("dt", "rf", "gbt"):
+            model = fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=2, seed=8))
+            q = np.vstack([x, *(self.ties(tree, 3) for tree in self.trees(model))])
+            stored = np.empty_like(q)
+            stored[:, [2, 0, 1]] = q
+            sliced = stored[:, [2, 0, 1]]
+            assert not sliced.flags.c_contiguous
+            for tree in self.trees(model):
+                assert tree.apply(sliced).tolist() == [self.walk(tree, row) for row in q]
+            assert np.array_equal(model.score(sliced), model.score(q))
+
+    def test_zero_rows(self, rng):
+        x, y = rng.uniform(size=(60, 3)), rng.integers(0, 2, size=60)
+        for kind in ("dt", "rf", "gbt"):
+            model = fit_model(x, y, ClassifierConfig(kind=kind, n_trees=2, n_rounds=2))
+            for tree in self.trees(model):
+                leaves = tree.apply(np.zeros((0, 3)))
+                assert leaves.shape == (0,) and leaves.dtype == np.int64
+            assert model.score(np.zeros((0, 3))).shape == (0, 2)
+
+    def test_single_leaf_on_zero_features(self):
+        model = fit_model(np.zeros((6, 0)), np.array([0, 1, 0, 1, 1, 0]),
+                          ClassifierConfig(kind="dt"))
+        assert len(model.tree.left) == 1
+        assert model.tree.apply(np.zeros((4, 0))).tolist() == [0, 0, 0, 0]
+        assert model.score(np.zeros((4, 0))).tolist() == [[0.5, 0.5]] * 4
+
+    def test_deep_unbalanced_tree(self):
+        # alternating labels: every cut peels one row off, about 1,000 levels deep
+        x = np.arange(1000.0)[:, None]
+        model = fit_model(x, np.arange(1000) % 2, ClassifierConfig(kind="dt"))
+        tree = model.tree
+        q = np.vstack([x, self.ties(tree, 1), [[-1.0], [1e6]]])
+        assert tree.apply(q).tolist() == [self.walk(tree, row) for row in q]
+
+    def test_nan_cell_goes_right(self, rng):
+        x = np.round(rng.uniform(size=(100, 3)), 1)
+        y = rng.integers(0, 3, size=100)
+        for kind in ("dt", "rf", "gbt"):
+            model = fit_model(x, y, ClassifierConfig(kind=kind, n_trees=3, n_rounds=2, seed=5))
+            for tree in self.trees(model):
+                q = np.vstack([x, self.ties(tree, 3)])
+                q[::2, tree.feature[0]] = np.nan  # at the root's split, among ties
+                assert tree.apply(q).tolist() == [self.walk(tree, row) for row in q]
+                # every row with NaN at the root ends in its right subtree
+                assert (tree.apply(q[::2]) >= tree.right[0]).all()
 
 
 class TestEnsembles:
@@ -969,3 +1023,24 @@ def test_tree_fits_keep_their_digest():
                     digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
                     digest.update(model.score(x).tobytes())
     assert digest.hexdigest() == FITS_DIGEST
+
+
+# sha256 of the svm fits of test_svm_fits_keep_their_digest. Their margins go
+# through BLAS, so like the nb_svm golden files it holds for one BLAS build.
+SVM_FITS_DIGEST = "c1ad34956a4bc1ea74482d7073775ca4d1143eaa35a18787a6507ce67cf28cce"
+
+
+def test_svm_fits_keep_their_digest():
+    # model documents and scores on C- and F-ordered copies of each dataset,
+    # plus a larger binary set that runs the chain for many iterations
+    r = np.random.default_rng(77)
+    big = r.normal(size=(2000, 12))
+    datasets = [*digest_datasets(), (big, (big[:, :3].sum(axis=1) > 0.5).astype(np.int64))]
+    digest = hashlib.sha256()
+    for x, y in datasets:
+        for layout in ("C", "F"):
+            model = fit_model(np.asarray(x, order=layout), y,
+                              ClassifierConfig(kind="svm", max_iters=80))
+            digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
+            digest.update(model.score(x).tobytes())
+    assert digest.hexdigest() == SVM_FITS_DIGEST
