@@ -1,5 +1,8 @@
+import csv
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1044,3 +1047,45 @@ def test_svm_fits_keep_their_digest():
             digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
             digest.update(model.score(x).tobytes())
     assert digest.hexdigest() == SVM_FITS_DIGEST
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# a mix of heavy-tailed counts, small counts and rates
+CORPUS_COLUMNS = ["duration", "src_bytes", "dst_bytes", "hot", "count", "srv_count",
+                  "serror_rate", "same_srv_rate", "diff_srv_rate", "dst_host_count",
+                  "dst_host_srv_count", "dst_host_same_srv_rate", "dst_host_serror_rate",
+                  "dst_host_rerror_rate"]
+
+
+def corpus_slice(path):
+    """3,000 x 14 numeric slice of a benchmark corpus file, and its class codes."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(BENCH))
+    corpus.write_csv(path, corpus.scaled_counts(corpus.TRAIN_COUNTS, 3000), 5)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))[:3000]
+    x = np.array([[float(row[c]) for c in CORPUS_COLUMNS] for row in rows])
+    return x, np.array([corpus.LABEL_ENCODING[row["class"]] for row in rows])
+
+
+# sha256 of the fits of test_large_fits_keep_their_digest, whose roots hold
+# more than BLOCK_CELLS (feature x row) cells.
+LARGE_FITS_DIGEST = "61b949ad824b0248588201ecd9d56fe2073614e9d6fb1e029fbf50216943a72b"
+
+
+def test_large_fits_keep_their_digest(tmp_path):
+    x, y = corpus_slice(tmp_path / "train.csv")
+    assert x.size > tree_engine.BLOCK_CELLS and len(np.unique(y)) == 5
+    digest = hashlib.sha256()
+    for labels, config in (
+            (y, ClassifierConfig(kind="dt", impurity="entropy")),
+            (y, ClassifierConfig(kind="dt", impurity="gini")),
+            (y, ClassifierConfig(kind="gbt", n_rounds=3, gbt_max_depth=4)),
+            (y == 0, ClassifierConfig(kind="gbt", n_rounds=3, gbt_max_depth=4))):
+        model = fit_model(x, labels, config)
+        digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
+        digest.update(model.score(x).tobytes())
+    assert digest.hexdigest() == LARGE_FITS_DIGEST
