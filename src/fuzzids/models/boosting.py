@@ -1,41 +1,66 @@
-"""Stagewise gradient-boosted regression trees with logistic loss."""
+"""Stagewise gradient-boosted regression trees with logistic loss. The stages
+of a round's one-vs-rest chains grow together through the tree engine's one
+driver, and ``_newton_step`` answers their nodes from one presort per fit."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..errors import TrainingError
 from .base import ClassifierConfig, TrainedModel, one_vs_rest
-from .tree import Tree, _presort, _scan, grow
+from . import tree as engine
+from .tree import Tree, _first_best, _grow, _presort
 
 LEARNING_RATE = 0.1  # shrinkage of every stage's leaf weights
 REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
-def _newton_rule(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-                 config: ClassifierConfig):
-    """Node rule of a boosting stage: leaf weight -G / (H + lambda), split by
-    the Newton gain on summed gradients and hessians."""
+def _newton_step(xt: np.ndarray, grads: list, hesses: list, config: ClassifierConfig,
+                 nodes: list) -> list[tuple]:
+    """Answer boosting nodes, each ``(chain, rows, order, depth)``, as ``_grow``
+    asks: leaf weight -G / (H + lambda) and, above ``gbt_max_depth``, the best
+    cut by the Newton gain. One flat take from the transposed ``xt`` reads
+    the node's values in ``order``, ``BLOCK_CELLS`` (feature x row) cells at
+    a time. A feature's first maximum wins, the lower threshold on ties, then
+    ``_first_best`` picks among features; thresholds are midpoints, kept
+    below the higher value so that every cut splits.
+    """
     lam = REG_LAMBDA
-
-    def rule(rows, order, depth):
+    n_features, n = xt.shape
+    base = np.arange(n_features)[:, None] * n  # of each feature's values in xt
+    answers = []
+    for chain, rows, order, depth in nodes:
+        grad, hess = grads[chain], hesses[chain]
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
         weight = -g / (h + lam)
-        if depth >= config.gbt_max_depth:  # _scan finds no cut in a one-row node
-            return weight, None
-
-        def gains_along(sorted_rows, b, q):
+        if depth >= config.gbt_max_depth or len(rows) < 2:
+            answers.append((weight, None))
+            continue
+        gains, cuts = [], []
+        step = max(1, engine.BLOCK_CELLS // len(rows))
+        for at in range(0, n_features, step):
+            sorted_rows = order[at:at + step]
+            xs = np.take(xt, sorted_rows + base[at:at + step])
+            b, q = np.nonzero(xs[:, :-1] != xs[:, 1:])  # the cuts between distinct values
             gl = np.cumsum(grad[sorted_rows], axis=1)[b, q]
             hl = np.cumsum(hess[sorted_rows], axis=1)[b, q]
             gr, hr = g - gl, h - hl
-            return 0.5 * (
+            along = np.full(xs[:, 1:].shape, -np.inf)
+            along[b, q] = 0.5 * (
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
             )
-
-        return weight, _scan(x, order, range(x.shape[1]), gains_along)
-
-    return rule
+            i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
+            feats = np.arange(len(xs))
+            gains.extend(along[feats, i])
+            lo, hi = xs[feats, i], xs[feats, i + 1]
+            mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
+            cuts.extend(np.where(mid < hi, mid, lo).tolist())
+        best = int(_first_best(gains))
+        answers.append((weight, None if best < 0 else (best, cuts[best])))
+    return answers
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -46,32 +71,6 @@ def _log_loss(y: np.ndarray, raw: np.ndarray) -> float:
     # numerically stable: log(1 + exp(-y_pm * raw)) with y_pm in {-1, +1}
     margin = np.where(y == 1, raw, -raw)
     return float(np.logaddexp(0.0, -margin).sum())
-
-
-def _fit_binary_chain(x: np.ndarray, y01: np.ndarray, config: ClassifierConfig,
-                      order: np.ndarray) -> tuple[float, list[Tree], list[float]]:
-    """One logistic boosting chain: its base score, stage trees and objective trace."""
-    pos = y01.mean()
-    pos = min(max(pos, 1e-12), 1 - 1e-12)
-    base = float(np.log(pos / (1.0 - pos)))
-    raw = np.full(len(y01), base)
-
-    stages: list[Tree] = []
-    trace = [_log_loss(y01, raw)]
-    complexity = 0.0
-    for t in range(config.n_rounds):
-        p = _sigmoid(raw)
-        grad = p - y01
-        hess = p * (1.0 - p)
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise TrainingError(f"non-finite gradient at boosting round {t}")
-        tree = grow(x, np.arange(len(x)), _newton_rule(x, grad, hess, config), order)
-        stages.append(tree)
-        raw = raw + LEARNING_RATE * tree.value[tree.apply(x)]
-        leaves = tree.value[tree.left < 0]  # left to right
-        complexity += 0.5 * REG_LAMBDA * sum((LEARNING_RATE * w) ** 2 for w in leaves)
-        trace.append(_log_loss(y01, raw) + complexity)
-    return base, stages, trace
 
 
 class GradientBoostedModel(TrainedModel):
@@ -94,10 +93,34 @@ class GradientBoostedModel(TrainedModel):
             model.flags["degenerate"] = True
             return model
         x = np.ascontiguousarray(x)  # one copy for every stage's apply
+        xt = np.ascontiguousarray(x.T)
         order = _presort(x, np.arange(len(yi)))  # serves every round of every chain
-        chains = [_fit_binary_chain(x, (yi == c).astype(float), config, order)
-                  for c in one_vs_rest(len(classes))]
-        return cls(config, classes, x.shape[1], *map(list, zip(*chains)))
+        targets = [(yi == c).astype(float) for c in one_vs_rest(len(classes))]
+        positive = [min(max(y01.mean(), 1e-12), 1 - 1e-12) for y01 in targets]
+        bases = [float(np.log(pos / (1.0 - pos))) for pos in positive]
+        raws = [np.full(len(yi), base) for base in bases]
+        traces = [[_log_loss(y01, raw)] for y01, raw in zip(targets, raws)]
+        stages: list[list[Tree]] = [[] for _ in targets]
+        complexity = [0.0] * len(targets)
+        for t in range(config.n_rounds):
+            probs = [_sigmoid(raw) for raw in raws]
+            grads = [p - y01 for p, y01 in zip(probs, targets)]
+            hesses = [p * (1.0 - p) for p in probs]
+            if not all(np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+                       for g, h in zip(grads, hesses)):
+                raise TrainingError(f"non-finite gradient at boosting round {t}")
+            # the stages of every chain grow together
+            roots = [(np.arange(len(yi)), order) for _ in targets]
+            trees = _grow(x, roots, partial(_newton_step, xt, grads, hesses, config),
+                          x.shape[1], preorder=False)
+            for c, tree in enumerate(trees):
+                stages[c].append(tree)
+                raws[c] = raws[c] + LEARNING_RATE * tree.value[tree.apply(x)]
+                leaves = tree.value[tree.left < 0]  # left to right
+                complexity[c] += 0.5 * REG_LAMBDA * sum((LEARNING_RATE * w) ** 2
+                                                        for w in leaves)
+                traces[c].append(_log_loss(targets[c], raws[c]) + complexity[c])
+        return cls(config, classes, x.shape[1], bases, stages, traces)
 
     def _raw(self, x: np.ndarray, chain: int) -> np.ndarray:
         out = np.full(len(x), self.base_scores[chain])
@@ -126,6 +149,6 @@ class GradientBoostedModel(TrainedModel):
     def from_params(cls, config, classes, n_features, params):
         chains = params["chains"]
         return cls(config, classes, n_features, [c["base_score"] for c in chains],
-                   [[Tree.from_dict(s, n_features, len(classes)) for s in c["stages"]]
-                    for c in chains],
+                   [[Tree.from_dict(s, n_features, len(classes), "weight")
+                     for s in c["stages"]] for c in chains],
                    [c["objective_trace"] for c in chains])

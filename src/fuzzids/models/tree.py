@@ -1,41 +1,40 @@
 """One array-backed tree engine for dt/rf/et/gbt, and the tree classifiers.
 
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
-scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.builder``
-lays them out. A dt tree or gbt stage grows alone through ``grow``: it sorts
-each feature once per fit and partitions the sort down the tree, as XGBoost's
-sorted column block (Chen & Guestrin, KDD 2016) and SLIQ (Mehta et al., EDBT
-1996) do, and ``_scan``, the one exact split search of the impurity criteria
-and the Newton gain, scores all features of a node at once, ``BLOCK_CELLS``
-(feature x row) cells at a time, and only their cuts between distinct values.
-A lone tree has nothing to batch its nodes with, and its presort spares every
-node a sort.
+scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.build`` lays
+them out. Every tree grows through one driver, ``_grow``, together with the
+other trees of its fit: each step takes pending nodes of every tree, largest
+first, while the step holds at most ``BLOCK_CELLS`` (candidate x row) cells,
+answers them all at once and partitions the rows of each split node in
+place. rf and et take each tree's next node in preorder, since each tree
+draws its candidates and et thresholds from its own generator in preorder,
+so every tree is the one it would grow alone. dt and the stages of a
+boosting round draw nothing, so a step takes every pending node of every
+tree, level by level as XGBoost's exact greedy search does (Chen &
+Guestrin, KDD 2016).
 
-An rf or et forest grows all of its trees together (``_grow_forest``): each
-step takes the next preorder node of every unfinished tree, up to
-``BLOCK_CELLS`` (candidate x row) cells, and counts, tests and splits all of
-them with flat array operations. rf sorts each step's cells by node,
-candidate and the value codes ranked once per fit; a node keeps only its
-rows, a slice of its tree's root rows partitioned in place, since a sorted
-order per node would hold (F, n) rows for every tree. Each tree draws its
-candidates and et thresholds from its own generator, in preorder, so every
-tree is the one it would grow alone.
-
-Every impurity split rule counts the classes left of its cuts with
-``_left_counts`` (rf and dt), scores the cuts with ``_child_impurity`` and
-picks its winner with ``_first_best``.
+``_class_step`` answers dt, rf and et nodes. dt and rf sort each step's
+cells by node, candidate and the value codes ranked once per fit, and score
+only the cuts between distinct values, ``BLOCK_CELLS`` cells at a time; et
+scores its random cuts (Geurts, Ernst & Wehenkel, 2006). Every impurity
+split rule counts the classes left of its cuts with ``_left_counts``,
+scores the cuts with ``_child_impurity`` and picks its winner with
+``_first_best``. gbt's Newton step (``boosting.py``) scans each node's rows
+presorted per feature, a sort made once per fit and partitioned down the
+tree, as XGBoost's sorted column block and SLIQ (Mehta et al., EDBT 1996) do.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .base import ClassifierConfig, TrainedModel
 
-BLOCK_CELLS = 16384  # cells per scan block or forest step, bounding their temporaries
+BLOCK_CELLS = 16384  # cells per grower step or scan block, bounding their temporaries
 
 
 def _impurity_rows(counts: np.ndarray, kind: str) -> np.ndarray:
@@ -114,45 +113,30 @@ class Tree:
         self.value = np.asarray(value)
 
     @classmethod
-    def builder(cls, root):
-        """Generator that lays out nodes in preorder, left subtree first.
-
-        It yields ``(state, depth)`` of each node in turn and is sent back
-        ``(value, None)`` for a leaf or ``(value, (feature, threshold,
-        left_state, right_state))`` for a split, whose value is ignored. It
-        returns the ``Tree``.
-        """
-        feature, threshold, left, right, value = cols = ([], [], [], [], [])
-        pending = [(root, 0, -1)]  # (state, depth, node whose right child it is, or -1)
+    def build(cls, root, expand: Callable) -> "Tree":
+        """Lay out in preorder, left subtree first, the tree whose node
+        ``state`` ``expand(state)`` answers with ``(value, None)`` for a leaf
+        or ``(None, (feature, threshold, left_state, right_state))`` for a
+        split. The leaf values become one array, once per tree."""
+        feature, threshold, left, right, value = [], [], [], [], []
+        pending = [(root, -1)]  # (state, node whose right child it is, or -1)
         while pending:
-            state, depth, parent = pending.pop()
+            state, parent = pending.pop()
             node = len(feature)
             if parent >= 0:
                 right[parent] = node
-            val, split = yield state, depth
+            val, split = expand(state)
             feat, thr, left_state, right_state = split or (-1, 0.0, None, None)
             feature.append(feat)
             threshold.append(thr)
             left.append(-1 if split is None else node + 1)  # preorder: left child next
             right.append(-1)
-            value.append(val if split is None else None)
+            value.append(val)
             if split is not None:
-                pending += [(right_state, depth + 1, node), (left_state, depth + 1, -1)]
+                pending += [(right_state, node), (left_state, -1)]
         zero = np.zeros_like(next(v for v in value if v is not None))
-        value[:] = [zero if v is None else v for v in value]
-        return cls(*cols)
-
-    @classmethod
-    def build(cls, root, expand: Callable) -> "Tree":
-        """The tree ``builder`` lays out when ``expand(state, depth)``
-        answers each node."""
-        builder = cls.builder(root)
-        node = next(builder)
-        while True:
-            try:
-                node = builder.send(expand(*node))
-            except StopIteration as done:
-                return done.value
+        return cls(feature, threshold, left, right,
+                   [zero if v is None else v for v in value])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf index of every row, moving all rows down one level at a time.
@@ -198,132 +182,114 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, n_features: int, n_classes: int) -> "Tree":
-        """Inverse of ``to_dict``; ``ValueError`` unless every split names an
-        integer feature in [0, n_features) and a finite threshold, every leaf
-        weight is finite and every count leaf holds one count per class, each
-        a non-negative integer."""
+    def from_dict(cls, doc: dict, n_features: int, n_classes: int, leaf: str) -> "Tree":
+        """Inverse of ``to_dict`` for a tree whose leaves hold ``leaf``,
+        ``"counts"`` or ``"weight"``. ``ValueError`` unless every split names
+        an integer feature in [0, n_features) and a finite threshold, and
+        every leaf holds ``leaf`` and no split key: a finite weight, or one
+        non-negative integer count per class."""
+        other = {"counts": "weight", "weight": "counts"}[leaf]
+
         def number(value, what: str) -> float:
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ValueError(f"{what} {value!r} is not a finite number")
             return float(value)
 
-        def expand(doc, depth):
-            if "counts" in doc:
-                if not all(type(c) is int and c >= 0 for c in doc["counts"]):
-                    raise ValueError(f"leaf counts {doc['counts']!r} are not "
+        def expand(doc):
+            if other in doc:
+                raise ValueError(f"a leaf holds {other!r}, but the leaves of this "
+                                 f"model hold {leaf!r}")
+            if leaf in doc:
+                if doc.keys() & {"feature", "threshold", "left", "right"}:
+                    raise ValueError(f"a node holds both {leaf!r} and split keys")
+                if leaf == "weight":
+                    return number(doc["weight"], "leaf weight"), None
+                counts = doc["counts"]
+                if not all(type(c) is int and c >= 0 for c in counts):
+                    raise ValueError(f"leaf counts {counts!r} are not "
                                      "non-negative integers")
-                return np.asarray(doc["counts"], dtype=np.int64), None
-            if "weight" in doc:
-                return number(doc["weight"], "leaf weight"), None
-            if type(doc["feature"]) is not int:
-                raise ValueError(f"split feature {doc['feature']!r} is not an integer")
-            return None, (doc["feature"], number(doc["threshold"], "split threshold"),
+                if len(counts) != n_classes:
+                    raise ValueError(f"leaf counts have {len(counts)} entries "
+                                     f"for {n_classes} classes")
+                return counts, None
+            feat = doc["feature"]
+            if type(feat) is not int:
+                raise ValueError(f"split feature {feat!r} is not an integer")
+            if not 0 <= feat < n_features:
+                raise ValueError(f"a split names a feature outside [0, {n_features})")
+            return None, (feat, number(doc["threshold"], "split threshold"),
                           doc["left"], doc["right"])
 
-        tree = cls.build(doc, expand)
-        split_on = tree.feature[tree.left >= 0]
-        if np.any((split_on < 0) | (split_on >= n_features)):
-            raise ValueError(f"a split names a feature outside [0, {n_features})")
-        if tree.value.ndim == 2 and tree.value.shape[1] != n_classes:
-            raise ValueError(f"leaf counts have {tree.value.shape[1]} entries "
-                             f"for {n_classes} classes")
-        return tree
+        return cls.build(doc, expand)
 
 
-def grow(x: np.ndarray, rows: np.ndarray, node_rule: Callable, order: np.ndarray) -> Tree:
-    """Grow a tree over ``x[rows]``, depth first, left subtree first.
+def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
+          preorder: bool) -> list[Tree]:
+    """Grow one tree on ``x`` from each root ``(rows, order)``, all together.
 
-    ``order`` is (F, n): row f holds ``rows`` sorted by feature f. A child's
-    order is a stable partition of its parent's, so ties keep the order of
-    ``rows``. ``node_rule(rows, order, depth)`` returns ``(value, None)`` to
-    make a leaf or ``(value, (feature, threshold, ...))`` to split.
+    A node's ``rows`` are a slice of its tree's root rows, partitioned in
+    place by each split; ``order`` is None, or those rows sorted by each
+    feature, (F, n), which a split partitions stably into its children's.
+    Each step takes the pending nodes of every tree (with ``preorder``, each
+    tree's next node in preorder), largest first, while the step holds at
+    most ``BLOCK_CELLS`` (``width`` x row) cells; the largest always goes.
+    Taking the largest first keeps the trees at nodes of like size, so that
+    small nodes find others to share a step with. ``step`` gets ``(tree,
+    rows, order, depth)`` of each node and answers ``(value, None)`` to make
+    a leaf or ``(value, (feature, threshold))`` to split it.
     """
-
-    def expand(state, depth):
-        rows, order = state
-        value, split = node_rule(rows, order, depth)
-        if split is None:
-            return value, None
-        feat, threshold = split[:2]
-        left = x[rows, feat] <= threshold
-        goes_left = x[order, feat] <= threshold
-        lo, hi = (order[side].reshape(len(order), -1) for side in (goes_left, ~goes_left))
-        return value, (feat, threshold, (rows[left], lo), (rows[~left], hi))
-
-    return Tree.build((rows, order), expand)
+    nodes = [[None] for _ in roots]  # per tree, by node id: (value, split)
+    pending = [{0: (rows, order, 0)} for rows, order in roots]  # id: (rows, order, depth)
+    mark = np.zeros(len(x), dtype=bool)  # rows going left, while a split partitions order
+    while any(pending):
+        heads = [(t, i) for t, waiting in enumerate(pending)
+                 for i in (list(waiting)[-1:] if preorder else waiting)]
+        heads.sort(key=lambda head: -len(pending[head[0]][head[1]][0]))
+        taken, cells = [], 0
+        for t, i in heads:
+            cost = width * len(pending[t][i][0])
+            if not taken or cells + cost <= BLOCK_CELLS:
+                taken.append((t, i, *pending[t].pop(i)))
+                cells += cost
+        answers = step([(t, rows, order, depth) for t, _, rows, order, depth in taken])
+        for (t, i, *_), answer in zip(taken, answers):
+            nodes[t][i] = answer  # a split's gets its children's ids below
+        splits = [(node, split) for node, (_, split) in zip(taken, answers) if split]
+        if not splits:
+            continue
+        # every row of a split node goes left or right of its cut, and the
+        # node's rows are partitioned in place, left child first
+        sizes = np.array([len(node[2]) for node, _ in splits])
+        rows = np.concatenate([node[2] for node, _ in splits])
+        feature, threshold = (np.array(column) for column in zip(*(s for _, s in splits)))
+        node_of_row = np.repeat(np.arange(len(splits)), sizes)
+        goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
+        n_left = np.bincount(node_of_row[goes_left], minlength=len(splits))
+        lefts, rights = rows[goes_left], rows[~goes_left]
+        left_start = (np.cumsum(n_left) - n_left).tolist()
+        right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
+        for s, ((t, i, rows, order, depth), (feat, thr)) in enumerate(splits):
+            n = int(n_left[s])
+            rows[:n] = lefts[left_start[s]:left_start[s] + n]
+            rows[n:] = rights[right_start[s]:right_start[s] + len(rows) - n]
+            lo = hi = None
+            if order is not None:
+                mark[rows[:n]] = True
+                goes = mark[order].ravel()
+                lo, hi = (np.compress(side, order).reshape(len(order), -1)
+                          for side in (goes, ~goes))
+                mark[rows[:n]] = False
+            left_id = len(nodes[t])
+            nodes[t] += [None, None]
+            nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
+            pending[t][left_id + 1] = rows[n:], hi, depth + 1
+            pending[t][left_id] = rows[:n], lo, depth + 1  # last in: next in preorder
+    return [Tree.build(0, tree.__getitem__) for tree in nodes]
 
 
 def _presort(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(F, n) ``rows`` sorted stably by each feature, ties in ``rows`` order."""
     return rows[np.argsort(x[rows].T, axis=1, kind="stable")]
-
-
-def _scan(x: np.ndarray, order: np.ndarray, candidates, gains_along: Callable):
-    """Best (feature, threshold, gain) over sorted midpoints, or None.
-
-    ``gains_along(sorted_rows, b, q)`` gets a (B, n) block of the node's
-    ``order`` (see ``grow``) and returns the gains of cutting after sorted row
-    ``q`` of block row ``b``, the cuts between distinct values. Thresholds
-    are midpoints, kept below the higher value so that every cut splits.
-    Ties go to the lower threshold, then ``_first_best`` picks among the
-    features' best cuts in ascending feature order.
-    """
-    if order.shape[1] < 2:
-        return None
-    feats, step = np.sort(candidates), max(1, BLOCK_CELLS // order.shape[1])
-    gains, cuts = [], []
-    for block in (feats[at:at + step] for at in range(0, len(feats), step)):
-        xs = x[order[block], block[:, None]]
-        b, q = np.nonzero(xs[:, :-1] != xs[:, 1:])
-        along = np.full(xs[:, 1:].shape, -np.inf)
-        along[b, q] = gains_along(order[block], b, q)
-        i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
-        at = np.arange(len(block))
-        gains.extend(along[at, i])
-        lo, hi = xs[at, i], xs[at, i + 1]
-        mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
-        cuts.extend(zip(block.tolist(), np.where(mid < hi, mid, lo).tolist()))
-    best = int(_first_best(gains))
-    return None if best < 0 else (*cuts[best], float(gains[best]))
-
-
-def best_split(x: np.ndarray, y: np.ndarray, candidate_features, impurity_kind: str,
-               counts: np.ndarray, order: np.ndarray) -> tuple[int, float, float] | None:
-    """Exhaustive best (feature, threshold, gain) by impurity decrease, or
-    None when no cut gains. ``counts`` are the class counts of the node's
-    rows, ``order`` those rows presorted per feature (see ``grow``); a node
-    of one row, or a pure one, has no cut that gains.
-    """
-    parent_imp = _impurity_rows(counts[None], impurity_kind)[0]
-
-    def gains_along(sorted_rows, b, q):
-        new_run = np.zeros(sorted_rows.shape, dtype=bool)
-        new_run[:, 0] = new_run[b, q + 1] = True
-        starts = b * sorted_rows.shape[1]
-        left_counts = _left_counts(y[sorted_rows].ravel(), new_run.ravel(), starts + q,
-                                   starts, len(counts))
-        return parent_imp - _child_impurity(left_counts, q + 1.0, counts, impurity_kind)
-
-    return _scan(x, order, candidate_features, gains_along)
-
-
-def _class_rule(x, y, config: ClassifierConfig, n_classes: int) -> Callable:
-    """Node rule of dt: leaf class counts, split by impurity decrease over
-    every feature."""
-    features = range(x.shape[1])
-
-    def rule(rows, order, depth):
-        counts = np.bincount(y[rows], minlength=n_classes)
-        # a node of one row is pure, so it is a leaf here
-        if ((config.max_depth is not None and depth >= config.max_depth)
-                or np.count_nonzero(counts) <= 1):
-            return counts, None
-        split = best_split(x, y, features, config.impurity, counts, order)
-        # no cut gains (a 4-point XOR's root): a flat gain takes the scan's first cut
-        return counts, split or _scan(x, order, features, lambda r, b, q: np.ones(len(b)))
-
-    return rule
 
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
@@ -338,62 +304,80 @@ def _value_codes(x: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _grow_forest(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
-                 n_classes: int) -> list[Tree]:
-    """Grow the trees of an rf or et forest together. Tree ``t`` draws from
-    its own generator, seeded ``(config.seed, t)``: rf first its bootstrap
-    rows, then every node its candidates; et grows on every row.
+def _cells(rows: np.ndarray, node_start: np.ndarray, sizes: np.ndarray,
+           seg_node: np.ndarray):
+    """The cells of segments: segment ``s`` holds the rows of node
+    ``seg_node[s]``, which start at ``rows[node_start[...]]``. Returns the
+    segment of each cell, the first cell of each segment and each cell's row."""
+    seg_len = sizes[seg_node]
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    offset = np.repeat(node_start[seg_node] - seg_start, seg_len)  # of each cell's row
+    cell_rows = rows[offset + np.arange(len(seg))]
+    return seg, seg_start, cell_rows
 
-    A node's rows are a slice of its tree's root row array, so that growing
-    allocates no row list per node. Each step takes the next pending node of
-    every unfinished tree, largest first, while the step holds at most
-    ``BLOCK_CELLS`` (candidate x row) cells; the largest always goes, so a
-    step holds at most ``max(BLOCK_CELLS, k x rows of its largest node)``
-    cells. Taking the largest first keeps the trees at nodes of like size, so
-    that small nodes find others to share a step with.
+
+def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
+                 seg_node: np.ndarray, seg_feat: np.ndarray):
+    """Best impurity cut of each segment, the rows of node ``seg_node[s]`` on
+    feature ``seg_feat[s]``, among the cuts between its distinct values.
+
+    Returns per segment its best gain, the threshold of its best cut and the
+    threshold of its first cut; the gain is -inf and the thresholds NaN
+    where the segment's values are all equal. The best cut is the first
+    maximum, so ties go to the lower threshold. Thresholds are midpoints,
+    kept below the higher value so that every cut splits.
     """
-    n_features = x.shape[1]
-    k = min(n_features, max(1, int(np.sqrt(n_features))))  # candidate features per node
-    codes = _value_codes(x) if config.kind == "rf" else None  # et reads no sort
-    n = len(y)
-    draws = [np.random.default_rng((config.seed, t)) for t in range(config.n_trees)]
-    builders = [Tree.builder(rng.integers(0, n, size=n) if config.kind == "rf"
-                             else np.arange(n)) for rng in draws]
-    pending = {t: next(builder) for t, builder in enumerate(builders)}  # (rows, depth)
-    trees = [None] * len(builders)
-    while pending:
-        step, cells = [], 0
-        for t in sorted(pending, key=lambda t: -len(pending[t][0])):
-            rows = pending[t][0]
-            if not step or cells + k * len(rows) <= BLOCK_CELLS:
-                step.append(t)
-                cells += k * len(rows)
-        nodes = [(*pending[t], draws[t]) for t in step]
-        for t, answer in zip(step, _forest_step(x, y, codes, config, n_classes, k, nodes)):
-            try:
-                pending[t] = builders[t].send(answer)
-            except StopIteration as done:
-                trees[t] = done.value
-                del pending[t]
-    return trees
+    n_classes = counts.shape[1]
+    seg, seg_start, cell_rows = _cells(rows, node_start, sizes, seg_node)
+    key = seg * x.shape[0] + codes[seg_feat[seg], cell_rows]
+    order = np.argsort(key)
+    key, cell_rows = key[order], cell_rows[order]  # seg keeps its place
+    new_run = np.ones(len(seg), dtype=bool)
+    new_run[1:] = key[1:] != key[:-1]
+    ends = np.flatnonzero(new_run[1:] & (seg[1:] == seg[:-1]))  # last cell before each cut
+    cut_seg = seg[ends]
+    starts = seg_start[cut_seg]
+    cut_node = seg_node[cut_seg]
+    left = _left_counts(y[cell_rows], new_run, ends, starts, n_classes)
+    gains = _impurity_rows(counts, kind)[cut_node] - _child_impurity(
+        left, ends - starts + 1, counts[cut_node], kind)
+    has_cut = np.bincount(cut_seg, minlength=len(seg_start)) > 0
+    first_cut = np.searchsorted(cut_seg, np.arange(len(seg_start)))[has_cut]
+    seg_gain = np.full(len(seg_start), -np.inf)
+    if gains.size:
+        seg_gain[has_cut] = np.maximum.reduceat(gains, first_cut)
+    top = np.flatnonzero(gains == seg_gain[cut_seg])
+    first_top = np.ones(len(top), dtype=bool)
+    first_top[1:] = cut_seg[top[1:]] != cut_seg[top[:-1]]
+
+    def thresholds(cut):  # of the segments with a cut
+        feats = seg_feat[has_cut]
+        lo, hi = x[cell_rows[ends[cut]], feats], x[cell_rows[ends[cut] + 1], feats]
+        mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
+        out = np.full(len(seg_start), np.nan)
+        out[has_cut] = np.where(mid < hi, mid, lo)
+        return out
+
+    return seg_gain, thresholds(top[first_top]), thresholds(first_cut)
 
 
-def _forest_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
-                 nodes: list) -> list[tuple]:
-    """Answer a batch of forest nodes, each ``(rows, depth, generator)``,
-    as ``Tree.builder`` expects: one bincount counts every node's classes,
-    and one split search scores every (node, candidate) cell. A split node's
-    children are views of its ``rows``, which are reordered in place.
+def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
+                draws: list, nodes: list) -> list[tuple]:
+    """Answer a batch of dt, rf or et nodes, each ``(tree, rows, order,
+    depth)``, as ``_grow`` asks: one bincount counts every node's classes,
+    and one split search scores every (node, candidate) cell.
 
-    Each splitting node draws ``k`` candidate features (unless ``k`` is every
-    feature), and for et one uniform threshold per non-constant candidate,
-    from its own generator. rf cuts between the distinct values of its
-    cells, sorted by (node, candidate, value code), like ``best_split``; a
-    node whose cuts gain nothing takes its first cut, like dt. et scores its
-    random cuts (Geurts, Ernst & Wehenkel, 2006).
+    Each splitting node of tree ``t`` draws ``k`` candidate features from
+    ``draws[t]`` unless ``k`` is every feature, and for et one uniform
+    threshold per non-constant candidate. dt and rf score every cut between
+    distinct values with ``_sorted_cuts``, ``BLOCK_CELLS`` cells at a time,
+    and a node whose cuts gain nothing takes the first cut of its first
+    candidate that has one; et scores its random cuts.
     """
-    sizes = np.array([len(rows) for rows, _, _ in nodes])
-    rows = np.concatenate([rows for rows, _, _ in nodes])
+    sizes = np.array([len(rows) for _, rows, _, _ in nodes])
+    rows = np.concatenate([rows for _, rows, _, _ in nodes])
+    node_start = np.cumsum(sizes) - sizes
     node_of_row = np.repeat(np.arange(len(nodes)), sizes)
     counts = np.bincount(node_of_row * n_classes + y[rows],
                          minlength=len(nodes) * n_classes).reshape(-1, n_classes)
@@ -401,96 +385,77 @@ def _forest_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     # a node of one row is pure, so it is a leaf here
     grows = np.count_nonzero(counts, axis=1) > 1
     if config.max_depth is not None:
-        grows &= np.array([depth for _, depth, _ in nodes]) < config.max_depth
+        grows &= np.array([depth for *_, depth in nodes]) < config.max_depth
     picked = np.flatnonzero(grows)
     n_features = x.shape[1]
     if k < n_features:
-        candidates = np.sort([nodes[i][2].choice(n_features, size=k, replace=False)
+        candidates = np.sort([draws[nodes[i][0]].choice(n_features, size=k, replace=False)
                               for i in picked]).reshape(-1, k)
     else:
         candidates = np.tile(np.arange(n_features), (len(picked), 1))
     if not candidates.size:
         return answers
-    # cells: segment s holds the rows of node picked[s // k] on candidate s % k
-    seg_len = np.repeat(sizes[picked], k)
-    seg_start = np.cumsum(seg_len) - seg_len
-    seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    offset = np.repeat((np.cumsum(sizes) - sizes)[picked], k) - seg_start
-    cell_rows = rows[offset[seg] + np.arange(len(seg))]
-    cell_feat = candidates.ravel()[seg]
-    seg_node = np.repeat(picked, k)
-    parent_imp = _impurity_rows(counts, config.impurity)[seg_node]
-    if config.kind == "rf":
-        key = seg * x.shape[0] + codes[cell_feat, cell_rows]
-        order = np.argsort(key)
-        key, cell_rows = key[order], cell_rows[order]  # seg and cell_feat keep their place
-        new_run = np.ones(len(seg), dtype=bool)
-        new_run[1:] = key[1:] != key[:-1]
-        ends = np.flatnonzero(new_run[1:] & (seg[1:] == seg[:-1]))  # last cell before each cut
-        cut_seg = seg[ends]
-        starts = seg_start[cut_seg]
-        left = _left_counts(y[cell_rows], new_run, ends, starts, n_classes)
-        gains = parent_imp[cut_seg] - _child_impurity(
-            left, ends - starts + 1, counts[seg_node[cut_seg]], config.impurity)
-        # each segment's best cut: its first maximum, the lowest threshold on ties
-        has_cut = np.bincount(cut_seg, minlength=len(seg_len)) > 0
-        first_cut = np.searchsorted(cut_seg, np.arange(len(seg_len)))
-        seg_gain = np.full(len(seg_len), -np.inf)
-        if gains.size:
-            seg_gain[has_cut] = np.maximum.reduceat(gains, first_cut[has_cut])
-        top = np.flatnonzero(gains == seg_gain[cut_seg])
-        first_top = np.ones(len(top), dtype=bool)
-        first_top[1:] = cut_seg[top[1:]] != cut_seg[top[:-1]]
-        best_cut = first_cut.copy()
-        best_cut[has_cut] = top[first_top]
-        col = _first_best(seg_gain.reshape(-1, k))
-        # no cut gains (a 4-point XOR's root): a flat gain takes the first cut
-        flat = col < 0
-        if flat.any():
-            col[flat] = _first_best(np.where(has_cut, 1.0, -np.inf).reshape(-1, k))[flat]
-            best_cut[np.repeat(flat, k)] = first_cut[np.repeat(flat, k)]
-        chosen = np.flatnonzero(col >= 0)
-        cut = best_cut.reshape(-1, k)[chosen, col[chosen]]
-        feats = candidates[chosen, col[chosen]]
-        lo, hi = x[cell_rows[ends[cut]], feats], x[cell_rows[ends[cut] + 1], feats]
-        mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
-        thresholds = np.where(mid < hi, mid, lo)
-    else:
-        values = x[cell_rows, cell_feat]
+    # segment s holds the rows of node picked[s // k] on candidate s % k
+    seg_node, seg_feat = np.repeat(picked, k), candidates.ravel()
+    if config.kind == "et":
+        seg, seg_start, cell_rows = _cells(rows, node_start, sizes, seg_node)
+        values = x[cell_rows, seg_feat[seg]]
         lo = np.minimum.reduceat(values, seg_start)
         hi = np.maximum.reduceat(values, seg_start)
         varied = lo < hi
-        cuts = np.full(len(seg_len), -np.inf)  # no row goes left of a constant candidate
-        for at, i in zip(range(0, len(seg_len), k), picked):
+        cuts = np.full(len(seg_start), -np.inf)  # no row goes left of a constant candidate
+        for at, i in zip(range(0, len(seg_start), k), picked):
             v = varied[at:at + k]
-            cuts[at:at + k][v] = nodes[i][2].uniform(lo[at:at + k][v], hi[at:at + k][v])
+            rng = draws[nodes[i][0]]
+            cuts[at:at + k][v] = rng.uniform(lo[at:at + k][v], hi[at:at + k][v])
         left_of = values <= cuts[seg]
         left = np.bincount(seg[left_of] * n_classes + y[cell_rows[left_of]],
-                           minlength=len(seg_len) * n_classes).reshape(-1, n_classes)
-        gains = parent_imp - _child_impurity(
-            left, np.bincount(seg[left_of], minlength=len(seg_len)), counts[seg_node],
+                           minlength=len(seg_start) * n_classes).reshape(-1, n_classes)
+        gains = _impurity_rows(counts, config.impurity)[seg_node] - _child_impurity(
+            left, np.bincount(seg[left_of], minlength=len(seg_start)), counts[seg_node],
             config.impurity)
         col = _first_best(np.where(varied, gains, -np.inf).reshape(-1, k))
-        chosen = np.flatnonzero(col >= 0)
-        feats = candidates[chosen, col[chosen]]
-        thresholds = cuts.reshape(-1, k)[chosen, col[chosen]]
-    # children: every row of the step goes left or right of its node's cut,
-    # and each node's rows are partitioned in place, left child first
-    splitting = picked[chosen]
-    feature = np.zeros(len(nodes), dtype=np.int64)
-    threshold = np.full(len(nodes), -np.inf)
-    feature[splitting], threshold[splitting] = feats, thresholds
-    goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
-    n_left = np.bincount(node_of_row[goes_left], minlength=len(nodes))
-    lefts, rights = rows[goes_left], rows[~goes_left]
-    left_start = (np.cumsum(n_left) - n_left).tolist()
-    right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
-    for i, feat, thr in zip(splitting.tolist(), feats.tolist(), thresholds.tolist()):
-        node_rows, n = nodes[i][0], int(n_left[i])
-        node_rows[:n] = lefts[left_start[i]:left_start[i] + n]
-        node_rows[n:] = rights[right_start[i]:right_start[i] + len(node_rows) - n]
-        answers[i] = (counts[i], (feat, thr, node_rows[:n], node_rows[n:]))
+    else:
+        # a node of more cells than BLOCK_CELLS steps alone, a block of candidates at a time
+        block = len(seg_node)
+        if k * sizes[picked].sum() > BLOCK_CELLS:
+            block = max(1, BLOCK_CELLS // int(sizes[picked].max()))
+        gains, cuts, first = (np.concatenate(part) for part in zip(*(
+            _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, config.impurity,
+                         seg_node[at:at + block], seg_feat[at:at + block])
+            for at in range(0, len(seg_node), block))))
+        col = _first_best(gains.reshape(-1, k))
+        # no cut gains (a 4-point XOR's root): a flat gain takes the first cut
+        flat = col < 0
+        if flat.any():
+            has_cut = ~np.isnan(first)
+            col[flat] = _first_best(np.where(has_cut, 1.0, -np.inf).reshape(-1, k))[flat]
+            cuts = np.where(np.repeat(flat, k), first, cuts)
+    chosen = np.flatnonzero(col >= 0)
+    feats = candidates[chosen, col[chosen]].tolist()
+    thresholds = cuts.reshape(-1, k)[chosen, col[chosen]].tolist()
+    for i, feat, thr in zip(picked[chosen].tolist(), feats, thresholds):
+        answers[i] = counts[i], (feat, thr)
     return answers
+
+
+def _grow_class_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
+                      n_classes: int) -> list[Tree]:
+    """Grow the tree of dt, on every row with every feature a candidate, or
+    the trees of an rf or et forest. Forest tree ``t`` draws from its own
+    generator, seeded ``(config.seed, t)``: rf first its bootstrap rows, then
+    every node its candidates; et grows on every row."""
+    n, n_features = x.shape
+    if config.kind == "dt":
+        k, draws = n_features, [None]
+    else:
+        k = min(n_features, max(1, int(np.sqrt(n_features))))  # candidate features per node
+        draws = [np.random.default_rng((config.seed, t)) for t in range(config.n_trees)]
+    codes = None if config.kind == "et" else _value_codes(x)  # et reads no sort
+    roots = [(rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n), None)
+             for rng in draws]
+    return _grow(x, roots, partial(_class_step, x, y, codes, config, n_classes, k, draws),
+                 k, preorder=config.kind != "dt")
 
 
 class DecisionTreeModel(TrainedModel):
@@ -503,9 +468,7 @@ class DecisionTreeModel(TrainedModel):
     @classmethod
     def fit(cls, x, yi, classes, config):
         """One greedy tree on every row and feature."""
-        everything = np.arange(len(yi))
-        tree = grow(x, everything, _class_rule(x, yi, config, len(classes)),
-                    _presort(x, everything))
+        tree, = _grow_class_trees(x, yi, config, len(classes))
         return cls(config, classes, x.shape[1], tree)
 
     def score(self, x: np.ndarray) -> np.ndarray:
@@ -522,7 +485,7 @@ class DecisionTreeModel(TrainedModel):
     @classmethod
     def from_params(cls, config, classes, n_features, params):
         return cls(config, classes, n_features,
-                   Tree.from_dict(params["root"], n_features, len(classes)))
+                   Tree.from_dict(params["root"], n_features, len(classes), "counts"))
 
 
 class ForestModel(TrainedModel):
@@ -537,7 +500,8 @@ class ForestModel(TrainedModel):
     def fit(cls, x, yi, classes, config):
         """rf: bootstrap rows and random candidate features per node; et: every
         row, random candidates and random cuts."""
-        return cls(config, classes, x.shape[1], _grow_forest(x, yi, config, len(classes)))
+        trees = _grow_class_trees(x, yi, config, len(classes))
+        return cls(config, classes, x.shape[1], trees)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(self._check_features(x))  # one copy for every tree
@@ -552,7 +516,8 @@ class ForestModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        trees = [Tree.from_dict(t, n_features, len(classes)) for t in params["trees"]]
+        trees = [Tree.from_dict(t, n_features, len(classes), "counts")
+                 for t in params["trees"]]
         return cls(config, classes, n_features, trees)
 
 

@@ -285,12 +285,13 @@ def _run_without_schema(tmp_path):
 
 
 def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=None):
-    """Predict from a run directory holding states and a ranking; the model
-    file dt_v1.json holds model_text, or is missing when that is None.
+    """Predict from a run directory holding states and a ranking, on a config
+    of dt and gbt; the model file <model>_v1.json holds model_text, or is
+    missing when that is None.
     ``scores``, if given, rewrites the ranking's score list, and its order to
     match."""
     def argv(tmp_path):
-        config = _write_config(tmp_path)
+        config = _write_config(tmp_path, models=[{"kind": "dt"}, {"kind": "gbt"}])
         _invoke("select", "--config", config)
         if scores is not None:
             ranking = tmp_path / "run" / "ranking.json"
@@ -300,7 +301,7 @@ def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=N
             ranking.write_text(json.dumps(doc))
         if model_text is not None:
             (tmp_path / "run" / "models").mkdir()
-            (tmp_path / "run" / "models" / "dt_v1.json").write_text(model_text)
+            (tmp_path / "run" / "models" / f"{model}_v1.json").write_text(model_text)
         return ["predict", "--config", config, "--model", model, "--vector", vector,
                 "--data", DATA / "mini_test.csv", "--out", tmp_path / out]
     return argv
@@ -333,6 +334,14 @@ LEAF_MODEL = json.dumps({
     "version": SERIALIZATION_VERSION, "kind": "dt", "classes": [0, 1, 2], "n_features": 5,
     "flags": {}, "config": ClassifierConfig(kind="dt").to_dict(),
     "params": {"root": {"counts": [1, 0, 0]}},
+})
+
+# A gbt model file of one stage per chain on the five features of v1.
+GBT_LEAF_MODEL = json.dumps({
+    "version": SERIALIZATION_VERSION, "kind": "gbt", "classes": [0, 1, 2], "n_features": 5,
+    "flags": {}, "config": ClassifierConfig(kind="gbt").to_dict(),
+    "params": {"chains": [{"base_score": 0.0, "objective_trace": [1.0, 0.5],
+                           "stages": [{"weight": 0.5}]}] * 3},
 })
 
 # A dt model file whose tree nests 3,000 splits deep, written without recursion.
@@ -382,6 +391,18 @@ BAD_FILES = {
     "predict, version-2 model file": (_predict(model_text=V2_MODEL), 1, "has version 2"),
     "predict, model file nested too deep": (_predict(model_text=DEEP_MODEL), 1,
                                             "recursion depth"),
+    "predict, dt file with weight leaves": (
+        _predict(model_text=LEAF_MODEL.replace('"counts": [1, 0, 0]', '"weight": 1.0')), 1,
+        "dt_v1.json: a leaf holds 'weight', but the leaves of this model hold 'counts'"),
+    "predict, gbt file with count leaves": (
+        _predict(model="gbt", model_text=GBT_LEAF_MODEL.replace('"weight": 0.5',
+                                                                '"counts": [1, 0, 0]')), 1,
+        "gbt_v1.json: a leaf holds 'counts', but the leaves of this model hold 'weight'"),
+    "predict, leaf with split keys": (
+        _predict(model_text=LEAF_MODEL.replace(
+            '"counts": [1, 0, 0]', '"counts": [1, 0, 0], "feature": 0, "threshold": 0.5, '
+            '"left": {"counts": [1, 0, 0]}, "right": {"counts": [0, 1, 0]}')), 1,
+        "dt_v1.json: a node holds both 'counts' and split keys"),
     "predict, model not in config": (_predict(model="rf"), 1, "model 'rf' not in"),
     "predict, vector not in config": (_predict(vector="v9"), 1, "vector 'v9' not in"),
     "predict, ranking one score too long": (

@@ -18,9 +18,10 @@ from fuzzids.models import (
     save_model,
 )
 from fuzzids.models import tree as tree_engine
-from fuzzids.models.boosting import GradientBoostedModel, _newton_rule
-from fuzzids.models.tree import (Tree, _child_impurity, _class_rule, _first_best,
-                                 _forest_step, _impurity_rows, _presort, _value_codes, grow)
+from fuzzids.models import boosting
+from fuzzids.models.boosting import GradientBoostedModel, _newton_step
+from fuzzids.models.tree import (Tree, _child_impurity, _class_step, _first_best,
+                                 _impurity_rows, _presort, _value_codes)
 from fuzzids.models.svm import SvmModel, svm_objective
 
 
@@ -60,12 +61,35 @@ def impurity(class_proportions, kind):
     return float(1.0 - (p ** 2).sum())
 
 
-def best_split(x, y, candidates, kind="entropy", n_classes=None, rows=None):
-    """The exact split rule on the node of ``rows`` (default: every row),
-    presorted as ``grow`` hands it over."""
+class Drawn:
+    """Stands in for a tree's generator: every node draws ``candidates``."""
+
+    def __init__(self, candidates):
+        self.candidates = np.asarray(candidates)
+
+    def choice(self, n, size, replace):
+        return self.candidates
+
+
+def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None):
+    """The ``(feature, threshold)`` split, or None, that ``_class_step`` gives
+    the node of ``rows`` (default: every row) when it draws ``candidates``."""
     rows = np.arange(len(y)) if rows is None else rows
-    counts = np.bincount(y[rows], minlength=n_classes or int(y.max()) + 1)
-    return tree_engine.best_split(x, y, candidates, kind, counts, _presort(x, rows))
+    config = ClassifierConfig(kind="rf", impurity=kind)
+    (_, split), = _class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
+                              len(candidates), [Drawn(candidates)], [(0, rows, None, 0)])
+    return split
+
+
+def split_gain(x, y, split):
+    """Reference: entropy decrease of ``split`` on rows ``x``, ``y``."""
+    k = int(y.max()) + 1
+    left = x[:, split[0]] <= split[1]
+
+    def weighted(labels):
+        return len(labels) * impurity(np.bincount(labels, minlength=k) / len(labels), "entropy")
+
+    return (weighted(y) - weighted(y[left]) - weighted(y[~left])) / len(y)
 
 
 class TestImpurity:
@@ -89,29 +113,29 @@ class TestBestSplit:
     def test_clean_binary_split(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
-        feat, threshold, gain = best_split(x, y, [0])
-        assert (feat, threshold) == (0, 2.5)
-        assert gain == pytest.approx(1.0)
+        split = class_split(x, y, [0])
+        assert split == (0, 2.5)
+        assert split_gain(x, y, split) == pytest.approx(1.0)
 
     def test_matches_brute_force(self, rng):
         for _ in range(20):
             n = int(rng.integers(4, 30))
             x = rng.uniform(size=(n, 3))
             y = rng.integers(0, 2, size=n)
-            result = best_split(x, y, [0, 1, 2])
+            result = class_split(x, y, [0, 1, 2])
             expected = _brute_force_split(x, y)
-            if expected is None:
-                assert result is None
+            if expected is None:  # no cut gains: the first cut, unless the node is pure
+                assert result == (unique_fallback(x, range(3)) if len(set(y)) > 1 else None)
             else:
                 assert result is not None
-                assert result[2] == pytest.approx(expected[2], abs=1e-9)
+                assert split_gain(x, y, result) == pytest.approx(expected[2], abs=1e-9)
 
     def test_pure_node_returns_none(self):
         x = np.array([[1.0], [2.0]])
-        assert best_split(x, np.array([1, 1]), [0]) is None
+        assert class_split(x, np.array([1, 1]), [0]) is None
 
     def test_single_sample_returns_none(self):
-        assert best_split(np.array([[1.0]]), np.array([0]), [0]) is None
+        assert class_split(np.array([[1.0]]), np.array([0]), [0]) is None
 
 
 def _brute_force_split(x, y):
@@ -153,7 +177,8 @@ def argsort_scan(x, candidates, gains_along):
 
 
 def argsort_best_split(x, y, candidates, kind, n_classes):
-    """Reference: best_split as it was, on the node's rows ``x``, ``y``."""
+    """Reference: the best gaining impurity cut as it was found, on the
+    node's rows ``x``, ``y``: (feature, threshold, gain), or None."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     parent_imp = _impurity_rows(parent_counts[None], kind)[0]
@@ -192,6 +217,23 @@ def unique_fallback(x, candidates):
     return None
 
 
+def argsort_class_split(x, y, candidates, kind, n_classes):
+    """Reference: the split of a dt or rf node on rows ``x``, ``y``: its best
+    gaining cut, else the first cut unless the node is pure."""
+    best = argsort_best_split(x, y, candidates, kind, n_classes)
+    if best is not None:
+        return best[:2]
+    return unique_fallback(x, candidates) if len(set(y.tolist())) > 1 else None
+
+
+def newton_split(x, grad, hess, rows):
+    """The ``(feature, threshold)`` split, or None, that ``_newton_step``
+    gives the boosting node of ``rows`` at the root depth."""
+    (_, split), = _newton_step(np.ascontiguousarray(x.T), [grad], [hess],
+                               ClassifierConfig(kind="gbt"), [(0, rows, _presort(x, rows), 0)])
+    return split
+
+
 def tie_heavy(rng, n, n_features=6, n_classes=3):
     """Integer-valued features with few levels, some columns constant."""
     x = rng.integers(0, int(rng.integers(2, 5)), size=(n, n_features)).astype(float)
@@ -200,8 +242,8 @@ def tie_heavy(rng, n, n_features=6, n_classes=3):
 
 
 class TestPresortedScan:
-    """The presorted, all-features-at-once scan gives the (feature, threshold,
-    gain) of the per-node argsort loop, bit for bit."""
+    """The class-count step and the Newton step split a node where the
+    per-node argsort loop does, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["entropy", "gini"])
     def test_best_split_matches_argsort_scan(self, kind, rng):
@@ -209,9 +251,9 @@ class TestPresortedScan:
         for _ in range(40):
             x, y = tie_heavy(rng, int(rng.integers(2, 80)))
             candidates = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
-            got = best_split(x, y, candidates, kind, n_classes=3)
-            assert got == argsort_best_split(x, y, candidates, kind, 3)
-            found += got is not None
+            got = class_split(x, y, candidates, kind, n_classes=3)
+            assert got == argsort_class_split(x, y, candidates, kind, 3)
+            found += argsort_best_split(x, y, candidates, kind, 3) is not None
         assert found > 20
 
     @pytest.mark.parametrize("kind", ["entropy", "gini"])
@@ -220,38 +262,36 @@ class TestPresortedScan:
             x, y = tie_heavy(rng, 60)
             rows = rng.integers(0, 60, size=int(rng.integers(2, 90)))  # duplicates
             candidates = rng.choice(6, size=3, replace=False)
-            got = best_split(x, y, candidates, kind, n_classes=3, rows=rows)
-            assert got == argsort_best_split(x[rows], y[rows], candidates, kind, 3)
+            got = class_split(x, y, candidates, kind, n_classes=3, rows=rows)
+            assert got == argsort_class_split(x[rows], y[rows], candidates, kind, 3)
 
     def test_newton_rule_matches_argsort_scan(self, rng):
         found = 0
-        cfg = ClassifierConfig(kind="gbt")
         for _ in range(40):
             x, _ = tie_heavy(rng, 80)
             p = rng.uniform(0.05, 0.95, size=80)
             grad, hess = p - rng.integers(0, 2, size=80), p * (1 - p)
             rows = np.sort(rng.choice(80, size=int(rng.integers(1, 81)), replace=False))
-            _, got = _newton_rule(x, grad, hess, cfg)(rows, _presort(x, rows), 0)
-            assert got == argsort_newton_split(x[rows], grad[rows], hess[rows])
+            got = newton_split(x, grad, hess, rows)
+            expected = argsort_newton_split(x[rows], grad[rows], hess[rows])
+            assert got == (expected and expected[:2])
             found += got is not None
         assert found > 20
-        one = rows[:1]  # a single row has no cut
-        assert _newton_rule(x, grad, hess, cfg)(one, _presort(x, one), 0)[1] is None
+        assert newton_split(x, grad, hess, rows[:1]) is None  # a single row has no cut
 
-    def test_children_keep_the_presort(self, rng):
-        # a child's partitioned order is its rows presorted afresh, duplicates
-        # of a bootstrap row array included
+    def test_children_keep_the_presort(self, rng, monkeypatch):
+        # a boosting child's partitioned order is its rows presorted afresh
         x, y = tie_heavy(rng, 120)
-        rows = rng.integers(0, 120, size=120)
-        inner = _class_rule(x, y, ClassifierConfig(kind="dt"), 3)
         seen = []
 
-        def rule(rows, order, depth):
-            assert np.array_equal(order, _presort(x, rows))
-            seen.append(depth)
-            return inner(rows, order, depth)
+        def step(xt, grads, hesses, config, nodes):
+            for _, rows, order, depth in nodes:
+                assert np.array_equal(order, _presort(x, rows))
+                seen.append(depth)
+            return _newton_step(xt, grads, hesses, config, nodes)
 
-        grow(x, rows, rule, _presort(x, rows))
+        monkeypatch.setattr(boosting, "_newton_step", step)
+        fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=2))
         assert max(seen) >= 3
 
     @pytest.mark.parametrize("kind", ["entropy", "gini"])
@@ -267,7 +307,7 @@ class TestPresortedScan:
         monkeypatch.setattr(tree_engine, "_child_impurity", counting)
         x, y = tie_heavy(rng, 200)
         candidates = [0, 2, 3, 5]
-        assert best_split(x, y, candidates, kind) is not None
+        assert class_split(x, y, candidates, kind) is not None
         boundaries = sum(len(np.unique(x[:, f])) - 1 for f in candidates)
         assert sum(int(np.prod(shape)) for shape in scored) == boundaries < 199
 
@@ -280,34 +320,35 @@ class TestPresortedScan:
             x[:, rng.choice(5, size=2, replace=False)] = np.column_stack([a * 0.3 + 0.2,
                                                                           b * 0.4 + 0.1])
             rows = np.arange(20)
-            _, split = _class_rule(x, a ^ b, ClassifierConfig(kind="dt"), 2)(
-                rows, _presort(x, rows), 0)
-            assert (split and split[:2]) == unique_fallback(x, range(5))
+            assert class_split(x, a ^ b, range(5)) == unique_fallback(x, range(5))
             # rf draws int(sqrt(5)) = 2 candidate features
-            (_, split), = _forest_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
-                                       2, 2, [(rows, 0, np.random.default_rng(seed))])
+            (_, split), = _class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
+                                      2, 2, [np.random.default_rng(seed)], [(0, rows, None, 0)])
             candidates = np.random.default_rng(seed).choice(5, size=2, replace=False)
-            assert (split and split[:2]) == unique_fallback(x, candidates)
+            assert split == unique_fallback(x, candidates)
 
 
 def block_sized_fits(x, y, monkeypatch, cells):
     monkeypatch.setattr(tree_engine, "BLOCK_CELLS", cells)
-    return [fit_model(x, y, ClassifierConfig(kind=kind, n_trees=3, n_rounds=3,
-                                             max_depth=6, seed=2)).to_dict()
-            for kind in ("dt", "rf", "et", "gbt")]
+    configs = [ClassifierConfig(kind=kind, n_trees=3, n_rounds=3, max_depth=6, seed=2)
+               for kind in ("dt", "rf", "et", "gbt")]
+    configs += [ClassifierConfig(kind="dt", impurity="gini"),
+                ClassifierConfig(kind="gbt", n_rounds=2, gbt_max_depth=8)]
+    return [fit_model(x, y, config).to_dict() for config in configs]
 
 
 def test_scan_block_size_changes_no_model(rng, monkeypatch):
-    # one cell per block scans one feature at a time and grows one forest
-    # node per step
+    # one cell per block scans one feature at a time and grows one node per
+    # step; 500 cells batch small nodes and block the candidates of large ones
     x, y = tie_heavy(rng, 300)
     one_feature = block_sized_fits(x, y, monkeypatch, 1)
+    assert block_sized_fits(x, y, monkeypatch, 500) == one_feature
     assert block_sized_fits(x, y, monkeypatch, 10 ** 9) == one_feature
 
 
 @pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 1), ("et", 0), ("gbt", 1)])
 def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
-    # one (F, n) presort per fit; rf also sorts the cells of each forest step,
+    # one (F, n) presort per fit; dt and rf also sort the cells of each step,
     # at most BLOCK_CELLS of them here
     calls = []
     argsort = np.argsort
@@ -316,7 +357,7 @@ def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, mon
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
     assert sum(np.ndim(a[0]) == 2 for a in calls) == sorts
     step_sorts = [len(a[0]) for a in calls if np.ndim(a[0]) == 1]
-    assert bool(step_sorts) == (kind == "rf")
+    assert bool(step_sorts) == (kind in ("dt", "rf"))
     assert all(cells <= tree_engine.BLOCK_CELLS for cells in step_sorts)
 
 
@@ -342,29 +383,29 @@ def random_cut_split(x, y, candidate_features, impurity_kind, rng, counts):
     return None if best < 0 else (feats[best], float(thresholds[best]))
 
 
-def lone_tree_rule(x, y, config, n_classes, rng):
-    """Reference: the node rule of an rf or et tree grown alone, in preorder,
-    drawing its candidates (and et thresholds) from ``rng``."""
+def lone_tree(x, y, rows, config, n_classes, rng, depth=0):
+    """Reference: the model-file document of an rf or et tree grown alone on
+    ``rows``, depth first, left subtree first, drawing its candidates (and et
+    thresholds) from ``rng``."""
+    counts = np.bincount(y[rows], minlength=n_classes)
+    if ((config.max_depth is not None and depth >= config.max_depth)
+            or np.count_nonzero(counts) <= 1):
+        return {"counts": counts.tolist()}
     n_features = x.shape[1]
     k = max(1, int(np.sqrt(n_features)))
-
-    def rule(rows, order, depth):
-        counts = np.bincount(y[rows], minlength=n_classes)
-        if ((config.max_depth is not None and depth >= config.max_depth)
-                or np.count_nonzero(counts) <= 1):
-            return counts, None
-        if k < n_features:
-            candidates = rng.choice(n_features, size=k, replace=False)
-        else:
-            candidates = range(n_features)
-        if config.kind == "et":
-            return counts, random_cut_split(x[rows], y[rows], candidates, config.impurity,
-                                            rng, counts)
-        split = tree_engine.best_split(x, y, candidates, config.impurity, counts, order)
-        flat = tree_engine._scan(x, order, candidates, lambda r, b, q: np.ones(len(b)))
-        return counts, split or flat
-
-    return rule
+    candidates = (rng.choice(n_features, size=k, replace=False) if k < n_features
+                  else range(n_features))
+    if config.kind == "et":
+        split = random_cut_split(x[rows], y[rows], candidates, config.impurity, rng, counts)
+    else:
+        split = argsort_class_split(x[rows], y[rows], candidates, config.impurity, n_classes)
+    if split is None:
+        return {"counts": counts.tolist()}
+    feat, threshold = int(split[0]), float(split[1])
+    left = x[rows, feat] <= threshold
+    return {"feature": feat, "threshold": threshold,
+            "left": lone_tree(x, y, rows[left], config, n_classes, rng, depth + 1),
+            "right": lone_tree(x, y, rows[~left], config, n_classes, rng, depth + 1)}
 
 
 @pytest.mark.parametrize("impurity", ["entropy", "gini"])
@@ -382,26 +423,40 @@ def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
                 draws = np.random.default_rng((config.seed, t))
                 rows = (draws.integers(0, len(y), size=len(y)) if kind == "rf"
                         else np.arange(len(y)))
-                rule = lone_tree_rule(x, yi, config, yi.max() + 1, draws)
-                assert same_tree(tree, grow(x, rows, rule, _presort(x, rows)))
+                assert tree.to_dict() == lone_tree(x, yi, rows, config, yi.max() + 1, draws)
 
 
-@pytest.mark.parametrize("kind", ["rf", "et"])
+@pytest.mark.parametrize("kind", ["rf", "et", "dt", "gbt"])
 def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
     budget = 1000
     monkeypatch.setattr(tree_engine, "BLOCK_CELLS", budget)
     steps = []
+    grow = tree_engine._grow
 
-    def recording(x, y, codes, config, n_classes, k, nodes):
-        steps.append((k, [len(rows) for rows, _, _ in nodes]))
-        return _forest_step(x, y, codes, config, n_classes, k, nodes)
+    def recording(x, roots, step, width, preorder):
+        def recorded(nodes):
+            steps.append((width, [(t, len(rows)) for t, rows, _, _ in nodes]))
+            return step(nodes)
 
-    monkeypatch.setattr(tree_engine, "_forest_step", recording)
-    x, y = tie_heavy(rng, 300)  # 6 features: 2 candidates, so 600 cells at a root
-    fit_model(x, y, ClassifierConfig(kind=kind, n_trees=5, seed=1))
-    assert all(k * sum(sizes) <= max(budget, k * max(sizes)) for k, sizes in steps)
-    assert max(len(sizes) for _, sizes in steps) == 5  # every tree in one step
-    assert [300] in [sizes for _, sizes in steps]  # a root alone
+        return grow(x, roots, recorded, width, preorder)
+
+    monkeypatch.setattr(tree_engine, "_grow", recording)
+    monkeypatch.setattr(boosting, "_grow", recording)
+    # 6 features: 2 rf or et candidates, so 600 cells at a root; 1,800 at a
+    # dt or gbt root
+    x, y = tie_heavy(rng, 300)
+    fit_model(x, y, ClassifierConfig(kind=kind, n_trees=5, n_rounds=2, seed=1))
+    sizes = [[n for _, n in nodes] for _, nodes in steps]
+    assert all(width * sum(n) <= max(budget, width * max(n))
+               for (width, _), n in zip(steps, sizes))
+    assert [300] in sizes  # a root alone
+    trees = [len({t for t, _ in nodes}) for _, nodes in steps]
+    if kind in ("rf", "et"):  # each tree's next node in preorder
+        assert max(trees) == 5  # every tree in one step
+        assert all(len(n) == t for n, t in zip(sizes, trees))
+    else:  # every pending node of every tree
+        assert max(len(n) - t for n, t in zip(sizes, trees)) > 0
+        assert max(trees) == (3 if kind == "gbt" else 1)  # one chain per class
 
 
 @pytest.mark.parametrize("gains, expected", [
