@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, TrainingError
+from ..errors import ConfigError, TrainingError, require_int
 from .base import ClassifierConfig, TrainedModel, MODEL_KINDS, SERIALIZATION_VERSION
 from .bayes import NaiveBayesModel
 from .boosting import GradientBoostedModel
@@ -42,6 +42,8 @@ def fit_model(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> Trained
         raise TrainingError(f"x of shape {x.shape} needs one row per label, got {y.shape}")
     if len(y) == 0:
         raise TrainingError("cannot train on an empty dataset")
+    if not np.isfinite(x).all():
+        raise TrainingError("cannot train on x holding NaN or infinite values")
     classes, yi = np.unique(y, return_inverse=True)
     return _MODEL_CLASSES[config.kind].fit(x, yi, classes, config)
 
@@ -59,6 +61,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """Read a model file; ``ConfigError`` naming the file unless its header
+    and every parameter array fit the model it names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -70,12 +74,19 @@ def load_model(path: str | Path) -> TrainedModel:
         cls = _MODEL_CLASSES.get(doc["kind"])
         if cls is None:
             raise ConfigError(f"unknown model kind '{doc['kind']}' in {path}")
-        model = cls.from_params(
-            ClassifierConfig(**doc["config"]),
-            np.asarray(doc["classes"], dtype=np.int64), doc["n_features"], doc["params"],
-        )
+        classes, n_features = doc["classes"], doc["n_features"]
+        if not (isinstance(classes, list) and classes
+                and all(type(c) is int for c in classes) and classes == sorted(set(classes))):
+            raise ValueError(f"classes {classes!r} are not distinct ascending integers")
+        require_int("n_features", n_features, 0, error=ValueError)
+        config = ClassifierConfig(**doc["config"])
+        if config.kind != doc["kind"]:
+            raise ValueError(f"config kind '{config.kind}' is not the file's '{doc['kind']}'")
+        model = cls.from_params(config, np.asarray(classes, dtype=np.int64), n_features,
+                                doc["params"])
         model.flags.update(doc.get("flags", {}))
-    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError,
+            OverflowError) as exc:
         raise ConfigError(f"cannot load model file {path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"model file {path} missing key {exc}") from exc

@@ -19,6 +19,14 @@ def one_vs_rest(n_classes: int) -> range:
     return range(int(n_classes == 2), n_classes)
 
 
+def require_shape(name: str, values, shape: tuple) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` unless it has ``shape``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} have shape {values.shape}, the model needs {shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Hyperparameters for any of the six classifier kinds.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import TrainedModel, require_shape
 
 VARIANCE_FLOOR = 1e-9
 
@@ -57,5 +57,10 @@ class NaiveBayesModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        return cls(config, classes, n_features, params["log_priors"],
-                   params["means"], params["variances"])
+        shape = (len(classes), n_features)
+        variances = require_shape("variances", params["variances"], shape)
+        if not (np.isfinite(variances) & (variances > 0)).all():
+            raise ValueError("variances must be finite and positive")
+        return cls(config, classes, n_features,
+                   require_shape("log_priors", params["log_priors"], shape[:1]),
+                   require_shape("means", params["means"], shape), variances)

@@ -1,6 +1,7 @@
 """Stagewise gradient-boosted regression trees with logistic loss. The stages
 of a round's one-vs-rest chains grow together through the tree engine's one
-driver, and ``_newton_step`` answers their nodes from one presort per fit."""
+driver, and ``_newton_step`` answers their nodes from the value codes ranked
+once per fit."""
 
 from __future__ import annotations
 
@@ -11,27 +12,26 @@ import numpy as np
 from ..errors import TrainingError
 from .base import ClassifierConfig, TrainedModel, one_vs_rest
 from . import tree as engine
-from .tree import Tree, _first_best, _grow, _presort
+from .tree import Tree, _first_best, _grow
 
 LEARNING_RATE = 0.1  # shrinkage of every stage's leaf weights
 REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
-def _newton_step(xt: np.ndarray, grads: list, hesses: list, config: ClassifierConfig,
-                 nodes: list) -> list[tuple]:
-    """Answer boosting nodes, each ``(chain, rows, order, depth)``, as ``_grow``
+def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
+                 config: ClassifierConfig, nodes: list) -> list[tuple]:
+    """Answer boosting nodes, each ``(chain, rows, depth)``, as ``_grow``
     asks: leaf weight -G / (H + lambda) and, above ``gbt_max_depth``, the best
-    cut by the Newton gain. One flat take from the transposed ``xt`` reads
-    the node's values in ``order``, ``BLOCK_CELLS`` (feature x row) cells at
-    a time. A feature's first maximum wins, the lower threshold on ties, then
-    ``_first_best`` picks among features; thresholds are midpoints, kept
-    below the higher value so that every cut splits.
+    cut by the Newton gain. A stable argsort of the node's value ``codes``
+    orders its rows per feature, ``BLOCK_CELLS`` (feature x row) cells at a
+    time; ``rows`` ascend, so ties stay in row order. A feature's first
+    maximum wins, the lower threshold on ties, then ``_first_best`` picks
+    among features; thresholds are midpoints of ``x``, kept below the higher
+    value so that every cut splits.
     """
     lam = REG_LAMBDA
-    n_features, n = xt.shape
-    base = np.arange(n_features)[:, None] * n  # of each feature's values in xt
     answers = []
-    for chain, rows, order, depth in nodes:
+    for chain, rows, depth in nodes:
         grad, hess = grads[chain], hesses[chain]
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
@@ -41,21 +41,23 @@ def _newton_step(xt: np.ndarray, grads: list, hesses: list, config: ClassifierCo
             continue
         gains, cuts = [], []
         step = max(1, engine.BLOCK_CELLS // len(rows))
-        for at in range(0, n_features, step):
-            sorted_rows = order[at:at + step]
-            xs = np.take(xt, sorted_rows + base[at:at + step])
-            b, q = np.nonzero(xs[:, :-1] != xs[:, 1:])  # the cuts between distinct values
+        for at in range(0, x.shape[1], step):
+            node_codes = np.take(codes[at:at + step], rows, axis=1)
+            feats = np.arange(len(node_codes))
+            order = np.argsort(node_codes, axis=1, kind="stable")
+            sorted_rows = rows[order]
+            ranked = np.take(node_codes, order + len(rows) * feats[:, None])
+            b, q = np.nonzero(ranked[:, :-1] != ranked[:, 1:])  # cuts between distinct values
             gl = np.cumsum(grad[sorted_rows], axis=1)[b, q]
             hl = np.cumsum(hess[sorted_rows], axis=1)[b, q]
             gr, hr = g - gl, h - hl
-            along = np.full(xs[:, 1:].shape, -np.inf)
+            along = np.full((len(feats), len(rows) - 1), -np.inf)
             along[b, q] = 0.5 * (
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
             )
             i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
-            feats = np.arange(len(xs))
             gains.extend(along[feats, i])
-            lo, hi = xs[feats, i], xs[feats, i + 1]
+            lo, hi = (x[sorted_rows[feats, j], at + feats] for j in (i, i + 1))
             mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
             cuts.extend(np.where(mid < hi, mid, lo).tolist())
         best = int(_first_best(gains))
@@ -93,8 +95,7 @@ class GradientBoostedModel(TrainedModel):
             model.flags["degenerate"] = True
             return model
         x = np.ascontiguousarray(x)  # one copy for every stage's apply
-        xt = np.ascontiguousarray(x.T)
-        order = _presort(x, np.arange(len(yi)))  # serves every round of every chain
+        codes = engine._value_codes(x)  # serves every round of every chain
         targets = [(yi == c).astype(float) for c in one_vs_rest(len(classes))]
         positive = [min(max(y01.mean(), 1e-12), 1 - 1e-12) for y01 in targets]
         bases = [float(np.log(pos / (1.0 - pos))) for pos in positive]
@@ -110,8 +111,8 @@ class GradientBoostedModel(TrainedModel):
                        for g, h in zip(grads, hesses)):
                 raise TrainingError(f"non-finite gradient at boosting round {t}")
             # the stages of every chain grow together
-            roots = [(np.arange(len(yi)), order) for _ in targets]
-            trees = _grow(x, roots, partial(_newton_step, xt, grads, hesses, config),
+            roots = [np.arange(len(yi)) for _ in targets]
+            trees = _grow(x, roots, partial(_newton_step, x, codes, grads, hesses, config),
                           x.shape[1], preorder=False)
             for c, tree in enumerate(trees):
                 stages[c].append(tree)
@@ -147,7 +148,9 @@ class GradientBoostedModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        chains = params["chains"]
+        chains, n_chains = params["chains"], len(one_vs_rest(len(classes)))
+        if len(chains) != n_chains:
+            raise ValueError(f"{len(chains)} chains, the model needs {n_chains}")
         return cls(config, classes, n_features, [c["base_score"] for c in chains],
                    [[Tree.from_dict(s, n_features, len(classes), "weight")
                      for s in c["stages"]] for c in chains],

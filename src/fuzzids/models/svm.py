@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClassifierConfig, TrainedModel, one_vs_rest
+from .base import ClassifierConfig, TrainedModel, one_vs_rest, require_shape
 
 C = 1.0           # weight of the hinge losses against (1/2)||w||^2
 TOLERANCE = 1e-4  # stop once an iteration lowers the objective by less
@@ -112,5 +112,8 @@ class SvmModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
-        return cls(config, classes, n_features, params["weights"],
-                   params["biases"], params["objective_traces"])
+        n_chains = len(one_vs_rest(len(classes)))
+        return cls(config, classes, n_features,
+                   require_shape("weights", params["weights"], (n_chains, n_features)),
+                   require_shape("biases", params["biases"], (n_chains,)),
+                   params["objective_traces"])

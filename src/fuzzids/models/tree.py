@@ -13,15 +13,15 @@ boosting round draw nothing, so a step takes every pending node of every
 tree, level by level as XGBoost's exact greedy search does (Chen &
 Guestrin, KDD 2016).
 
-``_class_step`` answers dt, rf and et nodes. dt and rf sort each step's
-cells by node, candidate and the value codes ranked once per fit, and score
-only the cuts between distinct values, ``BLOCK_CELLS`` cells at a time; et
+``_value_codes`` ranks every feature's values once per fit, for every kind
+that reads a sort. ``_class_step`` answers dt, rf and et nodes. dt and rf
+sort each step's cells by node, candidate and value code, and score only
+the cuts between distinct values, ``BLOCK_CELLS`` cells at a time; et
 scores its random cuts (Geurts, Ernst & Wehenkel, 2006). Every impurity
 split rule counts the classes left of its cuts with ``_left_counts``,
 scores the cuts with ``_child_impurity`` and picks its winner with
-``_first_best``. gbt's Newton step (``boosting.py``) scans each node's rows
-presorted per feature, a sort made once per fit and partitioned down the
-tree, as XGBoost's sorted column block and SLIQ (Mehta et al., EDBT 1996) do.
+``_first_best``. gbt's Newton step (``boosting.py``) sorts each node's rows
+by their value codes, a block of features at a time.
 """
 
 from __future__ import annotations
@@ -225,22 +225,20 @@ class Tree:
 
 def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
           preorder: bool) -> list[Tree]:
-    """Grow one tree on ``x`` from each root ``(rows, order)``, all together.
+    """Grow one tree on ``x`` from each root's ``rows``, all together.
 
-    A node's ``rows`` are a slice of its tree's root rows, partitioned in
-    place by each split; ``order`` is None, or those rows sorted by each
-    feature, (F, n), which a split partitions stably into its children's.
-    Each step takes the pending nodes of every tree (with ``preorder``, each
-    tree's next node in preorder), largest first, while the step holds at
-    most ``BLOCK_CELLS`` (``width`` x row) cells; the largest always goes.
-    Taking the largest first keeps the trees at nodes of like size, so that
-    small nodes find others to share a step with. ``step`` gets ``(tree,
-    rows, order, depth)`` of each node and answers ``(value, None)`` to make
-    a leaf or ``(value, (feature, threshold))`` to split it.
+    A node's rows are a slice of its tree's root rows, partitioned stably in
+    place by each split, so the nodes of an ascending root hold ascending
+    rows. Each step takes the pending nodes of every tree (with
+    ``preorder``, each tree's next node in preorder), largest first, while
+    the step holds at most ``BLOCK_CELLS`` (``width`` x row) cells; the
+    largest always goes. Taking the largest first keeps the trees at nodes
+    of like size, so that small nodes find others to share a step with.
+    ``step`` gets ``(tree, rows, depth)`` of each node and answers ``(value,
+    None)`` to make a leaf or ``(value, (feature, threshold))`` to split it.
     """
     nodes = [[None] for _ in roots]  # per tree, by node id: (value, split)
-    pending = [{0: (rows, order, 0)} for rows, order in roots]  # id: (rows, order, depth)
-    mark = np.zeros(len(x), dtype=bool)  # rows going left, while a split partitions order
+    pending = [{0: (rows, 0)} for rows in roots]  # id: (rows, depth)
     while any(pending):
         heads = [(t, i) for t, waiting in enumerate(pending)
                  for i in (list(waiting)[-1:] if preorder else waiting)]
@@ -251,7 +249,7 @@ def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
             if not taken or cells + cost <= BLOCK_CELLS:
                 taken.append((t, i, *pending[t].pop(i)))
                 cells += cost
-        answers = step([(t, rows, order, depth) for t, _, rows, order, depth in taken])
+        answers = step([(t, rows, depth) for t, _, rows, depth in taken])
         for (t, i, *_), answer in zip(taken, answers):
             nodes[t][i] = answer  # a split's gets its children's ids below
         splits = [(node, split) for node, (_, split) in zip(taken, answers) if split]
@@ -268,39 +266,30 @@ def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
         lefts, rights = rows[goes_left], rows[~goes_left]
         left_start = (np.cumsum(n_left) - n_left).tolist()
         right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
-        for s, ((t, i, rows, order, depth), (feat, thr)) in enumerate(splits):
+        for s, ((t, i, rows, depth), (feat, thr)) in enumerate(splits):
             n = int(n_left[s])
             rows[:n] = lefts[left_start[s]:left_start[s] + n]
             rows[n:] = rights[right_start[s]:right_start[s] + len(rows) - n]
-            lo = hi = None
-            if order is not None:
-                mark[rows[:n]] = True
-                goes = mark[order].ravel()
-                lo, hi = (np.compress(side, order).reshape(len(order), -1)
-                          for side in (goes, ~goes))
-                mark[rows[:n]] = False
             left_id = len(nodes[t])
             nodes[t] += [None, None]
             nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
-            pending[t][left_id + 1] = rows[n:], hi, depth + 1
-            pending[t][left_id] = rows[:n], lo, depth + 1  # last in: next in preorder
+            pending[t][left_id + 1] = rows[n:], depth + 1
+            pending[t][left_id] = rows[:n], depth + 1  # last in: next in preorder
     return [Tree.build(0, tree.__getitem__) for tree in nodes]
-
-
-def _presort(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(F, n) ``rows`` sorted stably by each feature, ties in ``rows`` order."""
-    return rows[np.argsort(x[rows].T, axis=1, kind="stable")]
 
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
     """(F, n) dense rank of every cell of ``x`` among its feature's distinct
-    values, from one presort."""
-    ranked = _presort(x, np.arange(len(x)))
-    xs = x[ranked, np.arange(x.shape[1])[:, None]]
+    values, from one stable sort per feature. The codes come in the
+    narrowest unsigned dtype that holds them, which numpy's stable argsort
+    radix-sorts up to 16 bits."""
+    ranked = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, ranked, axis=1)
     rises = np.zeros(ranked.shape, dtype=bool)
     rises[:, 1:] = xs[:, 1:] != xs[:, :-1]
-    codes = np.empty(ranked.shape, dtype=np.int32)
-    np.put_along_axis(codes, ranked, np.cumsum(rises, axis=1, dtype=np.int32), axis=1)
+    ranks = np.cumsum(rises, axis=1, dtype=np.int32)
+    codes = np.empty(ranked.shape, dtype=np.min_scalar_type(ranks.max(initial=0)))
+    np.put_along_axis(codes, ranked, ranks, axis=1)
     return codes
 
 
@@ -364,9 +353,9 @@ def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
 
 def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
                 draws: list, nodes: list) -> list[tuple]:
-    """Answer a batch of dt, rf or et nodes, each ``(tree, rows, order,
-    depth)``, as ``_grow`` asks: one bincount counts every node's classes,
-    and one split search scores every (node, candidate) cell.
+    """Answer a batch of dt, rf or et nodes, each ``(tree, rows, depth)``, as
+    ``_grow`` asks: one bincount counts every node's classes, and one split
+    search scores every (node, candidate) cell.
 
     Each splitting node of tree ``t`` draws ``k`` candidate features from
     ``draws[t]`` unless ``k`` is every feature, and for et one uniform
@@ -375,8 +364,8 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     and a node whose cuts gain nothing takes the first cut of its first
     candidate that has one; et scores its random cuts.
     """
-    sizes = np.array([len(rows) for _, rows, _, _ in nodes])
-    rows = np.concatenate([rows for _, rows, _, _ in nodes])
+    sizes = np.array([len(rows) for _, rows, _ in nodes])
+    rows = np.concatenate([rows for _, rows, _ in nodes])
     node_start = np.cumsum(sizes) - sizes
     node_of_row = np.repeat(np.arange(len(nodes)), sizes)
     counts = np.bincount(node_of_row * n_classes + y[rows],
@@ -452,7 +441,7 @@ def _grow_class_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
         k = min(n_features, max(1, int(np.sqrt(n_features))))  # candidate features per node
         draws = [np.random.default_rng((config.seed, t)) for t in range(config.n_trees)]
     codes = None if config.kind == "et" else _value_codes(x)  # et reads no sort
-    roots = [(rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n), None)
+    roots = [rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
              for rng in draws]
     return _grow(x, roots, partial(_class_step, x, y, codes, config, n_classes, k, draws),
                  k, preorder=config.kind != "dt")

@@ -398,6 +398,19 @@ BAD_FILES = {
         _predict(model="gbt", model_text=GBT_LEAF_MODEL.replace('"weight": 0.5',
                                                                 '"counts": [1, 0, 0]')), 1,
         "gbt_v1.json: a leaf holds 'counts', but the leaves of this model hold 'weight'"),
+    "predict, dt file with its classes reversed": (
+        _predict(model_text=LEAF_MODEL.replace('"classes": [0, 1, 2]', '"classes": [2, 1, 0]')),
+        1, "dt_v1.json: classes [2, 1, 0] are not distinct ascending integers"),
+    "predict, dt file with fractional classes": (
+        _predict(model_text=LEAF_MODEL.replace('"classes": [0, 1, 2]', '"classes": [0.5, 1.7]')),
+        1, "dt_v1.json: classes [0.5, 1.7] are not distinct ascending integers"),
+    "predict, dt file with fractional n_features": (
+        _predict(model_text=LEAF_MODEL.replace('"n_features": 5', '"n_features": 2.5')), 1,
+        "dt_v1.json: n_features must be an integer >= 0, got 2.5"),
+    "predict, gbt file short of a chain": (
+        _predict(model="gbt", model_text=GBT_LEAF_MODEL.replace(
+            json.dumps(json.loads(GBT_LEAF_MODEL)["params"]["chains"][0]) + ", ", "", 1)), 1,
+        "gbt_v1.json: 2 chains, the model needs 3"),
     "predict, leaf with split keys": (
         _predict(model_text=LEAF_MODEL.replace(
             '"counts": [1, 0, 0]', '"counts": [1, 0, 0], "feature": 0, "threshold": 0.5, '

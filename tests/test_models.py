@@ -21,7 +21,7 @@ from fuzzids.models import tree as tree_engine
 from fuzzids.models import boosting
 from fuzzids.models.boosting import GradientBoostedModel, _newton_step
 from fuzzids.models.tree import (Tree, _child_impurity, _class_step, _first_best,
-                                 _impurity_rows, _presort, _value_codes)
+                                 _impurity_rows, _value_codes)
 from fuzzids.models.svm import SvmModel, svm_objective
 
 
@@ -77,7 +77,7 @@ def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None):
     rows = np.arange(len(y)) if rows is None else rows
     config = ClassifierConfig(kind="rf", impurity=kind)
     (_, split), = _class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
-                              len(candidates), [Drawn(candidates)], [(0, rows, None, 0)])
+                              len(candidates), [Drawn(candidates)], [(0, rows, 0)])
     return split
 
 
@@ -228,9 +228,9 @@ def argsort_class_split(x, y, candidates, kind, n_classes):
 
 def newton_split(x, grad, hess, rows):
     """The ``(feature, threshold)`` split, or None, that ``_newton_step``
-    gives the boosting node of ``rows`` at the root depth."""
-    (_, split), = _newton_step(np.ascontiguousarray(x.T), [grad], [hess],
-                               ClassifierConfig(kind="gbt"), [(0, rows, _presort(x, rows), 0)])
+    gives the boosting node of ``rows``, ascending, at the root depth."""
+    (_, split), = _newton_step(x, _value_codes(x), [grad], [hess],
+                               ClassifierConfig(kind="gbt"), [(0, rows, 0)])
     return split
 
 
@@ -279,16 +279,17 @@ class TestPresortedScan:
         assert found > 20
         assert newton_split(x, grad, hess, rows[:1]) is None  # a single row has no cut
 
-    def test_children_keep_the_presort(self, rng, monkeypatch):
-        # a boosting child's partitioned order is its rows presorted afresh
+    def test_boosting_nodes_hold_ascending_rows(self, rng, monkeypatch):
+        # so that a node's stable sort by value code breaks ties in row order,
+        # as a sort of every row made once per fit and partitioned down does
         x, y = tie_heavy(rng, 120)
         seen = []
 
-        def step(xt, grads, hesses, config, nodes):
-            for _, rows, order, depth in nodes:
-                assert np.array_equal(order, _presort(x, rows))
+        def step(x, codes, grads, hesses, config, nodes):
+            for _, rows, depth in nodes:
+                assert np.all(np.diff(rows) > 0)
                 seen.append(depth)
-            return _newton_step(xt, grads, hesses, config, nodes)
+            return _newton_step(x, codes, grads, hesses, config, nodes)
 
         monkeypatch.setattr(boosting, "_newton_step", step)
         fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=2))
@@ -323,7 +324,7 @@ class TestPresortedScan:
             assert class_split(x, a ^ b, range(5)) == unique_fallback(x, range(5))
             # rf draws int(sqrt(5)) = 2 candidate features
             (_, split), = _class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
-                                      2, 2, [np.random.default_rng(seed)], [(0, rows, None, 0)])
+                                      2, 2, [np.random.default_rng(seed)], [(0, rows, 0)])
             candidates = np.random.default_rng(seed).choice(5, size=2, replace=False)
             assert split == unique_fallback(x, candidates)
 
@@ -348,17 +349,38 @@ def test_scan_block_size_changes_no_model(rng, monkeypatch):
 
 @pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 1), ("et", 0), ("gbt", 1)])
 def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
-    # one (F, n) presort per fit; dt and rf also sort the cells of each step,
-    # at most BLOCK_CELLS of them here
-    calls = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+    # one _value_codes per fit; dt and rf then sort the cells of each step,
+    # gbt the codes of each node, at most BLOCK_CELLS of them at a time
+    ranked, step_sorts = [], []
+    argsort, value_codes = np.argsort, tree_engine._value_codes
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, *r, **k: step_sorts.append(np.size(a)) or argsort(a, *r, **k))
+
+    def counting(x):
+        ranked.append(x.shape)
+        before = len(step_sorts)
+        codes = value_codes(x)
+        del step_sorts[before:]  # its own sort of every cell
+        return codes
+
+    monkeypatch.setattr(tree_engine, "_value_codes", counting)
     x, y = tie_heavy(rng, 200, n_classes=4)
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
-    assert sum(np.ndim(a[0]) == 2 for a in calls) == sorts
-    step_sorts = [len(a[0]) for a in calls if np.ndim(a[0]) == 1]
-    assert bool(step_sorts) == (kind in ("dt", "rf"))
+    assert ranked == [x.shape] * sorts
+    assert bool(step_sorts) == (kind != "et")
     assert all(cells <= tree_engine.BLOCK_CELLS for cells in step_sorts)
+
+
+@pytest.mark.parametrize("distinct, dtype", [(256, np.uint8), (257, np.uint16),
+                                             (65537, np.uint32)])
+def test_value_codes_come_in_the_narrowest_unsigned_dtype(distinct, dtype, rng):
+    # numpy's stable argsort radix-sorts codes of up to 16 bits
+    column = rng.permutation(np.repeat(rng.normal(size=distinct), 2))
+    x = np.column_stack([column, np.ones(len(column))])
+    codes = _value_codes(x)
+    assert codes.dtype == dtype
+    assert np.array_equal(codes[0], np.unique(column, return_inverse=True)[1])
+    assert not codes[1].any()
 
 
 def random_cut_split(x, y, candidate_features, impurity_kind, rng, counts):
@@ -435,7 +457,7 @@ def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
 
     def recording(x, roots, step, width, preorder):
         def recorded(nodes):
-            steps.append((width, [(t, len(rows)) for t, rows, _, _ in nodes]))
+            steps.append((width, [(t, len(rows)) for t, rows, _ in nodes]))
             return step(nodes)
 
         return grow(x, roots, recorded, width, preorder)
@@ -918,6 +940,16 @@ class TestUniformContract:
             fit_model(np.empty((0, 2)), [], ClassifierConfig(kind=kind))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_data_rejected(self, kind, bad):
+        # trees at depth 4, so that a fit that lets NaN through still ends
+        x, y = xor_clusters(40, seed=3)
+        x[7, 1] = bad
+        with pytest.raises(TrainingError, match="NaN or infinite"):
+            fit_model(x, y, ClassifierConfig(kind=kind, max_depth=4, n_trees=3, n_rounds=3,
+                                             max_iters=20))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("x, y", [
         (np.zeros((5, 2)), [0, 1, 2]),
         (np.zeros(3), [0, 1, 2]),
@@ -1028,6 +1060,53 @@ class TestUniformContract:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="model.json: leaf counts have 1 entries "
                                               "for 2 classes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("dt", lambda doc: doc.update(classes=[9, 7, 3]),
+         r"classes \[9, 7, 3\] are not distinct ascending integers"),
+        ("dt", lambda doc: doc.update(classes=[3, 3, 9]), "classes .* are not distinct"),
+        ("dt", lambda doc: doc.update(classes=[0.5, 1.7, 9]), "classes .* are not distinct"),
+        ("dt", lambda doc: doc.update(classes=[False, True, 9]), "classes .* are not distinct"),
+        ("dt", lambda doc: doc.update(classes=[]), r"classes \[\] are not distinct"),
+        ("nb", lambda doc: doc.update(classes=[3, 7, 2 ** 70]), ".*(too large|out of bounds)"),
+        ("dt", lambda doc: doc.update(n_features=2.5),
+         "n_features must be an integer >= 0, got 2.5"),
+        ("dt", lambda doc: doc.update(n_features=True), "n_features must be an integer"),
+        ("nb", lambda doc: doc.update(n_features=-1), "n_features must be an integer >= 0"),
+        ("nb", lambda doc: doc["params"]["means"].pop(),
+         r"means have shape \(2, 2\), the model needs \(3, 2\)"),
+        ("nb", lambda doc: doc["params"]["log_priors"].pop(),
+         r"log_priors have shape \(2,\), the model needs \(3,\)"),
+        ("nb", lambda doc: [row.append(1.0) for row in doc["params"]["variances"]],
+         r"variances have shape \(3, 3\)"),
+        ("nb", lambda doc: doc["params"]["variances"][2].__setitem__(0, 0.0),
+         "variances must be finite and positive"),
+        ("nb", lambda doc: doc["params"]["variances"][0].__setitem__(1, float("nan")),
+         "variances must be finite and positive"),
+        ("svm", lambda doc: doc["params"]["weights"].pop(),
+         r"weights have shape \(2, 2\), the model needs \(3, 2\)"),
+        ("svm", lambda doc: doc["params"]["biases"].pop(),
+         r"biases have shape \(2,\), the model needs \(3,\)"),
+        ("gbt", lambda doc: doc["params"]["chains"].pop(), "2 chains, the model needs 3"),
+        ("rf", lambda doc: doc["config"].update(kind="dt"),
+         "config kind 'dt' is not the file's 'rf'"),
+    ], ids=["reversed classes", "repeated class", "fractional classes", "boolean classes",
+            "no classes", "class beyond int64", "fractional n_features", "boolean n_features",
+            "negative n_features", "nb means short of a class", "nb log_priors short",
+            "nb variances of another width", "nb zero variance", "nb NaN variance",
+            "svm short of a chain", "svm biases short", "gbt short of a chain",
+            "rf file of a dt config"])
+    def test_malformed_header_or_parameters_rejected_on_load(self, kind, edit, message,
+                                                             tmp_path):
+        x, _ = xor_clusters(60, seed=10)
+        y = [(3, 7, 9)[i % 3] for i in range(60)]
+        model = fit_model(x, y, ClassifierConfig(kind=kind, n_trees=2, n_rounds=2, max_iters=20))
+        doc = model.to_dict()
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"model.json: {message}"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
