@@ -43,8 +43,9 @@ def require_int(name: str, value, minimum: int, error=ConfigError) -> None:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
-    """Raise ``ConfigError`` unless value is a finite number in [low, high]; bools are not."""
+def require_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+                 error=ConfigError) -> None:
+    """Raise ``error`` unless value is a finite number in [low, high]; bools are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             math.isfinite(value) and low <= value <= high):
-        raise ConfigError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
+        raise error(f"{name} must be a finite number in [{low}, {high}], got {value!r}")

@@ -160,7 +160,10 @@ def macro_metrics(cm: ConfusionMatrix) -> MetricsReport:
 def roc_curve(true_binary, scores) -> np.ndarray:
     """(fpr, tpr, threshold) rows, thresholds descending, ties grouped.
 
-    Starts at (0, 0) with threshold +inf and ends at (1, 1).
+    One row per distinct score, each the operating point of thresholding at
+    that score; starts at (0, 0) with threshold +inf and ends at (1, 1).
+    ``auc`` is taken over every row; ``roc_vertices`` keeps the rows where
+    the curve turns.
     """
     y = np.asarray(true_binary, dtype=np.int64)
     s = np.asarray(scores, dtype=float)
@@ -184,6 +187,24 @@ def roc_curve(true_binary, scores) -> np.ndarray:
     fps = np.cumsum(y_sorted == 0)[ends]
     return np.vstack([(0.0, 0.0, np.inf),
                       np.column_stack([fps / n_neg, tps / n_pos, s_sorted[starts]])])
+
+
+def roc_vertices(true_binary, points: np.ndarray) -> np.ndarray:
+    """The rows of ``points = roc_curve(true_binary, ...)`` where the curve
+    turns, with its first and last rows.
+
+    Every dropped row lies on the segment between the kept rows around it,
+    so the kept rows draw the same polyline. The turn test is exact: the
+    rates are rounded back to their integer false- and true-positive counts
+    (exact below 2**51 samples), and a row is kept when the segments before
+    and after it have different slopes in those counts.
+    """
+    y = np.asarray(true_binary)
+    fps = np.rint(points[:, 0] * int((y == 0).sum())).astype(np.int64)
+    tps = np.rint(points[:, 1] * int((y == 1).sum())).astype(np.int64)
+    d_f, d_t = np.diff(fps), np.diff(tps)
+    turns = d_f[:-1] * d_t[1:] != d_t[:-1] * d_f[1:]
+    return points[np.concatenate(([True], turns, [True]))]
 
 
 def auc(points: np.ndarray) -> float:

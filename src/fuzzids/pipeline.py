@@ -20,9 +20,9 @@ import yaml
 from . import __version__
 from .dataset import (DatasetSchema, LabeledDataset, class_distribution, load_csv,
                       stratified_split)
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, SchemaError, require_int, require_real
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
-                       metrics, multiclass_auc, roc_curve)
+                       metrics, multiclass_auc, roc_curve, roc_vertices)
 from .fuzzy import (FeatureRanking, FeatureVectorSpec, TriangularParams,
                     fuse_with_et_importance, fuzzy_importance, select_vectors)
 from .models import (ClassifierConfig, fit_model, load_model, mean_impurity_decrease,
@@ -173,7 +173,9 @@ class Evaluation(NamedTuple):
 
     metrics: MetricsReport
     confusion: ConfusionMatrix
-    roc: dict[str, np.ndarray]  # roc_curve points; key: class or "binary"
+    # roc_vertices of each curve (its AUC was taken over every row); key:
+    # class or "binary"
+    roc: dict[str, np.ndarray]
 
 
 @dataclass
@@ -242,11 +244,11 @@ def _evaluate(model, ds: LabeledDataset, cols: list[int], task: str) -> Evaluati
             col = int(np.flatnonzero(model.classes == 1)[0])
             points = roc_curve(y, scores[:, col])
             rep.auc = auc(points)
-            roc["binary"] = points
+            roc["binary"] = roc_vertices(y, points)
     else:
         rep = macro_metrics(cm)
         rep.auc_per_class, rep.auc, curves = multiclass_auc(y, scores, model.classes)
-        roc = {str(c): points for c, points in curves.items()}
+        roc = {str(c): roc_vertices(y == c, points) for c, points in curves.items()}
     return Evaluation(rep, cm, roc)
 
 
@@ -413,7 +415,7 @@ def _load_state(path: Path, cls):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, SchemaError) as exc:
         raise ConfigError(f"cannot load {path.name} of the run: {exc}") from exc
 
 
@@ -469,7 +471,8 @@ def emit_report(report: RunReport) -> None:
         for part, e in cell.evaluations.items():
             for cls, points in sorted(e.roc.items()):
                 for fpr, tpr, thr in points.tolist():
-                    lines.append(f"{part},{cls},{fpr:.10g},{tpr:.10g},{thr:.10g}")
+                    # repr round-trips the threshold, so no two rows print alike
+                    lines.append(f"{part},{cls},{fpr:.10g},{tpr:.10g},{thr!r}")
         _write_lines(out_dir / "roc" / f"{stem}.csv", lines)
         write_json(out_dir / "cm" / f"{stem}.json",
                    {part: e.confusion.to_dict() for part, e in cell.evaluations.items()})

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SchemaError
+from .errors import SchemaError, require_real
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,18 @@ class ScalerState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScalerState":
-        return cls(doc["schema_name"], np.asarray(doc["mins"], dtype=float),
-                   np.asarray(doc["maxs"], dtype=float))
+        """``ValueError`` unless ``mins`` and ``maxs`` are lists of finite
+        numbers of one length."""
+        mins, maxs = doc["mins"], doc["maxs"]
+        for name, values in (("mins", mins), ("maxs", maxs)):
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
+            for i, value in enumerate(values):
+                require_real(f"{name}[{i}]", value, error=ValueError)
+        if len(mins) != len(maxs):
+            raise ValueError(f"{len(mins)} mins but {len(maxs)} maxs")
+        return cls(doc["schema_name"], np.asarray(mins, dtype=float),
+                   np.asarray(maxs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,16 @@ class CategoricalEncoderState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CategoricalEncoderState":
-        return cls(
-            doc["schema_name"],
-            {
-                int(col): {cat: i for i, cat in enumerate(cats)}
-                for col, cats in doc["mappings"].items()
-            },
-        )
+        """``ValueError`` unless each column lists distinct string categories."""
+        mappings: dict[int, dict[str, int]] = {}
+        for col, cats in doc["mappings"].items():
+            if not (isinstance(cats, list) and all(isinstance(cat, str) for cat in cats)):
+                raise ValueError(f"categories of column {col} must be a list of strings")
+            mappings[int(col)] = {cat: i for i, cat in enumerate(cats)}
+            if len(mappings[int(col)]) != len(cats):
+                twice = next(cat for i, cat in enumerate(cats) if cat in cats[:i])
+                raise ValueError(f"column {col} lists category {twice!r} twice")
+        return cls(doc["schema_name"], mappings)
 
 
 @dataclass

@@ -284,15 +284,20 @@ def _run_without_schema(tmp_path):
             _write_config(tmp_path, schema_path=str(tmp_path / "nope.yaml"))]
 
 
-def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=None):
+def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=None,
+             state=None):
     """Predict from a run directory holding states and a ranking, on a config
     of dt and gbt; the model file <model>_v1.json holds model_text, or is
     missing when that is None.
     ``scores``, if given, rewrites the ranking's score list, and its order to
-    match."""
+    match. ``state``, if given, is (file name, edit): the edit rewrites that
+    state file's document."""
     def argv(tmp_path):
         config = _write_config(tmp_path, models=[{"kind": "dt"}, {"kind": "gbt"}])
         _invoke("select", "--config", config)
+        if state is not None:
+            path = tmp_path / "run" / state[0]
+            path.write_text(json.dumps(state[1](json.loads(path.read_text()))))
         if scores is not None:
             ranking = tmp_path / "run" / "ranking.json"
             doc = json.loads(ranking.read_text())
@@ -305,6 +310,14 @@ def _predict(model_text=None, model="dt", vector="v1", out="preds.txt", scores=N
         return ["predict", "--config", config, "--model", model, "--vector", vector,
                 "--data", DATA / "mini_test.csv", "--out", tmp_path / out]
     return argv
+
+
+def _set_item(key, index, value):
+    """A state edit: item ``index`` of the list or mapping under ``key`` becomes ``value``."""
+    def edit(doc):
+        doc[key][index] = value
+        return doc
+    return edit
 
 
 # A dt model file as version 1 wrote it, config keys since deleted included.
@@ -425,6 +438,41 @@ BAD_FILES = {
     "predict, ranking one score too short": (
         _predict(model_text=LEAF_MODEL, scores=lambda s: s[:-1]), 1,
         "ranking.json of the run must score the schema's 8 features"),
+    "predict, scaler max NaN": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                _set_item("maxs", 2, float("nan")))), 1,
+        "cannot load scaler_state.json of the run: maxs[2] must be a finite number"),
+    "predict, scaler max infinite": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                _set_item("maxs", 2, float("inf")))), 1,
+        "scaler_state.json of the run: maxs[2] must be a finite number in [-inf, inf], "
+        "got inf"),
+    "predict, scaler min a string": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                _set_item("mins", 0, "1"))), 1,
+        "scaler_state.json of the run: mins[0] must be a finite number in [-inf, inf], "
+        "got '1'"),
+    "predict, scaler min a bool": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                _set_item("mins", 0, False))), 1,
+        "scaler_state.json of the run: mins[0] must be a finite number in [-inf, inf], "
+        "got False"),
+    "predict, scaler one max short": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                lambda doc: dict(doc, maxs=doc["maxs"][:-1]))),
+        1, "scaler_state.json of the run: 8 mins but 7 maxs"),
+    "predict, scaler max below min": (
+        _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
+                                                _set_item("maxs", 2, -1.0))), 1,
+        "scaler_state.json of the run: scaler state has max < min"),
+    "predict, encoder category listed twice": (
+        _predict(model_text=LEAF_MODEL, state=("encoder_state.json", _set_item(
+            "mappings", "0", ["icmp", "udp", "icmp"]))), 1,
+        "encoder_state.json of the run: column 0 lists category 'icmp' twice"),
+    "predict, encoder category not a string": (
+        _predict(model_text=LEAF_MODEL, state=("encoder_state.json", _set_item(
+            "mappings", "0", ["icmp", "udp", 1]))), 1,
+        "encoder_state.json of the run: categories of column 0 must be a list of strings"),
     "ingest, report directory missing": (_ingest(MINI_SCHEMA, report="no/report.json"), 1,
                                          "no/report.json: No such file or directory"),
     "predict, out directory missing": (_predict(model_text=LEAF_MODEL, out="no/preds.txt"),

@@ -11,6 +11,7 @@ from fuzzids.evaluate import (
     metrics,
     multiclass_auc,
     roc_curve,
+    roc_vertices,
 )
 
 
@@ -241,3 +242,74 @@ class TestRoc:
         y[:2] = [0, 1]
         per_class, macro, curves = multiclass_auc(y, rng.uniform(size=(40, 3)), [0, 1, 2])
         assert set(per_class) == set(curves) == {0, 1}
+
+
+
+def tie_heavy_trials(rng, n_trials=150):
+    """Seeded (labels, scores) pairs with both classes: scores from a few
+    levels (0.0 and -0.0 in one group), all equal, a perfect and an inverted
+    ranking, and rounded uniform scores; n up to 3,000."""
+    for t in range(n_trials):
+        n = int(rng.integers(2, 3001))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        kind = t % 5
+        if kind == 0:
+            levels = rng.choice([-0.0, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0],
+                                size=int(rng.integers(1, 8)), replace=False)
+            scores = rng.choice(levels, size=n)
+        elif kind == 1:
+            scores = np.full(n, 0.5)
+        elif kind == 2:
+            scores = y.astype(float)
+        elif kind == 3:
+            scores = 1.0 - y
+        else:
+            scores = np.round(rng.uniform(size=n), int(rng.integers(1, 5)))
+        yield y, scores
+
+
+def roc_counts(y, scores, thresholds):
+    """Integer (false, true) positive counts of thresholding at each value:
+    the samples of each class scoring at or above it."""
+    neg, pos = np.sort(scores[y == 0]), np.sort(scores[y == 1])
+    return (len(neg) - np.searchsorted(neg, thresholds),
+            len(pos) - np.searchsorted(pos, thresholds))
+
+
+class TestRocVertices:
+    def test_vertex_rule_on_tie_heavy_trials(self, rng):
+        for y, scores in tie_heavy_trials(rng):
+            points = roc_curve(y, scores)
+            kept = roc_vertices(y, points)
+            # an ordered subsequence of the rows, found by their thresholds,
+            # which strictly descend
+            idx = np.searchsorted(-points[:, 2], -kept[:, 2])
+            assert np.all(np.diff(idx) > 0)
+            assert np.array_equal(points[idx], kept)
+            assert idx[0] == 0 and idx[-1] == len(points) - 1
+            f, t = roc_counts(y, scores, points[:, 2])
+            # every dropped row lies on the segment between the kept rows
+            # around it
+            dropped = np.setdiff1d(np.arange(len(points)), idx)
+            after = np.searchsorted(idx, dropped)
+            a, b = idx[after - 1], idx[after]
+            assert np.all((f[b] - f[a]) * (t[dropped] - t[a])
+                          == (t[b] - t[a]) * (f[dropped] - f[a]))
+            assert np.all((f[a] <= f[dropped]) & (f[dropped] <= f[b])
+                          & (t[a] <= t[dropped]) & (t[dropped] <= t[b]))
+            # no kept interior row is collinear with its kept neighbours
+            a, m, b = idx[:-2], idx[1:-1], idx[2:]
+            assert np.all((f[m] - f[a]) * (t[b] - t[m]) != (t[m] - t[a]) * (f[b] - f[m]))
+
+    def test_hand_checked_vertices(self):
+        y = [0, 1, 0, 1]
+        # one group, then two groups of one negative and one positive each:
+        # straight from end to end
+        for scores in ([0.5] * 4, [0.1, 0.1, 0.2, 0.2]):
+            kept = roc_vertices(y, roc_curve(y, scores))
+            assert kept[:, :2].tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        # a perfect ranking keeps its corner
+        y = [0, 0, 1, 1, 1]
+        kept = roc_vertices(y, roc_curve(y, [0.1, 0.2, 0.7, 0.8, 0.9]))
+        assert kept.tolist() == [[0.0, 0.0, np.inf], [0.0, 1.0, 0.7], [1.0, 1.0, 0.1]]

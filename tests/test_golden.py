@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib.resources
 import shutil
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -98,7 +99,26 @@ def test_artifacts_match_golden(name, tmp_path, monkeypatch):
                 for p in _artifacts(GOLDEN / name)}
     assert sorted(produced) == sorted(expected)
     for rel, path in produced.items():
-        assert path.read_bytes() == expected[rel].read_bytes(), f"{name}/{rel} differs"
+        want, got = expected[rel].read_bytes(), path.read_bytes()
+        if got != want:
+            pytest.fail(_first_difference(f"{name}/{rel}", want, got))
+
+
+def _first_difference(label: str, want: bytes, got: bytes) -> str:
+    """Where two differing text artifacts first part: the file, the line
+    number and both lines, ``None`` past the end of the shorter one."""
+    lines = (b.decode(errors="replace").splitlines(keepends=True) for b in (want, got))
+    for number, (old, new) in enumerate(zip_longest(*lines), start=1):
+        if old != new:
+            return f"{label} differs at line {number}: expected {old!r}, produced {new!r}"
+    return f"{label} differs in bytes that are not UTF-8"
+
+
+def test_first_difference_names_the_line():
+    assert _first_difference("binary/roc/dt_v1.csv", b"a,b\n1,2\n3,4\n", b"a,b\n1,3\n3,4\n") \
+        == "binary/roc/dt_v1.csv differs at line 2: expected '1,2\\n', produced '1,3\\n'"
+    assert _first_difference("f", b"a\n", b"a\nb\n") \
+        == "f differs at line 2: expected None, produced 'b\\n'"
 
 
 def _regenerate() -> None:

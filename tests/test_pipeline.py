@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import json
 from pathlib import Path
 
@@ -7,12 +8,14 @@ import pytest
 
 from fuzzids.dataset import DatasetSchema, LabeledDataset
 from fuzzids.errors import ConfigError
+from fuzzids.evaluate import auc, roc_curve, roc_vertices
 from fuzzids.models import ClassifierConfig, fit_model
 from fuzzids.pipeline import (
     ExperimentConfig,
     _evaluate,
     binary_mapping,
     default_binary_rule,
+    emit_report,
     run_experiment,
 )
 
@@ -100,6 +103,69 @@ class TestClassAxis:
         assert "class_2_no_support" in val_rep.undefined_flags
         assert val_rep.per_class[2] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         assert val_rep.recall == pytest.approx(2 / 3)
+
+
+class FixedScores:
+    """A trained-model stand-in that returns the scores it was given."""
+
+    def __init__(self, classes, scores):
+        self.classes = np.asarray(classes)
+        self.scores = scores
+
+    def score(self, x):
+        return self.scores
+
+
+class TestRocRecords:
+    def test_auc_over_every_row_and_vertices_kept(self):
+        differs = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            y = rng.integers(0, 2, size=2000)
+            positive = np.round(0.5 * rng.uniform(size=2000)
+                                + 0.5 * y * rng.uniform(size=2000), 2)
+            model = FixedScores([0, 1], np.column_stack([1.0 - positive, positive]))
+            ds = LabeledDataset(UG_SCHEMA, np.zeros((2000, 1)), y)
+            points = roc_curve(y, positive)
+            binary, _, roc = _evaluate(model, ds, [0], "binary")
+            assert binary.auc == auc(points)
+            assert np.array_equal(roc["binary"], roc_vertices(y, points))
+            multi, _, roc = _evaluate(model, ds, [0], "multiclass")
+            assert multi.auc_per_class[1] == auc(points)
+            assert np.array_equal(roc["1"], roc_vertices(y, points))
+            differs.append(auc(roc_vertices(y, points)) != auc(points))
+        # the trapezoids over the vertices alone round differently on some seeds
+        assert any(differs)
+
+    def test_roc_files_hold_vertices_with_round_trip_thresholds(self, tmp_path):
+        out = tmp_path / "out"
+        report = run_experiment(mini_config(out))
+        for path in sorted((out / "roc").iterdir()):
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            for (part, cls), block in itertools.groupby(rows, key=lambda r: r[:2]):
+                counts = report.split_counts[part]
+                n_pos = counts[cls]
+                n_neg = sum(counts.values()) - n_pos
+                fpr, tpr, thresholds = np.array([r[2:] for r in block], dtype=float).T
+                f, t = np.rint(fpr * n_neg), np.rint(tpr * n_pos)
+                df, dt = np.diff(f), np.diff(t)
+                # no three consecutive rows on one line
+                assert np.all(df[:-1] * dt[1:] != dt[:-1] * df[1:]), (path.name, part, cls)
+                # the printed thresholds are distinct, as the scores are
+                assert np.all(np.diff(thresholds) < 0), (path.name, part, cls)
+
+    def test_thresholds_written_round_trip(self, tmp_path):
+        out = tmp_path / "out"
+        report = run_experiment(mini_config(out, models=[ClassifierConfig(kind="nb")]))
+        # posteriors a few ulps below 1 print alike with 10 significant digits
+        points = np.array([[0.0, 0.0, np.inf], [0.0, 0.5, 1 - 2.0**-50],
+                           [0.5, 1.0, 1 - 2.0**-49], [1.0, 1.0, 1 - 2.0**-48]])
+        cell = report.cells[0]
+        cell.evaluations["test"] = cell.evaluations["test"]._replace(roc={"binary": points})
+        emit_report(report)
+        rows = (out / "roc" / "nb_v1.csv").read_text().splitlines()
+        written = [float(r.split(",")[4]) for r in rows if r.startswith("test,")]
+        assert written == points[:, 2].tolist()
 
 
 class TestExperimentConfig:
