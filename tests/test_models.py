@@ -1140,17 +1140,22 @@ def digest_datasets():
     yield x, ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(np.int64)
 
 
-# sha256 of the 80 fits of test_tree_fits_keep_their_digest. A change that
-# alters any tree-kind model regenerates it and says why.
-FITS_DIGEST = "0c26e698ba490f0da29676c824d51b6c8ce704c7785fda757c372994b350e105"
+# sha256 of the 20 fits of each tree kind in test_tree_fits_keep_their_digest.
+# A change that alters a kind's models regenerates its digest and says why.
+FITS_DIGESTS = {
+    "dt": "f9e5d210a892f2141d158bf73a1754221488efd1a164345b8fa28eb4c5717233",
+    "rf": "630febe66b23e0da1d6223cd6dc4db26f3bf19a99aaa179ac1e1279d091fdb61",
+    "et": "9246bdab2de544af3bb7ce888b0fabd076d81b1a34375f510c7e7a9d7983408d",
+    "gbt": "52359682aad2f12937e29be5fba975b6fe6be22a2e28f73e5ab833f7ddc41d01",
+}
 
 
 def test_tree_fits_keep_their_digest():
     # model documents and scores of dt/rf/et/gbt x entropy/gini x unlimited
     # and depth 4; no score goes through BLAS
-    digest = hashlib.sha256()
+    digests = {kind: hashlib.sha256() for kind in FITS_DIGESTS}
     for x, y in digest_datasets():
-        for kind in ("dt", "rf", "et", "gbt"):
+        for kind, digest in digests.items():
             for impurity in ("entropy", "gini"):
                 for depth in (None, 4):
                     config = ClassifierConfig(kind=kind, impurity=impurity, max_depth=depth,
@@ -1159,7 +1164,9 @@ def test_tree_fits_keep_their_digest():
                     model = fit_model(x, y, config)
                     digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
                     digest.update(model.score(x).tobytes())
-    assert digest.hexdigest() == FITS_DIGEST
+    changed = [kind for kind, digest in digests.items()
+               if digest.hexdigest() != FITS_DIGESTS[kind]]
+    assert not changed, f"the {', '.join(changed)} fits changed"
 
 
 # sha256 of the svm fits of test_svm_fits_keep_their_digest. Their margins go
