@@ -113,7 +113,7 @@ class GradientBoostedModel(TrainedModel):
             # the stages of every chain grow together
             roots = [np.arange(len(yi)) for _ in targets]
             trees = _grow(x, roots, partial(_newton_step, x, codes, grads, hesses, config),
-                          x.shape[1], preorder=False)
+                          x.shape[1])
             for c, tree in enumerate(trees):
                 stages[c].append(tree)
                 raws[c] = raws[c] + LEARNING_RATE * tree.value[tree.apply(x)]

@@ -3,15 +3,13 @@
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
 scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.build`` lays
 them out. Every tree grows through one driver, ``_grow``, together with the
-other trees of its fit: each step takes pending nodes of every tree, largest
-first, while the step holds at most ``BLOCK_CELLS`` (candidate x row) cells,
-answers them all at once and partitions the rows of each split node in
-place. rf and et take each tree's next node in preorder, since each tree
-draws its candidates and et thresholds from its own generator in preorder,
-so every tree is the one it would grow alone. dt and the stages of a
-boosting round draw nothing, so a step takes every pending node of every
-tree, level by level as XGBoost's exact greedy search does (Chen &
-Guestrin, KDD 2016).
+other trees of its fit. Each tree answers its nodes level by level, largest
+first within a level, as XGBoost's exact greedy search grows (Chen &
+Guestrin, KDD 2016); a step takes nodes of one level from each tree in turn
+while it holds at most ``BLOCK_CELLS`` (candidate x row) cells, answers them
+all at once and partitions the rows of each split node in place. rf and et
+draw one row of uniforms per splitting node from the tree's own generator,
+in that fixed order, so no model depends on how nodes share steps.
 
 ``_value_codes`` ranks every feature's values once per fit, for every kind
 that reads a sort. ``_class_step`` answers dt, rf and et nodes. dt and rf
@@ -26,8 +24,10 @@ by their value codes, a block of features at a time.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import partial
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -223,32 +223,33 @@ class Tree:
         return cls.build(doc, expand)
 
 
-def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
-          preorder: bool) -> list[Tree]:
+def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
     """Grow one tree on ``x`` from each root's ``rows``, all together.
 
     A node's rows are a slice of its tree's root rows, partitioned stably in
     place by each split, so the nodes of an ascending root hold ascending
-    rows. Each step takes the pending nodes of every tree (with
-    ``preorder``, each tree's next node in preorder), largest first, while
-    the step holds at most ``BLOCK_CELLS`` (``width`` x row) cells; the
-    largest always goes. Taking the largest first keeps the trees at nodes
-    of like size, so that small nodes find others to share a step with.
+    rows. Each tree answers its nodes level by level, largest first within a
+    level, ties by creation id, so a tree that draws from its own generator
+    grows the same however its nodes share steps. A step takes nodes from
+    each tree in turn, starting with the tree whose next node is largest:
+    from each tree only nodes of one level, and only while the step holds at
+    most ``BLOCK_CELLS`` (``width`` x row) cells; the first node always goes.
     ``step`` gets ``(tree, rows, depth)`` of each node and answers ``(value,
     None)`` to make a leaf or ``(value, (feature, threshold))`` to split it.
     """
-    nodes = [[None] for _ in roots]  # per tree, by node id: (value, split)
-    pending = [{0: (rows, 0)} for rows in roots]  # id: (rows, depth)
+    nodes = [[None] for _ in roots]  # per tree, by creation id: (value, split)
+    pending = [[(0, -len(rows), 0, rows)] for rows in roots]  # heaps: (depth, -size, id, rows)
     while any(pending):
-        heads = [(t, i) for t, waiting in enumerate(pending)
-                 for i in (list(waiting)[-1:] if preorder else waiting)]
-        heads.sort(key=lambda head: -len(pending[head[0]][head[1]][0]))
+        first = min(range(len(roots)), key=lambda t: pending[t][0][1] if pending[t] else 1)
         taken, cells = [], 0
-        for t, i in heads:
-            cost = width * len(pending[t][i][0])
-            if not taken or cells + cost <= BLOCK_CELLS:
-                taken.append((t, i, *pending[t].pop(i)))
-                cells += cost
+        for t in [*range(first, len(roots)), *range(first)]:
+            heap = pending[t]
+            level = heap[0][0] if heap else None
+            while heap and heap[0][0] == level and (
+                    not taken or cells - width * heap[0][1] <= BLOCK_CELLS):
+                depth, size, i, rows = heapq.heappop(heap)
+                taken.append((t, i, rows, depth))
+                cells -= width * size
         answers = step([(t, rows, depth) for t, _, rows, depth in taken])
         for (t, i, *_), answer in zip(taken, answers):
             nodes[t][i] = answer  # a split's gets its children's ids below
@@ -273,8 +274,8 @@ def _grow(x: np.ndarray, roots: list, step: Callable, width: int,
             left_id = len(nodes[t])
             nodes[t] += [None, None]
             nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
-            pending[t][left_id + 1] = rows[n:], depth + 1
-            pending[t][left_id] = rows[:n], depth + 1  # last in: next in preorder
+            heapq.heappush(pending[t], (depth + 1, -n, left_id, rows[:n]))
+            heapq.heappush(pending[t], (depth + 1, n - len(rows), left_id + 1, rows[n:]))
     return [Tree.build(0, tree.__getitem__) for tree in nodes]
 
 
@@ -357,12 +358,15 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     ``_grow`` asks: one bincount counts every node's classes, and one split
     search scores every (node, candidate) cell.
 
-    Each splitting node of tree ``t`` draws ``k`` candidate features from
-    ``draws[t]`` unless ``k`` is every feature, and for et one uniform
-    threshold per non-constant candidate. dt and rf score every cut between
-    distinct values with ``_sorted_cuts``, ``BLOCK_CELLS`` cells at a time,
-    and a node whose cuts gain nothing takes the first cut of its first
-    candidate that has one; et scores its random cuts.
+    dt's candidates are every feature. In rf and et each splitting node of
+    tree ``t`` takes a row ``u`` of ``F + k`` uniforms, from one draw of
+    ``draws[t]`` per step: its candidates are the features of the ``k``
+    lowest of ``u[:F]``, ascending, and et cuts candidate ``j`` at ``lo +
+    (hi - lo) * u[F + j]``, ``lo`` and ``hi`` its extremes in the node. dt
+    and rf score every cut between distinct values with ``_sorted_cuts``,
+    ``BLOCK_CELLS`` cells at a time; et scores its random cuts. A node whose
+    cuts gain nothing takes the first cut, in candidate order, that sends
+    rows both ways.
     """
     sizes = np.array([len(rows) for _, rows, _ in nodes])
     rows = np.concatenate([rows for _, rows, _ in nodes])
@@ -377,13 +381,14 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
         grows &= np.array([depth for *_, depth in nodes]) < config.max_depth
     picked = np.flatnonzero(grows)
     n_features = x.shape[1]
-    if k < n_features:
-        candidates = np.sort([draws[nodes[i][0]].choice(n_features, size=k, replace=False)
-                              for i in picked]).reshape(-1, k)
-    else:
-        candidates = np.tile(np.arange(n_features), (len(picked), 1))
-    if not candidates.size:
+    if not (picked.size and k):
         return answers
+    if config.kind == "dt":
+        candidates = np.tile(np.arange(n_features), (len(picked), 1))
+    else:  # a tree's nodes come in its answer order
+        u = np.concatenate([draws[t].random((len(list(run)), n_features + k))
+                            for t, run in groupby(nodes[i][0] for i in picked)])
+        candidates = np.sort(np.argpartition(u[:, :n_features], k - 1)[:, :k])
     # segment s holds the rows of node picked[s // k] on candidate s % k
     seg_node, seg_feat = np.repeat(picked, k), candidates.ravel()
     if config.kind == "et":
@@ -391,19 +396,15 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
         values = x[cell_rows, seg_feat[seg]]
         lo = np.minimum.reduceat(values, seg_start)
         hi = np.maximum.reduceat(values, seg_start)
-        varied = lo < hi
-        cuts = np.full(len(seg_start), -np.inf)  # no row goes left of a constant candidate
-        for at, i in zip(range(0, len(seg_start), k), picked):
-            v = varied[at:at + k]
-            rng = draws[nodes[i][0]]
-            cuts[at:at + k][v] = rng.uniform(lo[at:at + k][v], hi[at:at + k][v])
+        cuts = first = lo + (hi - lo) * u[:, n_features:].ravel()  # can round up to hi
         left_of = values <= cuts[seg]
+        n_left = np.bincount(seg[left_of], minlength=len(seg_start))
+        splits = (n_left > 0) & (n_left < sizes[seg_node])
         left = np.bincount(seg[left_of] * n_classes + y[cell_rows[left_of]],
                            minlength=len(seg_start) * n_classes).reshape(-1, n_classes)
+        # a cut that sends every row one way gains zero, up to rounding
         gains = _impurity_rows(counts, config.impurity)[seg_node] - _child_impurity(
-            left, np.bincount(seg[left_of], minlength=len(seg_start)), counts[seg_node],
-            config.impurity)
-        col = _first_best(np.where(varied, gains, -np.inf).reshape(-1, k))
+            left, n_left, counts[seg_node], config.impurity)
     else:
         # a node of more cells than BLOCK_CELLS steps alone, a block of candidates at a time
         block = len(seg_node)
@@ -413,13 +414,13 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
             _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, config.impurity,
                          seg_node[at:at + block], seg_feat[at:at + block])
             for at in range(0, len(seg_node), block))))
-        col = _first_best(gains.reshape(-1, k))
-        # no cut gains (a 4-point XOR's root): a flat gain takes the first cut
-        flat = col < 0
-        if flat.any():
-            has_cut = ~np.isnan(first)
-            col[flat] = _first_best(np.where(has_cut, 1.0, -np.inf).reshape(-1, k))[flat]
-            cuts = np.where(np.repeat(flat, k), first, cuts)
+        splits = ~np.isnan(first)
+    col = _first_best(gains.reshape(-1, k))
+    # no cut gains (a 4-point XOR's root): take the first cut that splits
+    flat = col < 0
+    if flat.any():
+        col[flat] = _first_best(np.where(splits, 1.0, -np.inf).reshape(-1, k))[flat]
+        cuts = np.where(np.repeat(flat, k), first, cuts)
     chosen = np.flatnonzero(col >= 0)
     feats = candidates[chosen, col[chosen]].tolist()
     thresholds = cuts.reshape(-1, k)[chosen, col[chosen]].tolist()
@@ -443,8 +444,7 @@ def _grow_class_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
     codes = None if config.kind == "et" else _value_codes(x)  # et reads no sort
     roots = [rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
              for rng in draws]
-    return _grow(x, roots, partial(_class_step, x, y, codes, config, n_classes, k, draws),
-                 k, preorder=config.kind != "dt")
+    return _grow(x, roots, partial(_class_step, x, y, codes, config, n_classes, k, draws), k)
 
 
 class DecisionTreeModel(TrainedModel):

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import heapq
 import json
 import sys
 from pathlib import Path
@@ -62,22 +63,37 @@ def impurity(class_proportions, kind):
 
 
 class Drawn:
-    """Stands in for a tree's generator: every node draws ``candidates``."""
+    """Stands in for a tree's generator: every node's row of ``F + k``
+    uniforms puts ``candidates`` lowest among the first ``F`` and ends in
+    the et cut ``fractions``."""
 
-    def __init__(self, candidates):
+    def __init__(self, candidates, fractions=0.5):
         self.candidates = np.asarray(candidates)
+        self.fractions = fractions
 
-    def choice(self, n, size, replace):
-        return self.candidates
+    def random(self, size):
+        m, width = size
+        u = np.ones(width)
+        u[self.candidates] = 0.0
+        u[width - len(self.candidates):] = self.fractions
+        return np.tile(u, (m, 1))
 
 
-def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None):
+def drawn_candidates(u, n_features, k):
+    """Reference: the candidates of a node's uniforms ``u``, the features of
+    the ``k`` lowest of ``u[:n_features]``, ascending."""
+    return np.sort(np.argsort(u[:n_features])[:k])
+
+
+def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None,
+                model="rf", fractions=0.5):
     """The ``(feature, threshold)`` split, or None, that ``_class_step`` gives
-    the node of ``rows`` (default: every row) when it draws ``candidates``."""
+    the rf (or et) node of ``rows`` (default: every row) when it draws
+    ``candidates`` (and et cut ``fractions``)."""
     rows = np.arange(len(y)) if rows is None else rows
-    config = ClassifierConfig(kind="rf", impurity=kind)
+    config = ClassifierConfig(kind=model, impurity=kind)
     (_, split), = _class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
-                              len(candidates), [Drawn(candidates)], [(0, rows, 0)])
+                              len(candidates), [Drawn(candidates, fractions)], [(0, rows, 0)])
     return split
 
 
@@ -325,8 +341,20 @@ class TestPresortedScan:
             # rf draws int(sqrt(5)) = 2 candidate features
             (_, split), = _class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
                                       2, 2, [np.random.default_rng(seed)], [(0, rows, 0)])
-            candidates = np.random.default_rng(seed).choice(5, size=2, replace=False)
-            assert split == unique_fallback(x, candidates)
+            u = np.random.default_rng(seed).random(5 + 2)
+            assert split == unique_fallback(x, drawn_candidates(u, 5, 2))
+
+    def test_et_zero_gain_cut_sends_rows_both_ways(self):
+        # a balanced XOR: no cut gains, so et takes the first candidate whose
+        # cut splits; on adjacent floats a fraction of 0.9 rounds up to hi
+        lo = 0.58
+        hi = np.nextafter(lo, 1.0)
+        x = np.array([[lo, 0.0], [lo, 1.0], [hi, 0.0], [hi, 1.0]])
+        y = np.array([0, 1, 1, 0])
+        assert lo + (hi - lo) * 0.9 == hi
+        assert class_split(x, y, [0, 1], model="et", fractions=0.9) == (1, 0.9)
+        assert class_split(x, y, [0, 1], model="et", fractions=0.25) == (0, lo)
+        assert class_split(x[::2], y[::2], [0], model="et", fractions=0.9) is None
 
 
 def block_sized_fits(x, y, monkeypatch, cells):
@@ -383,18 +411,18 @@ def test_value_codes_come_in_the_narrowest_unsigned_dtype(distinct, dtype, rng):
     assert not codes[1].any()
 
 
-def random_cut_split(x, y, candidate_features, impurity_kind, rng, counts):
-    """Reference: the et split of a tree grown alone (Geurts, Ernst & Wehenkel,
-    2006): one uniform random threshold per non-constant candidate, drawn in
-    ascending feature order, and every candidate scored at once. ``counts``
-    are the class counts of ``y``."""
+def random_cut_split(x, y, candidate_features, impurity_kind, fractions, counts):
+    """Reference: the best gaining et split (Geurts, Ernst & Wehenkel, 2006):
+    candidate ``j`` in ascending feature order cut at ``fractions[j]`` of the
+    way from its lowest value to its highest, and every non-constant
+    candidate scored at once. ``counts`` are the class counts of ``y``."""
     n_classes = len(counts)
     feats = np.sort(np.asarray(candidate_features, dtype=np.int64))
     cols = x[:, feats]
     lo, hi = cols.min(axis=0), cols.max(axis=0)
     varied = lo < hi
     feats, cols = feats[varied], cols[:, varied]
-    thresholds = rng.uniform(lo[varied], hi[varied])
+    thresholds = (lo + (hi - lo) * np.asarray(fractions))[varied]
     left = cols <= thresholds
     cells = y[:, None] + n_classes * np.arange(len(feats))
     left_counts = np.bincount(cells[left], minlength=len(feats) * n_classes)
@@ -405,35 +433,55 @@ def random_cut_split(x, y, candidate_features, impurity_kind, rng, counts):
     return None if best < 0 else (feats[best], float(thresholds[best]))
 
 
-def lone_tree(x, y, rows, config, n_classes, rng, depth=0):
+def lone_tree(x, y, rows, config, n_classes, rng):
     """Reference: the model-file document of an rf or et tree grown alone on
-    ``rows``, depth first, left subtree first, drawing its candidates (and et
-    thresholds) from ``rng``."""
-    counts = np.bincount(y[rows], minlength=n_classes)
-    if ((config.max_depth is not None and depth >= config.max_depth)
-            or np.count_nonzero(counts) <= 1):
-        return {"counts": counts.tolist()}
+    ``rows``, one node at a time, level by level, largest first within a
+    level and ties in creation order. Each splitting node draws ``F + k``
+    uniforms ``u`` from ``rng``: ``drawn_candidates`` and, for et, the cut
+    fractions ``u[F:]``. A node whose cuts gain nothing takes the first cut
+    that sends rows both ways."""
     n_features = x.shape[1]
-    k = max(1, int(np.sqrt(n_features)))
-    candidates = (rng.choice(n_features, size=k, replace=False) if k < n_features
-                  else range(n_features))
-    if config.kind == "et":
-        split = random_cut_split(x[rows], y[rows], candidates, config.impurity, rng, counts)
-    else:
-        split = argsort_class_split(x[rows], y[rows], candidates, config.impurity, n_classes)
-    if split is None:
-        return {"counts": counts.tolist()}
-    feat, threshold = int(split[0]), float(split[1])
-    left = x[rows, feat] <= threshold
-    return {"feature": feat, "threshold": threshold,
-            "left": lone_tree(x, y, rows[left], config, n_classes, rng, depth + 1),
-            "right": lone_tree(x, y, rows[~left], config, n_classes, rng, depth + 1)}
+    k = min(n_features, max(1, int(np.sqrt(n_features))))
+    root = {}
+    pending = [(0, -len(rows), 0, rows, root)]  # (depth, -size, id, rows, document)
+    created = 1
+    while pending:
+        depth, _, _, rows, doc = heapq.heappop(pending)
+        counts = np.bincount(y[rows], minlength=n_classes)
+        doc["counts"] = counts.tolist()
+        if ((config.max_depth is not None and depth >= config.max_depth)
+                or np.count_nonzero(counts) <= 1):
+            continue
+        u = rng.random(n_features + k)
+        candidates = drawn_candidates(u, n_features, k)
+        xs, ys = x[rows], y[rows]
+        if config.kind == "et":
+            fractions = u[n_features:]
+            split = random_cut_split(xs, ys, candidates, config.impurity, fractions, counts)
+            for f, fraction in zip(candidates, fractions):
+                lo, hi = xs[:, f].min(), xs[:, f].max()
+                cut = lo + (hi - lo) * fraction
+                if split is None and 0 < np.sum(xs[:, f] <= cut) < len(rows):
+                    split = f, cut
+        else:
+            split = argsort_class_split(xs, ys, candidates, config.impurity, n_classes)
+        if split is None:
+            continue
+        feat, threshold = int(split[0]), float(split[1])
+        left = x[rows, feat] <= threshold
+        del doc["counts"]
+        doc.update(feature=feat, threshold=threshold, left={}, right={})
+        for side, part in (("left", rows[left]), ("right", rows[~left])):
+            heapq.heappush(pending, (depth + 1, -len(part), created, part, doc[side]))
+            created += 1
+    return root
 
 
 @pytest.mark.parametrize("impurity", ["entropy", "gini"])
-def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
+def test_forest_trees_match_trees_grown_alone(impurity, rng):
     # the trees grown together equal trees grown alone from the same draws;
-    # no random cut of the balanced XOR gains, so each et tree is one leaf
+    # no cut of the balanced XOR gains, so each et node takes its first
+    # cut that splits
     xor = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], 25, axis=0)
     for x, y in (tie_heavy(rng, 200, n_classes=4), (xor, (xor[:, 0] != xor[:, 1]) * 2)):
         y = np.array([3, 7, 9, 12])[y]
@@ -452,15 +500,18 @@ def test_forest_trees_match_trees_grown_on_their_own_presort(impurity, rng):
 def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
     budget = 1000
     monkeypatch.setattr(tree_engine, "BLOCK_CELLS", budget)
-    steps = []
+    grows = []  # per _grow call, its steps
     grow = tree_engine._grow
 
-    def recording(x, roots, step, width, preorder):
+    def recording(x, roots, step, width):
+        steps = []
+        grows.append((width, steps))
+
         def recorded(nodes):
-            steps.append((width, [(t, len(rows)) for t, rows, _ in nodes]))
+            steps.append([(t, len(rows), depth) for t, rows, depth in nodes])
             return step(nodes)
 
-        return grow(x, roots, recorded, width, preorder)
+        return grow(x, roots, recorded, width)
 
     monkeypatch.setattr(tree_engine, "_grow", recording)
     monkeypatch.setattr(boosting, "_grow", recording)
@@ -468,17 +519,23 @@ def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
     # dt or gbt root
     x, y = tie_heavy(rng, 300)
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=5, n_rounds=2, seed=1))
-    sizes = [[n for _, n in nodes] for _, nodes in steps]
-    assert all(width * sum(n) <= max(budget, width * max(n))
-               for (width, _), n in zip(steps, sizes))
-    assert [300] in sizes  # a root alone
-    trees = [len({t for t, _ in nodes}) for _, nodes in steps]
-    if kind in ("rf", "et"):  # each tree's next node in preorder
-        assert max(trees) == 5  # every tree in one step
-        assert all(len(n) == t for n, t in zip(sizes, trees))
-    else:  # every pending node of every tree
-        assert max(len(n) - t for n, t in zip(sizes, trees)) > 0
-        assert max(trees) == (3 if kind == "gbt" else 1)  # one chain per class
+    trees_per_step, nodes_per_tree = [], []
+    for width, steps in grows:
+        levels = {}  # per tree, the level of each step that takes its nodes
+        for nodes in steps:
+            sizes = [n for _, n, _ in nodes]
+            assert width * sum(sizes) <= max(budget, width * sizes[0])
+            trees = {t for t, _, _ in nodes}
+            trees_per_step.append(len(trees))
+            for t in trees:
+                mine = [(depth, -n) for u, n, depth in nodes if u == t]
+                assert mine == sorted(mine) and mine[0][0] == mine[-1][0]  # one level
+                levels.setdefault(t, []).append(mine[0][0])
+                nodes_per_tree.append(len(mine))
+        assert all(depths == sorted(depths) for depths in levels.values())
+    assert [(0, 300, 0)] in (nodes for _, steps in grows for nodes in steps)  # a root alone
+    assert max(nodes_per_tree) > 1  # a step takes several nodes of a level
+    assert (max(trees_per_step) > 1) == (kind != "dt")  # the trees of a fit share steps
 
 
 @pytest.mark.parametrize("gains, expected", [
@@ -497,7 +554,7 @@ def test_first_best_tie_rule(gains, expected):
     assert _first_best(rows).tolist() == singly
 
 
-def scalar_random_cut_split(x, y, candidates, kind, rng, n_classes):
+def scalar_random_cut_split(x, y, candidates, kind, fractions, n_classes):
     """Reference: the per-candidate loop the vectorised ET rule replaced,
     with impurity() as the impurity of each side."""
     def side(counts):
@@ -506,12 +563,12 @@ def scalar_random_cut_split(x, y, candidates, kind, rng, n_classes):
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     best = None  # (gain, feature, threshold)
-    for feat in sorted(candidates):
+    for feat, fraction in zip(sorted(candidates), fractions):
         col = x[:, feat]
         lo, hi = col.min(), col.max()
         if lo == hi:
             continue
-        threshold = rng.uniform(lo, hi)
+        threshold = lo + (hi - lo) * fraction
         left = col <= threshold
         n_left = int(left.sum())
         if n_left == 0 or n_left == n:
@@ -537,16 +594,13 @@ class TestRandomCutSplit:
             x = np.round(rng.uniform(size=(n, 6)), 1)  # repeated values
             x[:, rng.choice(6, size=int(rng.integers(0, 4)), replace=False)] = 0.5
             if trial % 10 == 0:
-                x[:] = 0.25  # every column constant: no draw at all
+                x[:] = 0.25  # every column constant: no cut
             y = rng.integers(0, n_classes, size=n)
             candidates = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
-            fast = np.random.default_rng(trial)
-            slow = np.random.default_rng(trial)
+            fractions = rng.random(len(candidates))
             counts = np.bincount(y, minlength=n_classes)
-            got = random_cut_split(x, y, candidates, kind, fast, counts)
-            expected = scalar_random_cut_split(x, y, candidates, kind, slow, n_classes)
-            assert got == expected
-            assert fast.bit_generator.state == slow.bit_generator.state
+            got = random_cut_split(x, y, candidates, kind, fractions, counts)
+            assert got == scalar_random_cut_split(x, y, candidates, kind, fractions, n_classes)
             found += got is not None
         assert found > 20
 
@@ -1144,8 +1198,8 @@ def digest_datasets():
 # A change that alters a kind's models regenerates its digest and says why.
 FITS_DIGESTS = {
     "dt": "f9e5d210a892f2141d158bf73a1754221488efd1a164345b8fa28eb4c5717233",
-    "rf": "630febe66b23e0da1d6223cd6dc4db26f3bf19a99aaa179ac1e1279d091fdb61",
-    "et": "9246bdab2de544af3bb7ce888b0fabd076d81b1a34375f510c7e7a9d7983408d",
+    "rf": "2cdd8c84d095313324325faaacc6b332327554c2ba3bfd8135e134c5d14d007d",
+    "et": "254ec5ac6391a73f11f27a9372933fb7f68ac3f76cc34c252bbdd540b47ce0ee",
     "gbt": "52359682aad2f12937e29be5fba975b6fe6be22a2e28f73e5ab833f7ddc41d01",
 }
 
