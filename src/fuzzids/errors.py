@@ -49,3 +49,11 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             math.isfinite(value) and low <= value <= high):
         raise error(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
+
+
+def require_reals(name: str, values, error=ConfigError) -> None:
+    """Raise ``error`` unless values is a list of finite numbers; bools are not."""
+    if not isinstance(values, list):
+        raise error(f"{name} must be a list, got {type(values).__name__}")
+    for i, value in enumerate(values):
+        require_real(f"{name}[{i}]", value, error=error)

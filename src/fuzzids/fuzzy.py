@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SchemaError
+from .errors import SchemaError, require_real, require_reals
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class FeatureRanking:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureRanking":
+        """``ValueError`` unless the scores are finite and ``et_weight`` in [0, 1]."""
+        require_reals("scores", doc["scores"], error=ValueError)
+        require_real("et_weight", doc["et_weight"], 0.0, 1.0, error=ValueError)
         return cls(np.asarray(doc["scores"], dtype=float), doc["et_weight"])
 
 

@@ -3,23 +3,18 @@
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
 scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.build`` lays
 them out. Every tree grows through one driver, ``_grow``, together with the
-other trees of its fit. Each tree answers its nodes level by level, largest
-first within a level, as XGBoost's exact greedy search grows (Chen &
-Guestrin, KDD 2016); a step takes nodes of one level from each tree in turn
-while it holds at most ``BLOCK_CELLS`` (candidate x row) cells, answers them
-all at once and partitions the rows of each split node in place. rf and et
-draw one row of uniforms per splitting node from the tree's own generator,
-in that fixed order, so no model depends on how nodes share steps.
+other trees of its fit, level by level as XGBoost's exact greedy search does
+(Chen & Guestrin, KDD 2016). Each step answers the nodes of up to
+``BLOCK_CELLS`` (candidate x row) cells at once and partitions the rows of
+each split node in place. A tree answers its nodes in a fixed order, so an
+rf or et tree, which draws from its own generator, is the one it grows alone.
 
-``_value_codes`` ranks every feature's values once per fit, for every kind
-that reads a sort. ``_class_step`` answers dt, rf and et nodes. dt and rf
-sort each step's cells by node, candidate and value code, and score only
-the cuts between distinct values, ``BLOCK_CELLS`` cells at a time; et
-scores its random cuts (Geurts, Ernst & Wehenkel, 2006). Every impurity
-split rule counts the classes left of its cuts with ``_left_counts``,
-scores the cuts with ``_child_impurity`` and picks its winner with
-``_first_best``. gbt's Newton step (``boosting.py``) sorts each node's rows
-by their value codes, a block of features at a time.
+``_value_codes`` ranks every feature's values once per fit. ``_class_step``
+answers dt, rf and et nodes: dt and rf score only the cuts between distinct
+values, et its random cuts (Geurts, Ernst & Wehenkel, 2006), each counting
+the classes left of its cuts with ``_left_counts``, scoring them with
+``_child_impurity`` and picking its winner with ``_first_best``. gbt's
+Newton step (``boosting.py``) sorts each node's rows by their value codes.
 """
 
 from __future__ import annotations
@@ -229,13 +224,12 @@ def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
     A node's rows are a slice of its tree's root rows, partitioned stably in
     place by each split, so the nodes of an ascending root hold ascending
     rows. Each tree answers its nodes level by level, largest first within a
-    level, ties by creation id, so a tree that draws from its own generator
-    grows the same however its nodes share steps. A step takes nodes from
-    each tree in turn, starting with the tree whose next node is largest:
-    from each tree only nodes of one level, and only while the step holds at
-    most ``BLOCK_CELLS`` (``width`` x row) cells; the first node always goes.
-    ``step`` gets ``(tree, rows, depth)`` of each node and answers ``(value,
-    None)`` to make a leaf or ``(value, (feature, threshold))`` to split it.
+    level, ties by creation id. A step takes nodes from each tree in turn,
+    starting with the tree whose next node is largest: from each tree only
+    nodes of one level, while the step holds at most ``BLOCK_CELLS``
+    (``width`` x row) cells; the first node always goes. ``step`` gets
+    ``(tree, rows, depth)`` of each node and answers ``(value, None)`` for a
+    leaf or ``(value, (feature, threshold))`` for a split.
     """
     nodes = [[None] for _ in roots]  # per tree, by creation id: (value, split)
     pending = [[(0, -len(rows), 0, rows)] for rows in roots]  # heaps: (depth, -size, id, rows)
@@ -359,14 +353,12 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     search scores every (node, candidate) cell.
 
     dt's candidates are every feature. In rf and et each splitting node of
-    tree ``t`` takes a row ``u`` of ``F + k`` uniforms, from one draw of
-    ``draws[t]`` per step: its candidates are the features of the ``k``
-    lowest of ``u[:F]``, ascending, and et cuts candidate ``j`` at ``lo +
-    (hi - lo) * u[F + j]``, ``lo`` and ``hi`` its extremes in the node. dt
-    and rf score every cut between distinct values with ``_sorted_cuts``,
-    ``BLOCK_CELLS`` cells at a time; et scores its random cuts. A node whose
-    cuts gain nothing takes the first cut, in candidate order, that sends
-    rows both ways.
+    tree ``t`` takes a row ``u`` of ``F + k`` uniforms, one draw of
+    ``draws[t]`` per step: its candidates are the ``k`` lowest of ``u[:F]``,
+    ascending, and et cuts candidate ``j`` at ``lo + (hi - lo) * u[F + j]``
+    of its range in the node. dt and rf score every cut between distinct
+    values, ``BLOCK_CELLS`` cells at a time. A node whose cuts gain nothing
+    takes the first cut, in candidate order, that sends rows both ways.
     """
     sizes = np.array([len(rows) for _, rows, _ in nodes])
     rows = np.concatenate([rows for _, rows, _ in nodes])

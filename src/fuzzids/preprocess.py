@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SchemaError, require_real
+from .errors import SchemaError, require_reals
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,7 @@ class ScalerState:
         numbers of one length."""
         mins, maxs = doc["mins"], doc["maxs"]
         for name, values in (("mins", mins), ("maxs", maxs)):
-            if not isinstance(values, list):
-                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
-            for i, value in enumerate(values):
-                require_real(f"{name}[{i}]", value, error=ValueError)
+            require_reals(name, values, error=ValueError)
         if len(mins) != len(maxs):
             raise ValueError(f"{len(mins)} mins but {len(maxs)} maxs")
         return cls(doc["schema_name"], np.asarray(mins, dtype=float),

@@ -438,6 +438,22 @@ BAD_FILES = {
     "predict, ranking one score too short": (
         _predict(model_text=LEAF_MODEL, scores=lambda s: s[:-1]), 1,
         "ranking.json of the run must score the schema's 8 features"),
+    "predict, ranking score NaN": (
+        _predict(model_text=LEAF_MODEL, state=("ranking.json",
+                                                _set_item("scores", 0, float("nan")))), 1,
+        "cannot load ranking.json of the run: scores[0] must be a finite number"),
+    "predict, ranking score a bool": (
+        _predict(model_text=LEAF_MODEL, state=("ranking.json", _set_item("scores", 0, True))),
+        1, "ranking.json of the run: scores[0] must be a finite number in [-inf, inf], "
+        "got True"),
+    "predict, ranking score a string": (
+        _predict(model_text=LEAF_MODEL, state=("ranking.json", _set_item("scores", 3, "2"))),
+        1, "ranking.json of the run: scores[3] must be a finite number in [-inf, inf], "
+        "got '2'"),
+    "predict, ranking et_weight above one": (
+        _predict(model_text=LEAF_MODEL, state=("ranking.json",
+                                                lambda doc: dict(doc, et_weight=1.5))), 1,
+        "ranking.json of the run: et_weight must be a finite number in [0.0, 1.0], got 1.5"),
     "predict, scaler max NaN": (
         _predict(model_text=LEAF_MODEL, state=("scaler_state.json",
                                                 _set_item("maxs", 2, float("nan")))), 1,
