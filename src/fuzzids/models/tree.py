@@ -355,10 +355,10 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     dt's candidates are every feature. In rf and et each splitting node of
     tree ``t`` takes a row ``u`` of ``F + k`` uniforms, one draw of
     ``draws[t]`` per step: its candidates are the ``k`` lowest of ``u[:F]``,
-    ascending, and et cuts candidate ``j`` at ``lo + (hi - lo) * u[F + j]``
-    of its range in the node. dt and rf score every cut between distinct
-    values, ``BLOCK_CELLS`` cells at a time. A node whose cuts gain nothing
-    takes the first cut, in candidate order, that sends rows both ways.
+    ascending, and et cuts candidate ``j`` at ``lo + (hi - lo) * u[F + j]``,
+    ``lo`` and ``hi`` its extremes in the node. dt and rf score every cut
+    between distinct values, ``BLOCK_CELLS`` cells at a time. A node whose
+    cuts gain nothing takes the first cut, in candidate order, that splits.
     """
     sizes = np.array([len(rows) for _, rows, _ in nodes])
     rows = np.concatenate([rows for _, rows, _ in nodes])
