@@ -19,24 +19,24 @@ REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
 def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
-                 config: ClassifierConfig, nodes: list) -> list[tuple]:
-    """Answer boosting nodes, each ``(chain, rows, depth)``, as ``_grow``
-    asks: leaf weight -G / (H + lambda) and, above ``gbt_max_depth``, the best
-    cut by the Newton gain. A stable argsort of the node's value ``codes``
-    orders its rows per feature, ``BLOCK_CELLS`` (feature x row) cells at a
-    time; ``rows`` ascend, so ties stay in row order. A feature's first
-    maximum wins, the lower threshold on ties, then ``_first_best`` picks
-    among features; thresholds are midpoints of ``x``, kept below the higher
-    value so that every cut splits.
+                 config: ClassifierConfig, nodes: list, depth: int) -> list[tuple]:
+    """Answer a step of boosting nodes at ``depth``, each ``(chain, rows)``,
+    as ``_grow`` asks: leaf weight -G / (H + lambda) and, above
+    ``gbt_max_depth``, the best cut by the Newton gain. A stable argsort of
+    the node's value ``codes`` orders its rows per feature, ``BLOCK_CELLS``
+    (feature x row) cells at a time; ``rows`` ascend, so ties stay in row
+    order. A feature's first maximum wins, the lower threshold on ties, then
+    ``_first_best`` picks among features; thresholds are midpoints of ``x``,
+    kept below the higher value so that every cut splits.
     """
-    lam = REG_LAMBDA
-    answers = []
-    for chain, rows, depth in nodes:
+    lam, answers = REG_LAMBDA, []
+    leaves = depth >= config.gbt_max_depth
+    for chain, rows in nodes:
         grad, hess = grads[chain], hesses[chain]
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
         weight = -g / (h + lam)
-        if depth >= config.gbt_max_depth or len(rows) < 2:
+        if leaves or len(rows) < 2:
             answers.append((weight, None))
             continue
         gains, cuts = [], []

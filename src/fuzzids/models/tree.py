@@ -3,11 +3,12 @@
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
 scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.build`` lays
 them out. Every tree grows through one driver, ``_grow``, together with the
-other trees of its fit, level by level as XGBoost's exact greedy search does
-(Chen & Guestrin, KDD 2016). Each step answers the nodes of up to
-``BLOCK_CELLS`` (candidate x row) cells at once and partitions the rows of
-each split node in place. A tree answers its nodes in a fixed order, so an
-rf or et tree, which draws from its own generator, is the one it grows alone.
+other trees of its fit, one level at a time as XGBoost grows depth-wise
+(Chen & Guestrin, KDD 2016). A level's nodes are sorted by tree, largest
+first, and each step answers up to ``BLOCK_CELLS`` (candidate x row) cells
+of them at once and partitions the rows of each split node in place. A tree
+answers its nodes in this order however the steps fall, so an rf or et tree,
+which draws from its own generator, is the one it grows alone.
 
 ``_value_codes`` ranks every feature's values once per fit. ``_class_step``
 answers dt, rf and et nodes: dt and rf score only the cuts between distinct
@@ -19,7 +20,6 @@ Newton step (``boosting.py``) sorts each node's rows by their value codes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import partial
 from itertools import groupby
@@ -219,57 +219,55 @@ class Tree:
 
 
 def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
-    """Grow one tree on ``x`` from each root's ``rows``, all together.
+    """Grow one tree on ``x`` from each root's ``rows``, all together, one
+    level at a time.
 
     A node's rows are a slice of its tree's root rows, partitioned stably in
     place by each split, so the nodes of an ascending root hold ascending
-    rows. Each tree answers its nodes level by level, largest first within a
-    level, ties by creation id. A step takes nodes from each tree in turn,
-    starting with the tree whose next node is largest: from each tree only
-    nodes of one level, while the step holds at most ``BLOCK_CELLS``
-    (``width`` x row) cells; the first node always goes. ``step`` gets
-    ``(tree, rows, depth)`` of each node and answers ``(value, None)`` for a
-    leaf or ``(value, (feature, threshold))`` for a split.
+    rows. A level's nodes are sorted once by tree, largest first within a
+    tree, ties by creation id, and cut into steps of at most ``BLOCK_CELLS``
+    (``width`` x row) cells. ``step`` gets a step's ``(tree, rows)`` nodes
+    and their depth, and answers each ``(value, None)`` for a leaf or
+    ``(value, (feature, threshold))`` for a split.
     """
     nodes = [[None] for _ in roots]  # per tree, by creation id: (value, split)
-    pending = [[(0, -len(rows), 0, rows)] for rows in roots]  # heaps: (depth, -size, id, rows)
-    while any(pending):
-        first = min(range(len(roots)), key=lambda t: pending[t][0][1] if pending[t] else 1)
-        taken, cells = [], 0
-        for t in [*range(first, len(roots)), *range(first)]:
-            heap = pending[t]
-            level = heap[0][0] if heap else None
-            while heap and heap[0][0] == level and (
-                    not taken or cells - width * heap[0][1] <= BLOCK_CELLS):
-                depth, size, i, rows = heapq.heappop(heap)
-                taken.append((t, i, rows, depth))
-                cells -= width * size
-        answers = step([(t, rows, depth) for t, _, rows, depth in taken])
-        for (t, i, *_), answer in zip(taken, answers):
-            nodes[t][i] = answer  # a split's gets its children's ids below
-        splits = [(node, split) for node, (_, split) in zip(taken, answers) if split]
-        if not splits:
-            continue
-        # every row of a split node goes left or right of its cut, and the
-        # node's rows are partitioned in place, left child first
-        sizes = np.array([len(node[2]) for node, _ in splits])
-        rows = np.concatenate([node[2] for node, _ in splits])
-        feature, threshold = (np.array(column) for column in zip(*(s for _, s in splits)))
-        node_of_row = np.repeat(np.arange(len(splits)), sizes)
-        goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
-        n_left = np.bincount(node_of_row[goes_left], minlength=len(splits))
-        lefts, rights = rows[goes_left], rows[~goes_left]
-        left_start = (np.cumsum(n_left) - n_left).tolist()
-        right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
-        for s, ((t, i, rows, depth), (feat, thr)) in enumerate(splits):
-            n = int(n_left[s])
-            rows[:n] = lefts[left_start[s]:left_start[s] + n]
-            rows[n:] = rights[right_start[s]:right_start[s] + len(rows) - n]
-            left_id = len(nodes[t])
-            nodes[t] += [None, None]
-            nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
-            heapq.heappush(pending[t], (depth + 1, -n, left_id, rows[:n]))
-            heapq.heappush(pending[t], (depth + 1, n - len(rows), left_id + 1, rows[n:]))
+    level, depth = [(t, 0, rows) for t, rows in enumerate(roots)], 0  # (tree, id, rows)
+    while level:
+        level.sort(key=lambda node: (node[0], -len(node[2]), node[1]))
+        steps, cells, children = [], math.inf, []
+        for node in level:
+            cells += width * len(node[2])
+            if cells > BLOCK_CELLS:  # a step's first node always goes
+                steps.append([])
+                cells = width * len(node[2])
+            steps[-1].append(node)
+        for taken in steps:
+            answers = step([(t, rows) for t, _, rows in taken], depth)
+            for (t, i, _), answer in zip(taken, answers):
+                nodes[t][i] = answer  # a split's gets its children's ids below
+            splits = [(node, split) for node, (_, split) in zip(taken, answers) if split]
+            if not splits:
+                continue
+            # every row of a split node goes left or right of its cut, and the
+            # node's rows are partitioned in place, left child first
+            sizes = np.array([len(node[2]) for node, _ in splits])
+            rows = np.concatenate([node[2] for node, _ in splits])
+            feature, threshold = (np.array(col) for col in zip(*(s for _, s in splits)))
+            node_of_row = np.repeat(np.arange(len(splits)), sizes)
+            goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
+            n_left = np.bincount(node_of_row[goes_left], minlength=len(splits))
+            lefts, rights = rows[goes_left], rows[~goes_left]
+            left_start = (np.cumsum(n_left) - n_left).tolist()
+            right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
+            for s, ((t, i, rows), (feat, thr)) in enumerate(splits):
+                n = int(n_left[s])
+                rows[:n] = lefts[left_start[s]:left_start[s] + n]
+                rows[n:] = rights[right_start[s]:right_start[s] + len(rows) - n]
+                left_id = len(nodes[t])
+                nodes[t] += [None, None]
+                nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
+                children += [(t, left_id, rows[:n]), (t, left_id + 1, rows[n:])]
+        level, depth = children, depth + 1
     return [Tree.build(0, tree.__getitem__) for tree in nodes]
 
 
@@ -347,9 +345,9 @@ def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
 
 
 def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
-                draws: list, nodes: list) -> list[tuple]:
-    """Answer a batch of dt, rf or et nodes, each ``(tree, rows, depth)``, as
-    ``_grow`` asks: one bincount counts every node's classes, and one split
+                draws: list, nodes: list, depth: int) -> list[tuple]:
+    """Answer a step of dt, rf or et nodes at ``depth``, each ``(tree, rows)``,
+    as ``_grow`` asks: one bincount counts every node's classes, and one split
     search scores every (node, candidate) cell.
 
     dt's candidates are every feature. In rf and et each splitting node of
@@ -360,20 +358,18 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     between distinct values, ``BLOCK_CELLS`` cells at a time. A node whose
     cuts gain nothing takes the first cut, in candidate order, that splits.
     """
-    sizes = np.array([len(rows) for _, rows, _ in nodes])
-    rows = np.concatenate([rows for _, rows, _ in nodes])
+    sizes = np.array([len(rows) for _, rows in nodes])
+    rows = np.concatenate([rows for _, rows in nodes])
     node_start = np.cumsum(sizes) - sizes
     node_of_row = np.repeat(np.arange(len(nodes)), sizes)
     counts = np.bincount(node_of_row * n_classes + y[rows],
                          minlength=len(nodes) * n_classes).reshape(-1, n_classes)
     answers = [(c, None) for c in counts]
     # a node of one row is pure, so it is a leaf here
-    grows = np.count_nonzero(counts, axis=1) > 1
-    if config.max_depth is not None:
-        grows &= np.array([depth for *_, depth in nodes]) < config.max_depth
-    picked = np.flatnonzero(grows)
+    picked = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1)
     n_features = x.shape[1]
-    if not (picked.size and k):
+    if not (picked.size and k) or (config.max_depth is not None
+                                   and depth >= config.max_depth):
         return answers
     if config.kind == "dt":
         candidates = np.tile(np.arange(n_features), (len(picked), 1))

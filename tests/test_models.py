@@ -93,7 +93,7 @@ def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None,
     rows = np.arange(len(y)) if rows is None else rows
     config = ClassifierConfig(kind=model, impurity=kind)
     (_, split), = _class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
-                              len(candidates), [Drawn(candidates, fractions)], [(0, rows, 0)])
+                              len(candidates), [Drawn(candidates, fractions)], [(0, rows)], 0)
     return split
 
 
@@ -246,7 +246,7 @@ def newton_split(x, grad, hess, rows):
     """The ``(feature, threshold)`` split, or None, that ``_newton_step``
     gives the boosting node of ``rows``, ascending, at the root depth."""
     (_, split), = _newton_step(x, _value_codes(x), [grad], [hess],
-                               ClassifierConfig(kind="gbt"), [(0, rows, 0)])
+                               ClassifierConfig(kind="gbt"), [(0, rows)], 0)
     return split
 
 
@@ -301,11 +301,11 @@ class TestPresortedScan:
         x, y = tie_heavy(rng, 120)
         seen = []
 
-        def step(x, codes, grads, hesses, config, nodes):
-            for _, rows, depth in nodes:
+        def step(x, codes, grads, hesses, config, nodes, depth):
+            for _, rows in nodes:
                 assert np.all(np.diff(rows) > 0)
                 seen.append(depth)
-            return _newton_step(x, codes, grads, hesses, config, nodes)
+            return _newton_step(x, codes, grads, hesses, config, nodes, depth)
 
         monkeypatch.setattr(boosting, "_newton_step", step)
         fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=2))
@@ -340,7 +340,7 @@ class TestPresortedScan:
             assert class_split(x, a ^ b, range(5)) == unique_fallback(x, range(5))
             # rf draws int(sqrt(5)) = 2 candidate features
             (_, split), = _class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
-                                      2, 2, [np.random.default_rng(seed)], [(0, rows, 0)])
+                                      2, 2, [np.random.default_rng(seed)], [(0, rows)], 0)
             u = np.random.default_rng(seed).random(5 + 2)
             assert split == unique_fallback(x, drawn_candidates(u, 5, 2))
 
@@ -507,9 +507,9 @@ def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
         steps = []
         grows.append((width, steps))
 
-        def recorded(nodes):
-            steps.append([(t, len(rows), depth) for t, rows, depth in nodes])
-            return step(nodes)
+        def recorded(nodes, depth):
+            steps.append((depth, [(t, len(rows)) for t, rows in nodes]))
+            return step(nodes, depth)
 
         return grow(x, roots, recorded, width)
 
@@ -521,19 +521,17 @@ def test_forest_step_holds_at_most_its_budget(kind, rng, monkeypatch):
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=5, n_rounds=2, seed=1))
     trees_per_step, nodes_per_tree = [], []
     for width, steps in grows:
-        levels = {}  # per tree, the level of each step that takes its nodes
-        for nodes in steps:
-            sizes = [n for _, n, _ in nodes]
+        depths = [depth for depth, _ in steps]
+        assert depths == sorted(depths)  # one level after another
+        for _, nodes in steps:
+            sizes = [n for _, n in nodes]
             assert width * sum(sizes) <= max(budget, width * sizes[0])
-            trees = {t for t, _, _ in nodes}
+            # by tree, and largest first within a tree
+            assert nodes == sorted(nodes, key=lambda node: (node[0], -node[1]))
+            trees = {t for t, _ in nodes}
             trees_per_step.append(len(trees))
-            for t in trees:
-                mine = [(depth, -n) for u, n, depth in nodes if u == t]
-                assert mine == sorted(mine) and mine[0][0] == mine[-1][0]  # one level
-                levels.setdefault(t, []).append(mine[0][0])
-                nodes_per_tree.append(len(mine))
-        assert all(depths == sorted(depths) for depths in levels.values())
-    assert [(0, 300, 0)] in (nodes for _, steps in grows for nodes in steps)  # a root alone
+            nodes_per_tree += [sum(u == t for u, _ in nodes) for t in trees]
+    assert (0, [(0, 300)]) in (step for _, steps in grows for step in steps)  # a root alone
     assert max(nodes_per_tree) > 1  # a step takes several nodes of a level
     assert (max(trees_per_step) > 1) == (kind != "dt")  # the trees of a fit share steps
 
