@@ -138,9 +138,7 @@ def predict(config_path, model_name, vector_name, data_path, out_path):
     """Predict labels for a file with one trained cell and the run's saved states."""
     config = ExperimentConfig.from_file(config_path)
     labels = predict_file(config, model_name, vector_name, data_path)
-    Path(out_path).write_text(
-        "\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8"
-    )
+    Path(out_path).write_text("".join(f"{int(v)}\n" for v in labels), encoding="utf-8")
     click.echo(f"wrote {len(labels)} predictions to {out_path}")
 
 

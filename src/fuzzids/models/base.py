@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError, require_int
+from ..errors import ConfigError, SchemaError, require_int, require_real
 
 MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 
@@ -20,11 +20,14 @@ def one_vs_rest(n_classes: int) -> range:
 
 
 def require_shape(name: str, values, shape: tuple) -> np.ndarray:
-    """``values`` as a float array; ``ValueError`` unless it has ``shape``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(f"{name} have shape {values.shape}, the model needs {shape}")
-    return values
+    """``values`` as a float array; ``ValueError`` unless it has ``shape`` and
+    holds only finite real numbers, no bools or strings."""
+    cells = np.asarray(values, dtype=object)
+    if cells.shape != shape:
+        raise ValueError(f"{name} have shape {cells.shape}, the model needs {shape}")
+    for at in np.ndindex(shape):
+        require_real(f"{name}{list(at)}", cells[at], error=ValueError)
+    return cells.astype(float)
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class ClassifierConfig:
 
     kind: str
     seed: int = 0
-    impurity: str = "entropy"           # dt/rf/et/gbt: entropy | gini
+    impurity: str = "entropy"           # dt/rf/et: entropy | gini
     max_depth: int | None = None        # dt/rf/et; None = unlimited
     n_trees: int = 100                  # rf/et
     n_rounds: int = 100                 # gbt

@@ -59,7 +59,7 @@ class NaiveBayesModel(TrainedModel):
     def from_params(cls, config, classes, n_features, params):
         shape = (len(classes), n_features)
         variances = require_shape("variances", params["variances"], shape)
-        if not (np.isfinite(variances) & (variances > 0)).all():
+        if not (variances > 0).all():
             raise ValueError("variances must be finite and positive")
         return cls(config, classes, n_features,
                    require_shape("log_priors", params["log_priors"], shape[:1]),

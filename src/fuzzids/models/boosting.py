@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import TrainingError, require_real
 from .base import ClassifierConfig, TrainedModel, one_vs_rest
 from . import tree as engine
 from .tree import Tree, _first_best, _grow
@@ -151,6 +151,8 @@ class GradientBoostedModel(TrainedModel):
         chains, n_chains = params["chains"], len(one_vs_rest(len(classes)))
         if len(chains) != n_chains:
             raise ValueError(f"{len(chains)} chains, the model needs {n_chains}")
+        for chain in chains:
+            require_real("base_score", chain["base_score"], error=ValueError)
         return cls(config, classes, n_features, [c["base_score"] for c in chains],
                    [[Tree.from_dict(s, n_features, len(classes), "weight")
                      for s in c["stages"]] for c in chains],

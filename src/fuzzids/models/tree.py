@@ -493,6 +493,8 @@ class ForestModel(TrainedModel):
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
+        if not params["trees"]:
+            raise ValueError("a forest needs at least one tree")
         trees = [Tree.from_dict(t, n_features, len(classes), "counts")
                  for t in params["trees"]]
         return cls(config, classes, n_features, trees)

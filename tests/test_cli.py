@@ -75,6 +75,18 @@ def test_preprocess_select_train_predict(tmp_path):
     assert len(preds.read_text().splitlines()) == 200
 
 
+def test_predict_on_a_header_only_file_writes_an_empty_file(tmp_path):
+    config = _write_config(tmp_path)
+    _invoke("train", "--config", config)
+    data = tmp_path / "header_only.csv"
+    data.write_text((DATA / "mini_test.csv").read_text().splitlines()[0] + "\n")
+    preds = tmp_path / "preds.txt"
+    result = _invoke("predict", "--config", config, "--model", "dt", "--vector", "v1",
+                     "--data", data, "--out", preds)
+    assert "wrote 0 predictions" in result.output
+    assert preds.read_text() == ""
+
+
 def test_predict_cuts_vectors_in_the_order_of_the_ranking_scores(tmp_path):
     """ranking.json writes its order for readers; predict derives it from the scores."""
     config = _write_config(tmp_path)

@@ -1135,19 +1135,41 @@ class TestUniformContract:
         ("nb", lambda doc: doc["params"]["variances"][2].__setitem__(0, 0.0),
          "variances must be finite and positive"),
         ("nb", lambda doc: doc["params"]["variances"][0].__setitem__(1, float("nan")),
-         "variances must be finite and positive"),
+         r"variances\[0, 1\] must be a finite number .*, got nan"),
+        ("nb", lambda doc: doc["params"]["means"][1].__setitem__(0, float("nan")),
+         r"means\[1, 0\] must be a finite number .*, got nan"),
+        ("nb", lambda doc: doc["params"]["log_priors"].__setitem__(2, float("inf")),
+         r"log_priors\[2\] must be a finite number .*, got inf"),
         ("svm", lambda doc: doc["params"]["weights"].pop(),
          r"weights have shape \(2, 2\), the model needs \(3, 2\)"),
         ("svm", lambda doc: doc["params"]["biases"].pop(),
          r"biases have shape \(2,\), the model needs \(3,\)"),
+        ("svm", lambda doc: doc["params"]["weights"][0].__setitem__(1, float("nan")),
+         r"weights\[0, 1\] must be a finite number .*, got nan"),
+        ("svm", lambda doc: doc["params"]["biases"].__setitem__(0, "1"),
+         r"biases\[0\] must be a finite number .*, got '1'"),
+        ("svm", lambda doc: doc["params"]["biases"].__setitem__(1, True),
+         r"biases\[1\] must be a finite number .*, got True"),
         ("gbt", lambda doc: doc["params"]["chains"].pop(), "2 chains, the model needs 3"),
+        ("gbt", lambda doc: doc["params"]["chains"][0].update(base_score=float("nan")),
+         "base_score must be a finite number .*, got nan"),
+        ("gbt", lambda doc: doc["params"]["chains"][1].update(base_score=float("inf")),
+         "base_score must be a finite number .*, got inf"),
+        ("gbt", lambda doc: doc["params"]["chains"][2].update(base_score="x"),
+         "base_score must be a finite number .*, got 'x'"),
+        ("gbt", lambda doc: doc["params"]["chains"][0].update(base_score=True),
+         "base_score must be a finite number .*, got True"),
+        ("rf", lambda doc: doc["params"].update(trees=[]), "a forest needs at least one tree"),
         ("rf", lambda doc: doc["config"].update(kind="dt"),
          "config kind 'dt' is not the file's 'rf'"),
     ], ids=["reversed classes", "repeated class", "fractional classes", "boolean classes",
             "no classes", "class beyond int64", "fractional n_features", "boolean n_features",
             "negative n_features", "nb means short of a class", "nb log_priors short",
             "nb variances of another width", "nb zero variance", "nb NaN variance",
-            "svm short of a chain", "svm biases short", "gbt short of a chain",
+            "nb NaN mean", "nb infinite log prior", "svm short of a chain",
+            "svm biases short", "svm NaN weight", "svm string bias", "svm boolean bias",
+            "gbt short of a chain", "gbt NaN base score", "gbt infinite base score",
+            "gbt string base score", "gbt boolean base score", "rf without trees",
             "rf file of a dt config"])
     def test_malformed_header_or_parameters_rejected_on_load(self, kind, edit, message,
                                                              tmp_path):
