@@ -29,7 +29,8 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
     ``_first_best`` picks among features; thresholds are midpoints of ``x``,
     kept below the higher value so that every cut splits.
     """
-    lam, answers = REG_LAMBDA, []
+    lam = REG_LAMBDA
+    answers = []
     leaves = depth >= config.gbt_max_depth
     for chain, rows in nodes:
         grad, hess = grads[chain], hesses[chain]
