@@ -1214,19 +1214,43 @@ def digest_datasets():
     yield x, ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(np.int64)
 
 
+def update_digest(digest, model, x, path):
+    """Feed ``digest`` a fit's in-memory arrays, its score matrix on ``x`` and
+    the score matrix of its ``save_model`` / ``load_model`` copy at ``path``;
+    no byte of the model file itself, so the digest outlives a file format
+    that keeps every model's bits."""
+    trees = []
+    if model.kind == "nb":
+        arrays = [model.log_priors, model.means, model.variances]
+    elif model.kind == "svm":
+        arrays = [model.weights, model.biases, *map(np.array, model.objective_traces)]
+    elif model.kind == "gbt":
+        arrays = [np.array(model.base_scores), *map(np.array, model.objective_traces)]
+        trees = [tree for stages in model.stages for tree in stages]
+    else:
+        arrays, trees = [], [model.tree] if model.kind == "dt" else model.trees
+    arrays += [getattr(tree, name) for tree in trees
+               for name in ("feature", "threshold", "left", "right", "value")]
+    digest.update(json.dumps(model.flags, sort_keys=True).encode())
+    for array in (model.classes, *arrays, model.score(x)):
+        digest.update(array.tobytes())
+    save_model(model, path)
+    digest.update(load_model(path).score(x).tobytes())
+
+
 # sha256 of the 20 fits of each tree kind in test_tree_fits_keep_their_digest.
 # A change that alters a kind's models regenerates its digest and says why.
 FITS_DIGESTS = {
-    "dt": "f9e5d210a892f2141d158bf73a1754221488efd1a164345b8fa28eb4c5717233",
-    "rf": "2cdd8c84d095313324325faaacc6b332327554c2ba3bfd8135e134c5d14d007d",
-    "et": "254ec5ac6391a73f11f27a9372933fb7f68ac3f76cc34c252bbdd540b47ce0ee",
-    "gbt": "52359682aad2f12937e29be5fba975b6fe6be22a2e28f73e5ab833f7ddc41d01",
+    "dt": "96608b76d3553d5c86effda90e516a0d3b394195efa31be773907ba223fd87ff",
+    "rf": "4c2413ae1c02447ee0780235aed6e1dd4c5d05ac95991056a1ce17877a9ad2d7",
+    "et": "d9d7b6600bdd7e1fd6f997e54ab90484555ac2e6a105b3349b6a8215334f6655",
+    "gbt": "f83dbdb36722db63c8677d6ac82fac641d60d19672d66b2492aab44620f9aefc",
 }
 
 
-def test_tree_fits_keep_their_digest():
-    # model documents and scores of dt/rf/et/gbt x entropy/gini x unlimited
-    # and depth 4; no score goes through BLAS
+def test_tree_fits_keep_their_digest(tmp_path):
+    # fits of dt/rf/et/gbt x entropy/gini x unlimited and depth 4; no score
+    # goes through BLAS
     digests = {kind: hashlib.sha256() for kind in FITS_DIGESTS}
     for x, y in digest_datasets():
         for kind, digest in digests.items():
@@ -1235,9 +1259,8 @@ def test_tree_fits_keep_their_digest():
                     config = ClassifierConfig(kind=kind, impurity=impurity, max_depth=depth,
                                               gbt_max_depth=depth or 6, n_trees=5,
                                               n_rounds=3, seed=7)
-                    model = fit_model(x, y, config)
-                    digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
-                    digest.update(model.score(x).tobytes())
+                    update_digest(digest, fit_model(x, y, config), x,
+                                  tmp_path / "model.json")
     changed = [kind for kind, digest in digests.items()
                if digest.hexdigest() != FITS_DIGESTS[kind]]
     assert not changed, f"the {', '.join(changed)} fits changed"
@@ -1245,11 +1268,11 @@ def test_tree_fits_keep_their_digest():
 
 # sha256 of the svm fits of test_svm_fits_keep_their_digest. Their margins go
 # through BLAS, so like the nb_svm golden files it holds for one BLAS build.
-SVM_FITS_DIGEST = "c1ad34956a4bc1ea74482d7073775ca4d1143eaa35a18787a6507ce67cf28cce"
+SVM_FITS_DIGEST = "5b899c91bf635118379789eac44559d17c0ed6d4fd199bf45cefece3bb71dd9b"
 
 
-def test_svm_fits_keep_their_digest():
-    # model documents and scores on C- and F-ordered copies of each dataset,
+def test_svm_fits_keep_their_digest(tmp_path):
+    # fits on C- and F-ordered copies of each dataset,
     # plus a larger binary set that runs the chain for many iterations
     r = np.random.default_rng(77)
     big = r.normal(size=(2000, 12))
@@ -1259,8 +1282,7 @@ def test_svm_fits_keep_their_digest():
         for layout in ("C", "F"):
             model = fit_model(np.asarray(x, order=layout), y,
                               ClassifierConfig(kind="svm", max_iters=80))
-            digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
-            digest.update(model.score(x).tobytes())
+            update_digest(digest, model, x, tmp_path / "model.json")
     assert digest.hexdigest() == SVM_FITS_DIGEST
 
 
@@ -1288,7 +1310,7 @@ def corpus_slice(path):
 
 # sha256 of the fits of test_large_fits_keep_their_digest, whose roots hold
 # more than BLOCK_CELLS (feature x row) cells.
-LARGE_FITS_DIGEST = "61b949ad824b0248588201ecd9d56fe2073614e9d6fb1e029fbf50216943a72b"
+LARGE_FITS_DIGEST = "a5daabfd341c73013286ecfc8e6fdbc7bc6f36b0d520fafe3595108077f82901"
 
 
 def test_large_fits_keep_their_digest(tmp_path):
@@ -1300,7 +1322,5 @@ def test_large_fits_keep_their_digest(tmp_path):
             (y, ClassifierConfig(kind="dt", impurity="gini")),
             (y, ClassifierConfig(kind="gbt", n_rounds=3, gbt_max_depth=4)),
             (y == 0, ClassifierConfig(kind="gbt", n_rounds=3, gbt_max_depth=4))):
-        model = fit_model(x, labels, config)
-        digest.update(json.dumps(model.to_dict(), sort_keys=True).encode())
-        digest.update(model.score(x).tobytes())
+        update_digest(digest, fit_model(x, labels, config), x, tmp_path / "model.json")
     assert digest.hexdigest() == LARGE_FITS_DIGEST
