@@ -49,13 +49,8 @@ def fit_model(x: np.ndarray, y: np.ndarray, config: ClassifierConfig) -> Trained
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Write the model file; a tree too deep for its nested format writes nothing."""
-    try:
-        text = json.dumps(model.to_dict(), sort_keys=True)
-    except RecursionError as exc:
-        depth = "gbt_max_depth" if model.kind == "gbt" else "max_depth"
-        raise TrainingError(f"cannot save {path}: the {model.kind} trees nest too deep "
-                            f"for the model file; set {depth} to bound them") from exc
+    """Write the model file."""
+    text = json.dumps(model.to_dict(), sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -10,7 +10,7 @@ from ..errors import ConfigError, SchemaError, require_int, require_real
 
 MODEL_KINDS = ("dt", "rf", "et", "gbt", "nb", "svm")
 
-SERIALIZATION_VERSION = 3
+SERIALIZATION_VERSION = 4
 
 
 def one_vs_rest(n_classes: int) -> range:

@@ -144,7 +144,7 @@ class GradientBoostedModel(TrainedModel):
 
     def params_dict(self) -> dict:
         chains = zip(self.base_scores, self.stages, self.objective_traces)
-        return {"chains": [{"base_score": base, "stages": [s.to_dict() for s in stages],
+        return {"chains": [{"base_score": base, "stages": [s.to_dict("weight") for s in stages],
                             "objective_trace": trace} for base, stages, trace in chains]}
 
     @classmethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable
 
 import numpy as np
@@ -95,9 +95,9 @@ class Tree:
 
     Node ``i`` splits on ``feature[i]`` at ``threshold[i]``: rows with
     ``x[feature] <= threshold`` go to ``left[i]``, the rest to ``right[i]``.
-    Leaves have ``left == right == -1``. ``value`` holds class counts,
-    shape (n_nodes, n_classes), or a leaf weight, shape (n_nodes,); it is
-    zero at internal nodes.
+    Leaves have ``feature == left == right == -1``. ``value`` holds class
+    counts, shape (n_nodes, n_classes), or a leaf's vote or weight, shape
+    (n_nodes,); it is zero at internal nodes.
     """
 
     def __init__(self, feature, threshold, left, right, value):
@@ -162,60 +162,80 @@ class Tree:
                 rows, at = rows[~done], at[~done]
         return node
 
-    def to_dict(self, node: int = 0) -> dict:
-        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` /
-        ``{weight}`` document of the subtree at ``node``."""
-        if self.left[node] < 0:
-            if self.value.ndim == 2:
-                return {"counts": self.value[node].tolist()}
-            return {"weight": float(self.value[node])}
-        return {
-            "feature": int(self.feature[node]),
-            "threshold": float(self.threshold[node]),
-            "left": self.to_dict(self.left[node]),
-            "right": self.to_dict(self.right[node]),
-        }
+    def to_dict(self, leaf: str, value: np.ndarray | None = None) -> dict:
+        """The tree as preorder lists: ``feature`` of every node, -1 at a
+        leaf, ``threshold`` of every split, and under ``leaf`` each leaf's
+        row of ``value``, by default the tree's own."""
+        split = self.left >= 0
+        value = self.value if value is None else value
+        return {"feature": self.feature.tolist(), "threshold": self.threshold[split].tolist(),
+                leaf: value[~split].tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict, n_features: int, n_classes: int, leaf: str) -> "Tree":
-        """Inverse of ``to_dict`` for a tree whose leaves hold ``leaf``,
-        ``"counts"`` or ``"weight"``. ``ValueError`` unless every split names
-        an integer feature in [0, n_features) and a finite threshold, and
-        every leaf holds ``leaf`` and no split key: a finite weight, or one
-        non-negative integer count per class."""
-        other = {"counts": "weight", "weight": "counts"}[leaf]
+        """Inverse of ``to_dict`` for leaves that hold ``leaf``: ``"counts"``,
+        one non-negative integer per class, ``"vote"``, a class, or
+        ``"weight"``, a finite number. ``ValueError`` unless ``feature`` lays
+        out one complete binary tree, every split names an integer feature in
+        [0, n_features) and a finite threshold, and the lists agree in length.
 
-        def number(value, what: str) -> float:
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"{what} {value!r} is not a finite number")
-            return float(value)
+        Before node ``i`` the tree awaits ``pending[i]`` subtrees: one at the
+        root, one more after each split and one fewer after each leaf. A
+        split's left child is the next node, and its right child the next
+        node whose ``pending`` is the split's, the first after the left subtree.
+        """
+        if doc.keys() != {"feature", "threshold", leaf}:
+            raise ValueError(f"a tree holds {sorted(doc)}, the trees of this model hold "
+                             f"{sorted({'feature', 'threshold', leaf})}")
+        feature = _numbers(doc["feature"], "split feature", integer=True)
+        split = feature != -1
+        if ((feature[split] < 0) | (feature[split] >= n_features)).any():
+            raise ValueError(f"a split names a feature outside [0, {n_features})")
+        pending = np.cumsum(np.where(split, 1, -1)) + 1  # after each node
+        if not (pending.size and pending[-1] == 0 and (pending[:-1] > 0).all()):
+            raise ValueError("feature does not lay out one complete binary tree in preorder")
+        pending = np.concatenate([[1], pending[:-1]])  # before each node
+        order = np.argsort(pending, kind="stable")
+        same = pending[order[1:]] == pending[order[:-1]]
+        right = np.full(len(split), -1)
+        right[order[:-1][same]] = order[1:][same]
+        threshold = _numbers(doc["threshold"], "split threshold", integer=False)
+        leaves = doc[leaf]
+        if leaf == "counts":
+            widths = set(map(len, leaves)) - {n_classes}
+            if widths:
+                raise ValueError(f"leaf counts have {min(widths)} entries for "
+                                 f"{n_classes} classes")
+            leaves = list(chain.from_iterable(leaves))
+        values = _numbers(leaves, "leaf " + leaf.removesuffix("s"), integer=leaf != "weight")
+        if leaf == "counts" and (values < 0).any():
+            raise ValueError(f"leaf count {values.min()} is negative")
+        outside = values[(values < 0) | (values >= n_classes)] if leaf == "vote" else []
+        if len(outside):
+            raise ValueError(f"leaf vote {outside[0]} is not a class in [0, {n_classes})")
+        values = values.reshape(-1, n_classes) if leaf == "counts" else values
+        if len(threshold) != split.sum() or len(values) != len(split) - split.sum():
+            raise ValueError(f"a tree of {len(split)} nodes, {split.sum()} of them splits, "
+                             f"holds {len(threshold)} thresholds and {len(values)} leaves")
+        value = np.zeros((len(split),) + values.shape[1:], dtype=values.dtype)
+        value[~split] = values
+        thresholds = np.zeros(len(split))
+        thresholds[split] = threshold
+        return cls(feature, thresholds, np.where(split, np.arange(1, len(split) + 1), -1),
+                   np.where(split, right, -1), value)
 
-        def expand(doc):
-            if other in doc:
-                raise ValueError(f"a leaf holds {other!r}, but the leaves of this "
-                                 f"model hold {leaf!r}")
-            if leaf in doc:
-                if doc.keys() & {"feature", "threshold", "left", "right"}:
-                    raise ValueError(f"a node holds both {leaf!r} and split keys")
-                if leaf == "weight":
-                    return number(doc["weight"], "leaf weight"), None
-                counts = doc["counts"]
-                if not all(type(c) is int and c >= 0 for c in counts):
-                    raise ValueError(f"leaf counts {counts!r} are not "
-                                     "non-negative integers")
-                if len(counts) != n_classes:
-                    raise ValueError(f"leaf counts have {len(counts)} entries "
-                                     f"for {n_classes} classes")
-                return counts, None
-            feat = doc["feature"]
-            if type(feat) is not int:
-                raise ValueError(f"split feature {feat!r} is not an integer")
-            if not 0 <= feat < n_features:
-                raise ValueError(f"a split names a feature outside [0, {n_features})")
-            return None, (feat, number(doc["threshold"], "split threshold"),
-                          doc["left"], doc["right"])
 
-        return cls.build(doc, expand)
+def _numbers(values, what: str, integer: bool) -> np.ndarray:
+    """``values``, a list of integers or of finite numbers, as an array;
+    ``ValueError`` naming the first entry that is not (bools are neither)."""
+    types, name = ({int}, "an integer") if integer else ({int, float}, "a finite number")
+    if isinstance(values, list) and set(map(type, values)) <= types:
+        array = np.array(values, dtype=np.int64 if integer else float)
+        if np.isfinite(array).all():
+            return array
+    for value in values if isinstance(values, list) else [values]:
+        if type(value) not in types or not math.isfinite(value):
+            raise ValueError(f"{what} {value!r} is not {name}")
 
 
 def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
@@ -457,7 +477,7 @@ class DecisionTreeModel(TrainedModel):
         return proba[self.tree.apply(x)]
 
     def params_dict(self) -> dict:
-        return {"root": self.tree.to_dict()}
+        return {"root": self.tree.to_dict("counts")}
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
@@ -466,12 +486,16 @@ class DecisionTreeModel(TrainedModel):
 
 
 class ForestModel(TrainedModel):
-    """Majority-vote ensemble; scores are vote fractions."""
+    """Majority-vote ensemble; scores are vote fractions. A fitted tree's
+    ``value`` holds each node's class counts, a loaded tree's only its vote,
+    the class of the counts' first maximum, which is all a model file keeps."""
 
     def __init__(self, config, classes, n_features, trees: list[Tree]):
         super().__init__(config, classes, n_features)
         self.trees = trees
         self.kind = config.kind  # rf or et
+        self.votes = [t.value if t.value.ndim == 1 else np.argmax(t.value, axis=1)
+                      for t in trees]
 
     @classmethod
     def fit(cls, x, yi, classes, config):
@@ -483,19 +507,19 @@ class ForestModel(TrainedModel):
     def score(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(self._check_features(x))  # one copy for every tree
         offset = np.arange(len(x)) * len(self.classes)  # of each row's class-0 vote
-        votes = sum(np.bincount(offset + np.argmax(tree.value, axis=1)[tree.apply(x)],
+        votes = sum(np.bincount(offset + vote[tree.apply(x)],
                                 minlength=offset.size * len(self.classes))
-                    for tree in self.trees)
+                    for tree, vote in zip(self.trees, self.votes))
         return votes.reshape(len(x), len(self.classes)) / len(self.trees)
 
     def params_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
+        return {"trees": [t.to_dict("vote", vote) for t, vote in zip(self.trees, self.votes)]}
 
     @classmethod
     def from_params(cls, config, classes, n_features, params):
         if not params["trees"]:
             raise ValueError("a forest needs at least one tree")
-        trees = [Tree.from_dict(t, n_features, len(classes), "counts")
+        trees = [Tree.from_dict(t, n_features, len(classes), "vote")
                  for t in params["trees"]]
         return cls(config, classes, n_features, trees)
 
@@ -504,11 +528,15 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel) -> np.ndarray
     """Per-feature importance: the (weighted) impurity decrease summed over
     each tree's nodes, averaged over the trees.
 
-    Used as the tree-ensemble side of fuzzy/ET score fusion.
+    Used as the tree-ensemble side of fuzzy/ET score fusion. ``ValueError``
+    for a loaded forest, whose trees keep only their votes.
     """
     totals = np.zeros(model.n_features)
     trees = model.trees if isinstance(model, ForestModel) else [model.tree]
     for tree in trees:
+        if tree.value.ndim != 2:
+            raise ValueError("a loaded forest keeps only its leaves' votes, not the class "
+                             "counts that importance needs")
         counts, end = tree.value.copy(), np.arange(len(tree.left))
         internal = np.flatnonzero(tree.left >= 0)
         for node in internal[::-1]:  # reverse preorder: children before parents

@@ -354,11 +354,18 @@ V2_MODEL = json.dumps({
     "params": {"root": {"counts": [1, 0, 0]}},
 })
 
+# A dt model file as version 3 wrote it, its tree a nested document.
+V3_MODEL = json.dumps({
+    "version": 3, "kind": "dt", "classes": [0, 1, 2], "n_features": 5, "flags": {},
+    "config": ClassifierConfig(kind="dt").to_dict(),
+    "params": {"root": {"counts": [1, 0, 0]}},
+})
+
 # A dt model file of one leaf on the five features of v1.
 LEAF_MODEL = json.dumps({
     "version": SERIALIZATION_VERSION, "kind": "dt", "classes": [0, 1, 2], "n_features": 5,
     "flags": {}, "config": ClassifierConfig(kind="dt").to_dict(),
-    "params": {"root": {"counts": [1, 0, 0]}},
+    "params": {"root": {"feature": [-1], "threshold": [], "counts": [[1, 0, 0]]}},
 })
 
 # A gbt model file of one stage per chain on the five features of v1.
@@ -366,35 +373,18 @@ GBT_LEAF_MODEL = json.dumps({
     "version": SERIALIZATION_VERSION, "kind": "gbt", "classes": [0, 1, 2], "n_features": 5,
     "flags": {}, "config": ClassifierConfig(kind="gbt").to_dict(),
     "params": {"chains": [{"base_score": 0.0, "objective_trace": [1.0, 0.5],
-                           "stages": [{"weight": 0.5}]}] * 3},
+                           "stages": [{"feature": [-1], "threshold": [],
+                                       "weight": [0.5]}]}] * 3},
 })
 
-# A dt model file whose tree nests 3,000 splits deep, written without recursion.
-DEEP_MODEL = LEAF_MODEL.replace(
-    '{"counts": [1, 0, 0]}', '{"feature": 0, "threshold": 0.5, "left": ' * 3000
-    + '{"counts": [1, 0, 0]}' + ', "right": {"counts": [0, 1, 0]}}' * 3000)
-
-def _run_deep_tree(tmp_path):
-    """Run an unbounded dt on one feature whose labels alternate along it, so
-    the train partition grows a tree too deep for the model file."""
-    (tmp_path / "deep.yaml").write_text(yaml.safe_dump({
-        "name": "deep", "columns": ["a", "label"], "kinds": ["numeric", "categorical"],
-        "label_column": "label", "label_encoding": {"even": 0, "odd": 1}}))
-    for name, n in (("train", 1200), ("test", 10)):
-        rows = [f"{i},{('even', 'odd')[i % 2]}" for i in range(n)]
-        (tmp_path / f"{name}.csv").write_text("\n".join(["a,label"] + rows) + "\n")
-    config = tmp_path / "config.yaml"
-    config.write_text(_run_config(
-        train_path=str(tmp_path / "train.csv"), test_path=str(tmp_path / "test.csv"),
-        schema_path=str(tmp_path / "deep.yaml"), task="multiclass",
-        split_fractions=[0.99, 0.01], output_dir=str(tmp_path / "run")))
-    return ["run", "--config", config]
+# A dt model file whose leaf counts nest 3,000 lists deep.
+DEEP_MODEL = LEAF_MODEL.replace('"counts": [[1, 0, 0]]',
+                                '"counts": ' + "[" * 3000 + "]" * 3000)
 
 
 # Each row: argv, exit code, and a fragment of the row's own error text.
 BAD_FILES = {
     "run, missing schema": (_run_without_schema, 2, "nope.yaml"),
-    "run, tree too deep to save": (_run_deep_tree, 3, "set max_depth"),
     "ingest, missing schema": (_ingest(None), 2, "No such file"),
     "ingest, empty schema": (_ingest(""), 2, "got NoneType"),
     "ingest, schema not a mapping": (_ingest("- name\n- columns\n"), 2, "got list"),
@@ -414,15 +404,19 @@ BAD_FILES = {
         "missing key 'kind'"),
     "predict, version-1 model file": (_predict(model_text=V1_MODEL), 1, "has version 1"),
     "predict, version-2 model file": (_predict(model_text=V2_MODEL), 1, "has version 2"),
+    "predict, version-3 model file": (_predict(model_text=V3_MODEL), 1,
+                                      "has version 3, this fuzzids reads version 4: retrain"),
     "predict, model file nested too deep": (_predict(model_text=DEEP_MODEL), 1,
                                             "recursion depth"),
     "predict, dt file with weight leaves": (
-        _predict(model_text=LEAF_MODEL.replace('"counts": [1, 0, 0]', '"weight": 1.0')), 1,
-        "dt_v1.json: a leaf holds 'weight', but the leaves of this model hold 'counts'"),
+        _predict(model_text=LEAF_MODEL.replace('"counts": [[1, 0, 0]]', '"weight": [1.0]')),
+        1, "dt_v1.json: a tree holds ['feature', 'threshold', 'weight'], the trees of this "
+        "model hold ['counts', 'feature', 'threshold']"),
     "predict, gbt file with count leaves": (
-        _predict(model="gbt", model_text=GBT_LEAF_MODEL.replace('"weight": 0.5',
-                                                                '"counts": [1, 0, 0]')), 1,
-        "gbt_v1.json: a leaf holds 'counts', but the leaves of this model hold 'weight'"),
+        _predict(model="gbt", model_text=GBT_LEAF_MODEL.replace('"weight": [0.5]',
+                                                                '"counts": [[1, 0, 0]]')), 1,
+        "gbt_v1.json: a tree holds ['counts', 'feature', 'threshold'], the trees of this "
+        "model hold ['feature', 'threshold', 'weight']"),
     "predict, dt file with its classes reversed": (
         _predict(model_text=LEAF_MODEL.replace('"classes": [0, 1, 2]', '"classes": [2, 1, 0]')),
         1, "dt_v1.json: classes [2, 1, 0] are not distinct ascending integers"),
@@ -438,9 +432,8 @@ BAD_FILES = {
         "gbt_v1.json: 2 chains, the model needs 3"),
     "predict, leaf with split keys": (
         _predict(model_text=LEAF_MODEL.replace(
-            '"counts": [1, 0, 0]', '"counts": [1, 0, 0], "feature": 0, "threshold": 0.5, '
-            '"left": {"counts": [1, 0, 0]}, "right": {"counts": [0, 1, 0]}')), 1,
-        "dt_v1.json: a node holds both 'counts' and split keys"),
+            '"counts": [[1, 0, 0]]', '"counts": [[1, 0, 0]], "left": [-1], "right": [-1]')),
+        1, "dt_v1.json: a tree holds ['counts', 'feature', 'left', 'right', 'threshold']"),
     "predict, model not in config": (_predict(model="rf"), 1, "model 'rf' not in"),
     "predict, vector not in config": (_predict(vector="v9"), 1, "vector 'v9' not in"),
     "predict, ranking one score too long": (

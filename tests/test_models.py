@@ -26,10 +26,11 @@ from fuzzids.models.tree import (Tree, _child_impurity, _class_step, _first_best
 from fuzzids.models.svm import SvmModel, svm_objective
 
 
-def tree_depth(tree, node=0):
-    if tree.left[node] < 0:
-        return 0
-    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+def tree_depth(tree):
+    depth = np.zeros(len(tree.left), dtype=np.int64)
+    for node in np.flatnonzero(tree.left >= 0):  # preorder: a parent before its children
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return int(depth.max())
 
 
 def same_tree(a, b):
@@ -434,7 +435,7 @@ def random_cut_split(x, y, candidate_features, impurity_kind, fractions, counts)
 
 
 def lone_tree(x, y, rows, config, n_classes, rng):
-    """Reference: the model-file document of an rf or et tree grown alone on
+    """Reference: ``Tree.to_dict("counts")`` of an rf or et tree grown alone on
     ``rows``, one node at a time, level by level, largest first within a
     level and ties in creation order. Each splitting node draws ``F + k``
     uniforms ``u`` from ``rng``: ``drawn_candidates`` and, for et, the cut
@@ -474,7 +475,17 @@ def lone_tree(x, y, rows, config, n_classes, rng):
         for side, part in (("left", rows[left]), ("right", rows[~left])):
             heapq.heappush(pending, (depth + 1, -len(part), created, part, doc[side]))
             created += 1
-    return root
+    flat, stack = {"feature": [], "threshold": [], "counts": []}, [root]
+    while stack:  # preorder, left subtree first
+        doc = stack.pop()
+        if "counts" in doc:
+            flat["feature"].append(-1)
+            flat["counts"].append(doc["counts"])
+        else:
+            flat["feature"].append(doc["feature"])
+            flat["threshold"].append(doc["threshold"])
+            stack += [doc["right"], doc["left"]]
+    return flat
 
 
 @pytest.mark.parametrize("impurity", ["entropy", "gini"])
@@ -493,7 +504,7 @@ def test_forest_trees_match_trees_grown_alone(impurity, rng):
                 draws = np.random.default_rng((config.seed, t))
                 rows = (draws.integers(0, len(y), size=len(y)) if kind == "rf"
                         else np.arange(len(y)))
-                assert tree.to_dict() == lone_tree(x, yi, rows, config, yi.max() + 1, draws)
+                assert tree.to_dict("counts") == lone_tree(x, yi, rows, config, yi.max() + 1, draws)
 
 
 @pytest.mark.parametrize("kind", ["rf", "et", "dt", "gbt"])
@@ -649,6 +660,21 @@ class TestImportance:
         trees = model.trees if kind != "dt" else [model.tree]
         assert got.sum() == pytest.approx(np.mean([telescoped(t) for t in trees]))
 
+    @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
+    def test_loaded_forest_has_no_importance(self, kind, rng, tmp_path):
+        # a model file keeps a forest's votes, not its class counts
+        x = rng.uniform(size=(60, 3))
+        model = fit_model(x, rng.integers(0, 3, size=60),
+                          ClassifierConfig(kind=kind, n_trees=3))
+        save_model(model, tmp_path / "model.json")
+        clone = load_model(tmp_path / "model.json")
+        if kind == "dt":
+            assert np.array_equal(mean_impurity_decrease(clone),
+                                  mean_impurity_decrease(model))
+        else:
+            with pytest.raises(ValueError, match="keeps only its leaves' votes"):
+                mean_impurity_decrease(clone)
+
     def test_single_leaf_has_no_importance(self, rng):
         x = rng.uniform(size=(30, 3))
         model = fit_model(x, rng.integers(0, 2, size=30),
@@ -716,17 +742,18 @@ class TestDecisionTree:
         tree = model.tree if kind == "dt" else model.stages[0][0]
         assert tree.threshold[0] == lo
 
-    def test_deep_tree_fits_but_is_too_deep_to_save(self, tmp_path):
-        # alternating labels on one feature: one split per row, 999 levels deep
-        x = np.arange(1000.0).reshape(-1, 1)
-        model = fit_model(x, np.arange(1000) % 2, ClassifierConfig(kind="dt"))
-        assert len(model.tree.left) == 1999
-        assert (model.predict(x) == np.arange(1000) % 2).all()
-        # the decreases telescope to the root's 1000 rows x 1 bit of entropy
-        assert mean_impurity_decrease(model).tolist() == pytest.approx([1000.0])
-        with pytest.raises(TrainingError, match="max_depth"):
+    def test_deep_tree_saves_and_loads(self, tmp_path):
+        # alternating labels on one feature: one split per row, n - 1 levels deep
+        for n in (1000, 10000):
+            x, y = np.arange(float(n)).reshape(-1, 1), np.arange(n) % 2
+            model = fit_model(x, y, ClassifierConfig(kind="dt"))
+            assert len(model.tree.left) == 2 * n - 1 and tree_depth(model.tree) == n - 1
+            # the decreases telescope to the root's n rows x 1 bit of entropy
+            assert mean_impurity_decrease(model).tolist() == pytest.approx([n])
             save_model(model, tmp_path / "model.json")
-        assert not (tmp_path / "model.json").exists()
+            clone = load_model(tmp_path / "model.json")
+            assert same_tree(clone.tree, model.tree)
+            assert (clone.predict(x) == y).all() and (model.predict(x) == y).all()
 
 
 class TestTreeApply:
@@ -1070,7 +1097,9 @@ class TestUniformContract:
         clone = load_model(path)
         q = rng.uniform(size=(30, 2))
         assert np.array_equal(model.predict(q), clone.predict(q))
-        assert np.allclose(model.score(q), clone.score(q))
+        assert np.array_equal(model.score(q), clone.score(q))
+        save_model(clone, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @staticmethod
     def tree_docs(doc):
@@ -1086,28 +1115,20 @@ class TestUniformContract:
                           ClassifierConfig(kind=kind, n_trees=2, n_rounds=2))
         doc = model.to_dict()
         root = self.tree_docs(doc)[0]
-        assert root["feature"] in (0, 1)
-        root["feature"] = 7
+        assert root["feature"][0] in (0, 1)
+        root["feature"][0] = 7
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="model.json: a split names a feature "
                                               r"outside \[0, 2\)"):
             load_model(path)
 
-    @pytest.mark.parametrize("kind", ["dt", "rf"])
+    @pytest.mark.parametrize("kind", ["dt"])
     def test_leaf_counts_short_of_the_classes_rejected_on_load(self, kind, tmp_path):
-        model = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind=kind, n_trees=2))
+        model = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind=kind))
         doc = model.to_dict()
-
-        def drop_last_count(node):
-            if "counts" in node:
-                node["counts"] = node["counts"][:-1]
-            else:
-                drop_last_count(node["left"])
-                drop_last_count(node["right"])
-
         for tree in self.tree_docs(doc):
-            drop_last_count(tree)
+            tree["counts"] = [counts[:-1] for counts in tree["counts"]]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="model.json: leaf counts have 1 entries "
@@ -1183,20 +1204,63 @@ class TestUniformContract:
         with pytest.raises(ConfigError, match=f"model.json: {message}"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda root: root.update(feature=0.7), "split feature 0.7 is not an integer"),
-        (lambda root: root.update(feature=True), "split feature True is not an integer"),
-        (lambda root: root.update(threshold="nan"), "split threshold 'nan' is not a finite"),
-        (lambda root: root.update(left={"counts": [-5, 3]}),
-         r"leaf counts \[-5, 3\] are not non-negative integers"),
-    ], ids=["fractional feature", "boolean feature", "string threshold", "negative count"])
-    def test_malformed_tree_rejected_on_load(self, edit, message, tmp_path):
-        model = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind="dt"))
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("dt", lambda tree: tree["feature"].__setitem__(0, 0.7),
+         "split feature 0.7 is not an integer"),
+        ("dt", lambda tree: tree["feature"].__setitem__(0, True),
+         "split feature True is not an integer"),
+        ("dt", lambda tree: tree["threshold"].__setitem__(0, "nan"),
+         "split threshold 'nan' is not a finite number"),
+        ("gbt", lambda tree: tree["threshold"].__setitem__(0, float("inf")),
+         "split threshold inf is not a finite number"),
+        ("dt", lambda tree: tree["counts"].__setitem__(0, [-5, 3]),
+         "leaf count -5 is negative"),
+        ("dt", lambda tree: (tree["feature"].__setitem__(-1, 0), tree["threshold"].append(0.5),
+                             tree["counts"].pop()),
+         "feature does not lay out one complete binary tree in preorder"),
+        ("rf", lambda tree: (tree["feature"].append(-1), tree["vote"].append(0)),
+         "feature does not lay out one complete binary tree in preorder"),
+        ("dt", lambda tree: tree["feature"].clear(),
+         "feature does not lay out one complete binary tree in preorder"),
+        ("dt", lambda tree: tree["counts"].pop(),
+         "a tree of 21 nodes, 10 of them splits, holds 10 thresholds and 10 leaves"),
+        ("gbt", lambda tree: tree["threshold"].append(0.5),
+         r"a tree of \d+ nodes, (\d+) of them splits, holds (?!\1 )\d+ thresholds"),
+        ("rf", lambda tree: tree["vote"].__setitem__(0, 2),
+         r"leaf vote 2 is not a class in \[0, 2\)"),
+        ("rf", lambda tree: tree["vote"].__setitem__(0, -1),
+         r"leaf vote -1 is not a class in \[0, 2\)"),
+        ("et", lambda tree: tree["vote"].__setitem__(0, True), "leaf vote True is not an integer"),
+        ("gbt", lambda tree: tree["weight"].__setitem__(0, float("nan")),
+         "leaf weight nan is not a finite number"),
+        ("rf", lambda tree: tree.update(counts=tree.pop("vote")),
+         r"a tree holds \['counts', 'feature', 'threshold'\], the trees of this model hold "
+         r"\['feature', 'threshold', 'vote'\]"),
+        ("dt", lambda tree: tree.update(left=[1], right=[2]), r"a tree holds \['counts', "
+         r"'feature', 'left', 'right', 'threshold'\]"),
+    ], ids=["fractional feature", "boolean feature", "string threshold", "infinite threshold",
+            "negative count", "too few leaves", "a node after the last leaf", "no nodes",
+            "counts of one leaf too few", "one threshold too many", "vote beyond the classes",
+            "negative vote", "boolean vote", "NaN weight", "forest tree with counts",
+            "tree with child lists"])
+    def test_malformed_tree_rejected_on_load(self, kind, edit, message, tmp_path):
+        model = fit_model(*xor_clusters(40, seed=6),
+                          ClassifierConfig(kind=kind, n_trees=2, n_rounds=2))
         doc = model.to_dict()
-        edit(doc["params"]["root"])
+        edit(self.tree_docs(doc)[0])
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"model.json: {message}"):
+            load_model(path)
+
+    def test_version_3_file_asks_for_a_retrain(self, tmp_path):
+        # a dt model file as version 3 wrote it: one nested leaf
+        doc = fit_model(*xor_clusters(40, seed=6), ClassifierConfig(kind="dt")).to_dict()
+        doc.update(version=3, params={"root": {"counts": [20, 20]}})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="model.json has version 3, this fuzzids reads "
+                                              "version 4: retrain the model"):
             load_model(path)
 
 
