@@ -151,7 +151,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -262,7 +262,7 @@ def _scan_rows(path: Path, schema: DatasetSchema) -> NoReturn:
     drops whitespace-only lines and reads numbers as ``float`` does, less
     ``_`` and non-ASCII digits.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # a dropped line still counts in reader.line_num
         reader = csv.reader("" if line.isspace() else line for line in fh)
         try:

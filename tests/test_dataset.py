@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import io
 import re
 from unittest import mock
@@ -22,6 +23,7 @@ from fuzzids.errors import LoadError, SchemaError
 from conftest import make_dataset
 
 
+DATA = importlib.resources.files("fuzzids") / "data"
 NSL_ENCODING = {"normal": 0, "r2l": 1, "u2r": 2, "probe": 3, "dos": 4}
 UG_ENCODING = {"A": 0, "S": 1, "SS": 2}
 
@@ -209,6 +211,25 @@ class TestMalformedCsv:
         result = _ingest(tmp_path, path)
         assert result.exit_code == 2
         assert f"error: {expected}" in result.output
+
+    @pytest.mark.parametrize("record, message", [c[1:] for c in BAD_RECORDS],
+                             ids=[c[0] for c in BAD_RECORDS])
+    def test_bad_record_after_a_byte_order_mark_names_its_line(self, tmp_path, record,
+                                                                message):
+        path = write_csv(tmp_path / "d.csv", "\ufeffa,b,y\n" + GOOD_ROW + record + "\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(path, small_schema())
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        schema = DatasetSchema.from_file(DATA / "mini.yaml")
+        text = (DATA / "mini_train.csv").read_text(encoding="utf-8")
+        original = load_csv(DATA / "mini_train.csv", schema)
+        copy = load_csv(write_csv(tmp_path / "bom.csv", "\ufeff" + text), schema)
+        assert np.array_equal(copy.features, original.features)
+        assert np.array_equal(copy.labels, original.labels)
+        assert copy.categories == original.categories
 
     @pytest.mark.parametrize("text, error, message", [
         ("", LoadError, "{path}: empty file, no header row"),
