@@ -48,9 +48,9 @@ class FeatureRanking:
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureRanking":
         """``ValueError`` unless the scores are finite and ``et_weight`` in [0, 1]."""
-        require_reals("scores", doc["scores"], error=ValueError)
+        scores = require_reals("scores", doc["scores"], error=ValueError)
         require_real("et_weight", doc["et_weight"], 0.0, 1.0, error=ValueError)
-        return cls(np.asarray(doc["scores"], dtype=float), doc["et_weight"])
+        return cls(scores, doc["et_weight"])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import require_ints, require_reals
 from .base import ClassifierConfig, TrainedModel
 
 BLOCK_CELLS = 16384  # cells per grower step or scan block, bounding their temporaries
@@ -187,9 +188,9 @@ class Tree:
         if doc.keys() != {"feature", "threshold", leaf}:
             raise ValueError(f"a tree holds {sorted(doc)}, the trees of this model hold "
                              f"{sorted({'feature', 'threshold', leaf})}")
-        feature = _numbers(doc["feature"], "split feature", integer=True)
-        split = feature != -1
-        if ((feature[split] < 0) | (feature[split] >= n_features)).any():
+        feature = require_ints("feature", doc["feature"], -1, error=ValueError)
+        split = feature >= 0
+        if (feature >= n_features).any():
             raise ValueError(f"a split names a feature outside [0, {n_features})")
         pending = np.cumsum(np.where(split, 1, -1)) + 1  # after each node
         if not (pending.size and pending[-1] == 0 and (pending[:-1] > 0).all()):
@@ -199,7 +200,7 @@ class Tree:
         same = pending[order[1:]] == pending[order[:-1]]
         right = np.full(len(split), -1)
         right[order[:-1][same]] = order[1:][same]
-        threshold = _numbers(doc["threshold"], "split threshold", integer=False)
+        cuts = require_reals("threshold", doc["threshold"], error=ValueError)
         leaves = doc[leaf]
         if leaf == "counts":
             widths = set(map(len, leaves)) - {n_classes}
@@ -207,35 +208,20 @@ class Tree:
                 raise ValueError(f"leaf counts have {min(widths)} entries for "
                                  f"{n_classes} classes")
             leaves = list(chain.from_iterable(leaves))
-        values = _numbers(leaves, "leaf " + leaf.removesuffix("s"), integer=leaf != "weight")
-        if leaf == "counts" and (values < 0).any():
-            raise ValueError(f"leaf count {values.min()} is negative")
-        outside = values[(values < 0) | (values >= n_classes)] if leaf == "vote" else []
-        if len(outside):
-            raise ValueError(f"leaf vote {outside[0]} is not a class in [0, {n_classes})")
+        values = (require_reals(leaf, leaves, error=ValueError) if leaf == "weight"
+                  else require_ints(leaf, leaves, 0, error=ValueError))
+        if leaf == "vote" and (values >= n_classes).any():
+            raise ValueError(f"a leaf votes for a class outside [0, {n_classes})")
         values = values.reshape(-1, n_classes) if leaf == "counts" else values
-        if len(threshold) != split.sum() or len(values) != len(split) - split.sum():
+        if len(cuts) != split.sum() or len(values) != len(split) - split.sum():
             raise ValueError(f"a tree of {len(split)} nodes, {split.sum()} of them splits, "
-                             f"holds {len(threshold)} thresholds and {len(values)} leaves")
+                             f"holds {len(cuts)} thresholds and {len(values)} leaves")
+        threshold = np.zeros(len(split))
+        threshold[split] = cuts
         value = np.zeros((len(split),) + values.shape[1:], dtype=values.dtype)
         value[~split] = values
-        thresholds = np.zeros(len(split))
-        thresholds[split] = threshold
-        return cls(feature, thresholds, np.where(split, np.arange(1, len(split) + 1), -1),
+        return cls(feature, threshold, np.where(split, np.arange(1, len(split) + 1), -1),
                    np.where(split, right, -1), value)
-
-
-def _numbers(values, what: str, integer: bool) -> np.ndarray:
-    """``values``, a list of integers or of finite numbers, as an array;
-    ``ValueError`` naming the first entry that is not (bools are neither)."""
-    types, name = ({int}, "an integer") if integer else ({int, float}, "a finite number")
-    if isinstance(values, list) and set(map(type, values)) <= types:
-        array = np.array(values, dtype=np.int64 if integer else float)
-        if np.isfinite(array).all():
-            return array
-    for value in values if isinstance(values, list) else [values]:
-        if type(value) not in types or not math.isfinite(value):
-            raise ValueError(f"{what} {value!r} is not {name}")
 
 
 def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:

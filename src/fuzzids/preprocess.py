@@ -35,13 +35,11 @@ class ScalerState:
     def from_dict(cls, doc: dict) -> "ScalerState":
         """``ValueError`` unless ``mins`` and ``maxs`` are lists of finite
         numbers of one length."""
-        mins, maxs = doc["mins"], doc["maxs"]
-        for name, values in (("mins", mins), ("maxs", maxs)):
-            require_reals(name, values, error=ValueError)
+        mins, maxs = (require_reals(name, doc[name], error=ValueError)
+                      for name in ("mins", "maxs"))
         if len(mins) != len(maxs):
             raise ValueError(f"{len(mins)} mins but {len(maxs)} maxs")
-        return cls(doc["schema_name"], np.asarray(mins, dtype=float),
-                   np.asarray(maxs, dtype=float))
+        return cls(doc["schema_name"], mins, maxs)
 
 
 @dataclass(frozen=True)

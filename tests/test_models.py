@@ -1206,15 +1206,15 @@ class TestUniformContract:
 
     @pytest.mark.parametrize("kind, edit, message", [
         ("dt", lambda tree: tree["feature"].__setitem__(0, 0.7),
-         "split feature 0.7 is not an integer"),
+         r"feature\[0\] must be an integer >= -1, got 0.7"),
         ("dt", lambda tree: tree["feature"].__setitem__(0, True),
-         "split feature True is not an integer"),
+         r"feature\[0\] must be an integer >= -1, got True"),
         ("dt", lambda tree: tree["threshold"].__setitem__(0, "nan"),
-         "split threshold 'nan' is not a finite number"),
+         r"threshold\[0\] must be a finite number in \[-inf, inf\], got 'nan'"),
         ("gbt", lambda tree: tree["threshold"].__setitem__(0, float("inf")),
-         "split threshold inf is not a finite number"),
+         r"threshold\[0\] must be a finite number in \[-inf, inf\], got inf"),
         ("dt", lambda tree: tree["counts"].__setitem__(0, [-5, 3]),
-         "leaf count -5 is negative"),
+         r"counts\[0\] must be an integer >= 0, got -5"),
         ("dt", lambda tree: (tree["feature"].__setitem__(-1, 0), tree["threshold"].append(0.5),
                              tree["counts"].pop()),
          "feature does not lay out one complete binary tree in preorder"),
@@ -1227,12 +1227,16 @@ class TestUniformContract:
         ("gbt", lambda tree: tree["threshold"].append(0.5),
          r"a tree of \d+ nodes, (\d+) of them splits, holds (?!\1 )\d+ thresholds"),
         ("rf", lambda tree: tree["vote"].__setitem__(0, 2),
-         r"leaf vote 2 is not a class in \[0, 2\)"),
+         r"a leaf votes for a class outside \[0, 2\)"),
         ("rf", lambda tree: tree["vote"].__setitem__(0, -1),
-         r"leaf vote -1 is not a class in \[0, 2\)"),
-        ("et", lambda tree: tree["vote"].__setitem__(0, True), "leaf vote True is not an integer"),
+         r"vote\[0\] must be an integer >= 0, got -1"),
+        ("et", lambda tree: tree["vote"].__setitem__(0, True),
+         r"vote\[0\] must be an integer >= 0, got True"),
         ("gbt", lambda tree: tree["weight"].__setitem__(0, float("nan")),
-         "leaf weight nan is not a finite number"),
+         r"weight\[0\] must be a finite number in \[-inf, inf\], got nan"),
+        ("dt", lambda tree: tree["feature"].__setitem__(0, -2),
+         r"feature\[0\] must be an integer >= -1, got -2"),
+        ("dt", lambda tree: tree.update(threshold=0.5), "threshold must be a list, got float"),
         ("rf", lambda tree: tree.update(counts=tree.pop("vote")),
          r"a tree holds \['counts', 'feature', 'threshold'\], the trees of this model hold "
          r"\['feature', 'threshold', 'vote'\]"),
@@ -1241,7 +1245,8 @@ class TestUniformContract:
     ], ids=["fractional feature", "boolean feature", "string threshold", "infinite threshold",
             "negative count", "too few leaves", "a node after the last leaf", "no nodes",
             "counts of one leaf too few", "one threshold too many", "vote beyond the classes",
-            "negative vote", "boolean vote", "NaN weight", "forest tree with counts",
+            "negative vote", "boolean vote", "NaN weight", "negative feature",
+            "threshold not a list", "forest tree with counts",
             "tree with child lists"])
     def test_malformed_tree_rejected_on_load(self, kind, edit, message, tmp_path):
         model = fit_model(*xor_clusters(40, seed=6),
