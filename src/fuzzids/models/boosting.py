@@ -19,7 +19,7 @@ REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
 def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
-                 config: ClassifierConfig, nodes: list, depth: int) -> list[tuple]:
+                 config: ClassifierConfig, nodes: list, depth: int) -> tuple:
     """Answer a step of boosting nodes at ``depth``, each ``(chain, rows)``,
     as ``_grow`` asks: leaf weight -G / (H + lambda) and, above
     ``gbt_max_depth``, the best cut by the Newton gain. A stable argsort of
@@ -30,15 +30,14 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
     kept below the higher value so that every cut splits.
     """
     lam = REG_LAMBDA
-    answers = []
+    weight, feature, threshold = np.zeros(len(nodes)), np.full(len(nodes), -1), np.zeros(len(nodes))
     leaves = depth >= config.gbt_max_depth
-    for chain, rows in nodes:
+    for node, (chain, rows) in enumerate(nodes):
         grad, hess = grads[chain], hesses[chain]
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
-        weight = -g / (h + lam)
+        weight[node] = -g / (h + lam)
         if leaves or len(rows) < 2:
-            answers.append((weight, None))
             continue
         gains, cuts = [], []
         step = max(1, engine.BLOCK_CELLS // len(rows))
@@ -62,8 +61,9 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
             mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
             cuts.extend(np.where(mid < hi, mid, lo).tolist())
         best = int(_first_best(gains))
-        answers.append((weight, None if best < 0 else (best, cuts[best])))
-    return answers
+        if best >= 0:
+            feature[node], threshold[node] = best, cuts[best]
+    return weight, feature, threshold
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

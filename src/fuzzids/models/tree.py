@@ -1,12 +1,13 @@
 """One array-backed tree engine for dt/rf/et/gbt, and the tree classifiers.
 
 A ``Tree`` stores its nodes in preorder as parallel arrays, in the layout of
-scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and ``Tree.build`` lays
-them out. Every tree grows through one driver, ``_grow``, together with the
-other trees of its fit, one level at a time as XGBoost grows depth-wise
-(Chen & Guestrin, KDD 2016). A level's nodes are sorted by tree, largest
-first, and each step answers up to ``BLOCK_CELLS`` (candidate x row) cells
-of them at once and partitions the rows of each split node in place. A tree
+scikit-learn's ``Tree`` (Pedregosa et al., JMLR 2011), and derives its
+children from ``feature``, grown or loaded. Every tree grows through one
+driver, ``_grow``, together with the other trees of its fit, one level at a
+time as XGBoost grows depth-wise (Chen & Guestrin, KDD 2016). A level's
+nodes are sorted by tree, largest first, each step answers up to
+``BLOCK_CELLS`` (candidate x row) cells of them at once, and one sort
+partitions the rows of every split node of the step in place. A tree
 answers its nodes in this order however the steps fall, so an rf or et tree,
 which draws from its own generator, is the one it grows alone.
 
@@ -92,47 +93,33 @@ def _first_best(gains) -> np.ndarray:
 
 
 class Tree:
-    """Binary tree as parallel arrays over nodes laid out in preorder.
+    """Binary tree as parallel arrays over nodes laid out in preorder, left
+    subtree first.
 
     Node ``i`` splits on ``feature[i]`` at ``threshold[i]``: rows with
     ``x[feature] <= threshold`` go to ``left[i]``, the rest to ``right[i]``.
     Leaves have ``feature == left == right == -1``. ``value`` holds class
     counts, shape (n_nodes, n_classes), or a leaf's vote or weight, shape
     (n_nodes,); it is zero at internal nodes.
+
+    ``left`` and ``right`` follow from ``feature``: before node ``i`` the tree
+    awaits ``pending[i]`` subtrees, one at the root, one more after each split
+    and one fewer after each leaf. A split's left child is the next node, its
+    right child the next node whose ``pending`` is the split's.
     """
 
-    def __init__(self, feature, threshold, left, right, value):
+    def __init__(self, feature, threshold, value):
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value)
-
-    @classmethod
-    def build(cls, root, expand: Callable) -> "Tree":
-        """Lay out in preorder, left subtree first, the tree whose node
-        ``state`` ``expand(state)`` answers with ``(value, None)`` for a leaf
-        or ``(None, (feature, threshold, left_state, right_state))`` for a
-        split. The leaf values become one array, once per tree."""
-        feature, threshold, left, right, value = [], [], [], [], []
-        pending = [(root, -1)]  # (state, node whose right child it is, or -1)
-        while pending:
-            state, parent = pending.pop()
-            node = len(feature)
-            if parent >= 0:
-                right[parent] = node
-            val, split = expand(state)
-            feat, thr, left_state, right_state = split or (-1, 0.0, None, None)
-            feature.append(feat)
-            threshold.append(thr)
-            left.append(-1 if split is None else node + 1)  # preorder: left child next
-            right.append(-1)
-            value.append(val)
-            if split is not None:
-                pending += [(right_state, node), (left_state, -1)]
-        zero = np.zeros_like(next(v for v in value if v is not None))
-        return cls(feature, threshold, left, right,
-                   [zero if v is None else v for v in value])
+        split = self.feature >= 0
+        pending = 1 + 2 * (np.cumsum(split) - split) - np.arange(len(split))  # before each node
+        order = np.argsort(pending, kind="stable")
+        same = pending[order[1:]] == pending[order[:-1]]
+        right = np.full(len(split), -1)
+        right[order[:-1][same]] = order[1:][same]
+        self.left = np.where(split, np.arange(1, len(split) + 1), -1)
+        self.right = np.where(split, right, -1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf index of every row, moving all rows down one level at a time.
@@ -179,11 +166,6 @@ class Tree:
         ``"weight"``, a finite number. ``ValueError`` unless ``feature`` lays
         out one complete binary tree, every split names an integer feature in
         [0, n_features) and a finite threshold, and the lists agree in length.
-
-        Before node ``i`` the tree awaits ``pending[i]`` subtrees: one at the
-        root, one more after each split and one fewer after each leaf. A
-        split's left child is the next node, and its right child the next
-        node whose ``pending`` is the split's, the first after the left subtree.
         """
         if doc.keys() != {"feature", "threshold", leaf}:
             raise ValueError(f"a tree holds {sorted(doc)}, the trees of this model hold "
@@ -195,11 +177,6 @@ class Tree:
         pending = np.cumsum(np.where(split, 1, -1)) + 1  # after each node
         if not (pending.size and pending[-1] == 0 and (pending[:-1] > 0).all()):
             raise ValueError("feature does not lay out one complete binary tree in preorder")
-        pending = np.concatenate([[1], pending[:-1]])  # before each node
-        order = np.argsort(pending, kind="stable")
-        same = pending[order[1:]] == pending[order[:-1]]
-        right = np.full(len(split), -1)
-        right[order[:-1][same]] = order[1:][same]
         cuts = require_reals("threshold", doc["threshold"], error=ValueError)
         leaves = doc[leaf]
         if leaf == "counts":
@@ -220,61 +197,66 @@ class Tree:
         threshold[split] = cuts
         value = np.zeros((len(split),) + values.shape[1:], dtype=values.dtype)
         value[~split] = values
-        return cls(feature, threshold, np.where(split, np.arange(1, len(split) + 1), -1),
-                   np.where(split, right, -1), value)
+        return cls(feature, threshold, value)
 
 
 def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
     """Grow one tree on ``x`` from each root's ``rows``, all together, one
     level at a time.
 
-    A node's rows are a slice of its tree's root rows, partitioned stably in
-    place by each split, so the nodes of an ascending root hold ascending
-    rows. A level's nodes are sorted once by tree, largest first within a
-    tree, ties by creation id, and cut into steps of at most ``BLOCK_CELLS``
-    (``width`` x row) cells. ``step`` gets a step's ``(tree, rows)`` nodes
-    and their depth, and answers each ``(value, None)`` for a leaf or
-    ``(value, (feature, threshold))`` for a split.
+    Every root holds the same number ``n`` of rows, all in one buffer. A node
+    is an interval ``(start, size)`` of it, in tree ``start // n``. A level's
+    nodes are sorted by tree, largest first within a tree, ties in creation
+    order, and cut into steps of at most ``BLOCK_CELLS`` (``width`` x row)
+    cells. ``step`` gets a step's ``(tree, rows)`` nodes and their depth and
+    answers three arrays: ``value``, ``feature`` (-1 at a leaf), ``threshold``.
+    Then one stable sort partitions every split node of the step in place,
+    left child first, so an ascending root's nodes hold ascending rows. A
+    split sends rows both ways, so a child's interval lies strictly inside
+    its parent's, and ordering a fit's nodes by start, the larger first, lays
+    out its trees in preorder.
     """
-    nodes = [[None] for _ in roots]  # per tree, by creation id: (value, split)
-    level, depth = [(t, 0, rows) for t, rows in enumerate(roots)], 0  # (tree, id, rows)
-    while level:
-        level.sort(key=lambda node: (node[0], -len(node[2]), node[1]))
-        steps, cells, children = [], math.inf, []
-        for node in level:
-            cells += width * len(node[2])
-            if cells > BLOCK_CELLS:  # a step's first node always goes
-                steps.append([])
-                cells = width * len(node[2])
-            steps[-1].append(node)
-        for taken in steps:
-            answers = step([(t, rows) for t, _, rows in taken], depth)
-            for (t, i, _), answer in zip(taken, answers):
-                nodes[t][i] = answer  # a split's gets its children's ids below
-            splits = [(node, split) for node, (_, split) in zip(taken, answers) if split]
-            if not splits:
+    n, n_cols = len(roots[0]), x.shape[1]
+    rows, cells = np.concatenate(roots), x.ravel()  # a copy unless x is C-ordered
+    start, size = np.arange(len(roots)) * n, np.full(len(roots), n)  # a level's nodes
+    grown, depth = [], 0  # per step: its nodes' start, size, value, feature, threshold
+    while start.size:
+        order = np.lexsort((-size, start // n))  # stable: ties stay in creation order
+        start, size = start[order], size[order]
+        bounds, taken = [], math.inf
+        for i, node_cells in enumerate((width * size).tolist()):
+            taken += node_cells
+            if taken > BLOCK_CELLS:  # a step's first node always goes
+                bounds.append(i)
+                taken = node_cells
+        children = [np.empty((2, 0), dtype=np.int64)]  # per step: its children's start, size
+        for a, b in zip(bounds, bounds[1:] + [len(size)]):
+            at, sizes = start[a:b], size[a:b]
+            answer = step([(s // n, rows[s:s + m]) for s, m in zip(at.tolist(), sizes.tolist())],
+                          depth)
+            grown.append((at, sizes, *answer))
+            split = answer[1] >= 0
+            if not split.any():
                 continue
-            # every row of a split node goes left or right of its cut, and the
-            # node's rows are partitioned in place, left child first
-            sizes = np.array([len(node[2]) for node, _ in splits])
-            rows = np.concatenate([node[2] for node, _ in splits])
-            feature, threshold = (np.array(col) for col in zip(*(s for _, s in splits)))
-            node_of_row = np.repeat(np.arange(len(splits)), sizes)
-            goes_left = x[rows, feature[node_of_row]] <= threshold[node_of_row]
-            n_left = np.bincount(node_of_row[goes_left], minlength=len(splits))
-            lefts, rights = rows[goes_left], rows[~goes_left]
-            left_start = (np.cumsum(n_left) - n_left).tolist()
-            right_start = (np.cumsum(sizes - n_left) - sizes + n_left).tolist()
-            for s, ((t, i, rows), (feat, thr)) in enumerate(splits):
-                n = int(n_left[s])
-                rows[:n] = lefts[left_start[s]:left_start[s] + n]
-                rows[n:] = rights[right_start[s]:right_start[s] + len(rows) - n]
-                left_id = len(nodes[t])
-                nodes[t] += [None, None]
-                nodes[t][i] = None, (feat, thr, left_id, left_id + 1)
-                children += [(t, left_id, rows[:n]), (t, left_id + 1, rows[n:])]
-        level, depth = children, depth + 1
-    return [Tree.build(0, tree.__getitem__) for tree in nodes]
+            at, sizes, feature, threshold = (a[split] for a in (at, sizes, *answer[1:]))
+            offset = np.cumsum(sizes) - sizes  # of each split node's first row in part
+            slots = np.repeat(at - offset, sizes) + np.arange(offset[-1] + sizes[-1])
+            part = rows[slots]
+            left = cells[part * n_cols + np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+            key = np.repeat(np.arange(0, 2 * len(at), 2), sizes) - left  # by node, left rows first
+            rows[slots] = part[np.argsort(key, kind="stable")]
+            n_left = np.add.reduceat(left, offset, dtype=np.int64)
+            child = np.repeat(np.stack([at, n_left]), 2, axis=1)  # left child, then right
+            child[0, 1::2] += n_left
+            child[1, 1::2] = sizes - n_left
+            children.append(child)
+        start, size = np.concatenate(children, axis=1)
+        depth += 1
+    start, size, value, feature, threshold = (np.concatenate(col) for col in zip(*grown))
+    value[feature >= 0] = 0
+    order = np.lexsort((-size, start))
+    trees = np.split(order, np.searchsorted(start[order], np.arange(1, len(roots)) * n))
+    return [Tree(feature[t], threshold[t], value[t]) for t in trees]
 
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
@@ -351,7 +333,7 @@ def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
 
 
 def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
-                draws: list, nodes: list, depth: int) -> list[tuple]:
+                draws: list, nodes: list, depth: int) -> tuple:
     """Answer a step of dt, rf or et nodes at ``depth``, each ``(tree, rows)``,
     as ``_grow`` asks: one bincount counts every node's classes, and one split
     search scores every (node, candidate) cell.
@@ -370,13 +352,13 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     node_of_row = np.repeat(np.arange(len(nodes)), sizes)
     counts = np.bincount(node_of_row * n_classes + y[rows],
                          minlength=len(nodes) * n_classes).reshape(-1, n_classes)
-    answers = [(c, None) for c in counts]
+    feature, threshold = np.full(len(nodes), -1), np.zeros(len(nodes))
     # a node of one row is pure, so it is a leaf here
     picked = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1)
     n_features = x.shape[1]
     if not (picked.size and k) or (config.max_depth is not None
                                    and depth >= config.max_depth):
-        return answers
+        return counts, feature, threshold
     if config.kind == "dt":
         candidates = np.tile(np.arange(n_features), (len(picked), 1))
     else:  # a tree's nodes come in its answer order
@@ -416,11 +398,9 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
         col[flat] = _first_best(np.where(splits, 1.0, -np.inf).reshape(-1, k))[flat]
         cuts = np.where(np.repeat(flat, k), first, cuts)
     chosen = np.flatnonzero(col >= 0)
-    feats = candidates[chosen, col[chosen]].tolist()
-    thresholds = cuts.reshape(-1, k)[chosen, col[chosen]].tolist()
-    for i, feat, thr in zip(picked[chosen].tolist(), feats, thresholds):
-        answers[i] = counts[i], (feat, thr)
-    return answers
+    feature[picked[chosen]] = candidates[chosen, col[chosen]]
+    threshold[picked[chosen]] = cuts.reshape(-1, k)[chosen, col[chosen]]
+    return counts, feature, threshold
 
 
 def _grow_class_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,

@@ -86,6 +86,13 @@ def drawn_candidates(u, n_features, k):
     return np.sort(np.argsort(u[:n_features])[:k])
 
 
+def first_split(answer):
+    """The ``(feature, threshold)`` split, or None, of a step's first node
+    from the step's ``(value, feature, threshold)`` answer."""
+    _, feature, threshold = answer
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
+
+
 def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None,
                 model="rf", fractions=0.5):
     """The ``(feature, threshold)`` split, or None, that ``_class_step`` gives
@@ -93,9 +100,8 @@ def class_split(x, y, candidates, kind="entropy", n_classes=None, rows=None,
     ``candidates`` (and et cut ``fractions``)."""
     rows = np.arange(len(y)) if rows is None else rows
     config = ClassifierConfig(kind=model, impurity=kind)
-    (_, split), = _class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
-                              len(candidates), [Drawn(candidates, fractions)], [(0, rows)], 0)
-    return split
+    return first_split(_class_step(x, y, _value_codes(x), config, n_classes or int(y.max()) + 1,
+                                   len(candidates), [Drawn(candidates, fractions)], [(0, rows)], 0))
 
 
 def split_gain(x, y, split):
@@ -246,9 +252,8 @@ def argsort_class_split(x, y, candidates, kind, n_classes):
 def newton_split(x, grad, hess, rows):
     """The ``(feature, threshold)`` split, or None, that ``_newton_step``
     gives the boosting node of ``rows``, ascending, at the root depth."""
-    (_, split), = _newton_step(x, _value_codes(x), [grad], [hess],
-                               ClassifierConfig(kind="gbt"), [(0, rows)], 0)
-    return split
+    return first_split(_newton_step(x, _value_codes(x), [grad], [hess],
+                                    ClassifierConfig(kind="gbt"), [(0, rows)], 0))
 
 
 def tie_heavy(rng, n, n_features=6, n_classes=3):
@@ -340,8 +345,8 @@ class TestPresortedScan:
             rows = np.arange(20)
             assert class_split(x, a ^ b, range(5)) == unique_fallback(x, range(5))
             # rf draws int(sqrt(5)) = 2 candidate features
-            (_, split), = _class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
-                                      2, 2, [np.random.default_rng(seed)], [(0, rows)], 0)
+            split = first_split(_class_step(x, a ^ b, _value_codes(x), ClassifierConfig(kind="rf"),
+                                            2, 2, [np.random.default_rng(seed)], [(0, rows)], 0))
             u = np.random.default_rng(seed).random(5 + 2)
             assert split == unique_fallback(x, drawn_candidates(u, 5, 2))
 
@@ -378,21 +383,36 @@ def test_scan_block_size_changes_no_model(rng, monkeypatch):
 
 @pytest.mark.parametrize("kind, sorts", [("dt", 1), ("rf", 1), ("et", 0), ("gbt", 1)])
 def test_each_feature_sorted_once_per_tree_or_boosting_fit(kind, sorts, rng, monkeypatch):
-    # one _value_codes per fit; dt and rf then sort the cells of each step,
-    # gbt the codes of each node, at most BLOCK_CELLS of them at a time
-    ranked, step_sorts = [], []
-    argsort, value_codes = np.argsort, tree_engine._value_codes
-    monkeypatch.setattr(np, "argsort",
-                        lambda a, *r, **k: step_sorts.append(np.size(a)) or argsort(a, *r, **k))
+    # one _value_codes per fit; inside the step rule dt and rf then sort the
+    # cells of each step, gbt the codes of each node, at most BLOCK_CELLS of
+    # them at a time (the grower's partitions and each tree's child layout
+    # sort rows and node ids outside it)
+    ranked, step_sorts, stepping = [], [], []
+    argsort, value_codes, grow = np.argsort, tree_engine._value_codes, tree_engine._grow
+
+    def counted(a, *args, **kwargs):
+        if stepping:
+            step_sorts.append(np.size(a))
+        return argsort(a, *args, **kwargs)
 
     def counting(x):
         ranked.append(x.shape)
-        before = len(step_sorts)
-        codes = value_codes(x)
-        del step_sorts[before:]  # its own sort of every cell
-        return codes
+        return value_codes(x)
 
+    def recording(x, roots, step, width):
+        def recorded(nodes, depth):
+            stepping.append(depth)
+            try:
+                return step(nodes, depth)
+            finally:
+                stepping.pop()
+
+        return grow(x, roots, recorded, width)
+
+    monkeypatch.setattr(np, "argsort", counted)
     monkeypatch.setattr(tree_engine, "_value_codes", counting)
+    monkeypatch.setattr(tree_engine, "_grow", recording)
+    monkeypatch.setattr(boosting, "_grow", recording)
     x, y = tie_heavy(rng, 200, n_classes=4)
     fit_model(x, y, ClassifierConfig(kind=kind, n_trees=4, n_rounds=3, seed=2))
     assert ranked == [x.shape] * sorts
@@ -505,6 +525,31 @@ def test_forest_trees_match_trees_grown_alone(impurity, rng):
                 rows = (draws.integers(0, len(y), size=len(y)) if kind == "rf"
                         else np.arange(len(y)))
                 assert tree.to_dict("counts") == lone_tree(x, yi, rows, config, yi.max() + 1, draws)
+
+
+def test_fitted_leaves_hold_what_reaches_them(rng):
+    # the layout and the partition, apart from the digests: a leaf holds the
+    # class counts, or the Newton weight, of the training rows that its
+    # tree's walk sends to it, and an internal node holds zeros
+    x, y = tie_heavy(rng, 300, n_classes=4)
+    yi = np.unique(y, return_inverse=True)[1]
+    dt = fit_model(x, y, ClassifierConfig(kind="dt", max_depth=6))
+    rf = fit_model(x, y, ClassifierConfig(kind="rf", n_trees=4, seed=3))
+    for tree, rows in [(dt.tree, np.arange(len(y)))] + [
+            (tree, np.random.default_rng((3, t)).integers(0, len(y), size=len(y)))
+            for t, tree in enumerate(rf.trees)]:  # rf's bootstrap rows
+        counts = np.bincount(tree.apply(x[rows]) * 4 + yi[rows], minlength=tree.value.size)
+        assert np.array_equal(tree.value, counts.reshape(-1, 4))
+        assert not tree.value[tree.left >= 0].any()
+    gbt = fit_model(x, y, ClassifierConfig(kind="gbt", n_rounds=1))
+    for c, base, (stage,) in zip(range(4), gbt.base_scores, gbt.stages):
+        p = boosting._sigmoid(np.full(len(y), base))
+        grad, hess = p - (yi == c), p * (1.0 - p)
+        leaf = stage.apply(x)
+        for node in range(len(stage.left)):
+            rows = np.flatnonzero(leaf == node)  # ascending
+            weight = -grad[rows].sum() / (hess[rows].sum() + boosting.REG_LAMBDA)
+            assert stage.value[node] == (weight if stage.left[node] < 0 else 0.0)
 
 
 @pytest.mark.parametrize("kind", ["rf", "et", "dt", "gbt"])
@@ -876,7 +921,7 @@ class TestEnsembles:
 class TestGradientBoosting:
     def test_single_update_rule(self):
         # base 0, one stage predicting +2, learning rate 0.1 -> raw 0.2
-        stage = Tree([-1], [0.0], [-1], [-1], [2.0])
+        stage = Tree([-1], [0.0], [2.0])
         model = GradientBoostedModel(ClassifierConfig(kind="gbt"),
                                      np.array([0, 1]), 1, [0.0], [[stage]], [[0.0]])
         assert model.score(np.zeros((1, 1)))[0, 1] == pytest.approx(1 / (1 + np.exp(-0.2)))
