@@ -19,21 +19,23 @@ REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
 def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
-                 config: ClassifierConfig, nodes: list, depth: int) -> tuple:
-    """Answer a step of boosting nodes at ``depth``, each ``(chain, rows)``,
-    as ``_grow`` asks: leaf weight -G / (H + lambda) and, above
+                 config: ClassifierConfig, buffer, start, sizes, chains, depth: int) -> tuple:
+    """Answer a step of boosting nodes at ``depth``, node ``i`` the rows
+    ``buffer[start[i]:start[i] + sizes[i]]`` of chain ``chains[i]``, as
+    ``_grow`` asks: leaf weight -G / (H + lambda) and, above
     ``gbt_max_depth``, the best cut by the Newton gain. A stable argsort of
     the node's value ``codes`` orders its rows per feature, ``BLOCK_CELLS``
-    (feature x row) cells at a time; ``rows`` ascend, so ties stay in row
+    (feature x row) cells at a time; a node's rows ascend, so ties stay in row
     order. A feature's first maximum wins, the lower threshold on ties, then
     ``_first_best`` picks among features; thresholds are midpoints of ``x``,
     kept below the higher value so that every cut splits.
     """
     lam = REG_LAMBDA
-    weight, feature, threshold = np.zeros(len(nodes)), np.full(len(nodes), -1), np.zeros(len(nodes))
+    weight, feature, threshold = np.zeros(len(start)), np.full(len(start), -1), np.zeros(len(start))
     leaves = depth >= config.gbt_max_depth
-    for node, (chain, rows) in enumerate(nodes):
-        grad, hess = grads[chain], hesses[chain]
+    for node, (first, size, chain) in enumerate(zip(start.tolist(), sizes.tolist(),
+                                                     chains.tolist())):
+        rows, grad, hess = buffer[first:first + size], grads[chain], hesses[chain]
         # summed in row order, not sorted order, so leaf weights keep their bits
         g, h = grad[rows].sum(), hess[rows].sum()
         weight[node] = -g / (h + lam)
@@ -112,7 +114,7 @@ class GradientBoostedModel(TrainedModel):
                        for g, h in zip(grads, hesses)):
                 raise TrainingError(f"non-finite gradient at boosting round {t}")
             # the stages of every chain grow together
-            roots = [np.arange(len(yi)) for _ in targets]
+            roots = np.tile(np.arange(len(yi)), (len(targets), 1))
             trees = _grow(x, roots, partial(_newton_step, x, codes, grads, hesses, config),
                           x.shape[1])
             for c, tree in enumerate(trees):

@@ -200,51 +200,45 @@ class Tree:
         return cls(feature, threshold, value)
 
 
-def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
-    """Grow one tree on ``x`` from each root's ``rows``, all together, one
+def _grow(x: np.ndarray, roots: np.ndarray, step: Callable, width: int) -> list[Tree]:
+    """Grow one tree on ``x`` from each row of ``roots``, all together, one
     level at a time.
 
-    Every root holds the same number ``n`` of rows, all in one buffer. A node
-    is an interval ``(start, size)`` of it, in tree ``start // n``. A level's
-    nodes are sorted by tree, largest first within a tree, ties in creation
-    order, and cut into steps of at most ``BLOCK_CELLS`` (``width`` x row)
-    cells. ``step`` gets a step's ``(tree, rows)`` nodes and their depth and
-    answers three arrays: ``value``, ``feature`` (-1 at a leaf), ``threshold``.
-    Then one stable sort partitions every split node of the step in place,
-    left child first, so an ascending root's nodes hold ascending rows. A
-    split sends rows both ways, so a child's interval lies strictly inside
-    its parent's, and ordering a fit's nodes by start, the larger first, lays
-    out its trees in preorder.
+    ``roots``, (trees, n) row indices, is the fit's row buffer, partitioned
+    in place. A node is an interval ``(start, size)`` of it, in tree
+    ``start // n``. A level's nodes are sorted by tree, largest first within
+    a tree, ties in creation order, and cut into steps of (``width`` x row)
+    cells: a step's first node always goes, and each next one while the step
+    stays within ``BLOCK_CELLS``. ``step`` gets the buffer, the step's
+    ``start``, ``size`` and ``tree`` arrays and their depth, and answers
+    three arrays: ``value``, ``feature`` (-1 at a leaf), ``threshold``. Then
+    one stable sort partitions every split node of the step in place, left
+    child first, so an ascending root's nodes hold ascending rows. A split
+    sends rows both ways, so a child's interval lies strictly inside its
+    parent's, and ordering a fit's nodes by start, the larger first, lays out
+    its trees in preorder, as views of one preorder copy.
     """
-    n, n_cols = len(roots[0]), x.shape[1]
-    rows, cells = np.concatenate(roots), x.ravel()  # a copy unless x is C-ordered
-    start, size = np.arange(len(roots)) * n, np.full(len(roots), n)  # a level's nodes
+    (n_trees, n), n_cols = roots.shape, x.shape[1]
+    rows, cells = roots.reshape(-1), x.ravel()  # copies unless C-ordered
+    start, size = np.arange(n_trees) * n, np.full(n_trees, n)  # a level's nodes
     grown, depth = [], 0  # per step: its nodes' start, size, value, feature, threshold
     while start.size:
         order = np.lexsort((-size, start // n))  # stable: ties stay in creation order
         start, size = start[order], size[order]
-        bounds, taken = [], math.inf
-        for i, node_cells in enumerate((width * size).tolist()):
-            taken += node_cells
-            if taken > BLOCK_CELLS:  # a step's first node always goes
-                bounds.append(i)
-                taken = node_cells
-        children = [np.empty((2, 0), dtype=np.int64)]  # per step: its children's start, size
-        for a, b in zip(bounds, bounds[1:] + [len(size)]):
+        taken = np.concatenate([[0], np.cumsum(width * size)])  # cells before each node
+        children = []  # per step: its children's start, size
+        a = 0
+        while a < len(size):
+            b = max(a + 1, int(np.searchsorted(taken, taken[a] + BLOCK_CELLS, "right")) - 1)
             at, sizes = start[a:b], size[a:b]
-            answer = step([(s // n, rows[s:s + m]) for s, m in zip(at.tolist(), sizes.tolist())],
-                          depth)
+            answer = step(rows, at, sizes, at // n, depth)
             grown.append((at, sizes, *answer))
-            split = answer[1] >= 0
-            if not split.any():
-                continue
-            at, sizes, feature, threshold = (a[split] for a in (at, sizes, *answer[1:]))
-            offset = np.cumsum(sizes) - sizes  # of each split node's first row in part
-            slots = np.repeat(at - offset, sizes) + np.arange(offset[-1] + sizes[-1])
+            a, split = b, answer[1] >= 0
+            at, sizes, feature, threshold = (c[split] for c in (at, sizes, *answer[1:]))
+            seg, offset, slots = _cells(at, sizes, np.arange(len(at)))
             part = rows[slots]
-            left = cells[part * n_cols + np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
-            key = np.repeat(np.arange(0, 2 * len(at), 2), sizes) - left  # by node, left rows first
-            rows[slots] = part[np.argsort(key, kind="stable")]
+            left = cells[part * n_cols + feature[seg]] <= threshold[seg]
+            rows[slots] = part[np.argsort(2 * seg - left, kind="stable")]  # by node, left first
             n_left = np.add.reduceat(left, offset, dtype=np.int64)
             child = np.repeat(np.stack([at, n_left]), 2, axis=1)  # left child, then right
             child[0, 1::2] += n_left
@@ -252,11 +246,14 @@ def _grow(x: np.ndarray, roots: list, step: Callable, width: int) -> list[Tree]:
             children.append(child)
         start, size = np.concatenate(children, axis=1)
         depth += 1
-    start, size, value, feature, threshold = (np.concatenate(col) for col in zip(*grown))
-    value[feature >= 0] = 0
+    grown = list(zip(*grown))  # per column; its parts go once joined, its join once in preorder
+    start, size = (np.concatenate(grown.pop(0)) for _ in range(2))
     order = np.lexsort((-size, start))
-    trees = np.split(order, np.searchsorted(start[order], np.arange(1, len(roots)) * n))
-    return [Tree(feature[t], threshold[t], value[t]) for t in trees]
+    bounds = np.searchsorted(start[order], np.arange(1, n_trees) * n)
+    del start, size
+    value, feature, threshold = (np.concatenate(grown.pop(0))[order] for _ in range(3))
+    value[feature >= 0] = 0
+    return [Tree(*t) for t in zip(*(np.split(col, bounds) for col in (feature, threshold, value)))]
 
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
@@ -274,20 +271,18 @@ def _value_codes(x: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _cells(rows: np.ndarray, node_start: np.ndarray, sizes: np.ndarray,
-           seg_node: np.ndarray):
-    """The cells of segments: segment ``s`` holds the rows of node
-    ``seg_node[s]``, which start at ``rows[node_start[...]]``. Returns the
-    segment of each cell, the first cell of each segment and each cell's row."""
+def _cells(start: np.ndarray, sizes: np.ndarray, seg_node: np.ndarray):
+    """The cells of segments: segment ``s`` holds node ``seg_node[s]``, the
+    ``sizes[...]`` slots of the row buffer from ``start[...]``. Returns the
+    segment of each cell, the first cell of each segment and each cell's slot."""
     seg_len = sizes[seg_node]
     seg_start = np.cumsum(seg_len) - seg_len
     seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    offset = np.repeat(node_start[seg_node] - seg_start, seg_len)  # of each cell's row
-    cell_rows = rows[offset + np.arange(len(seg))]
-    return seg, seg_start, cell_rows
+    slots = np.repeat(start[seg_node] - seg_start, seg_len) + np.arange(len(seg))
+    return seg, seg_start, slots
 
 
-def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
+def _sorted_cuts(x, y, codes, rows, start, sizes, counts, kind: str,
                  seg_node: np.ndarray, seg_feat: np.ndarray):
     """Best impurity cut of each segment, the rows of node ``seg_node[s]`` on
     feature ``seg_feat[s]``, among the cuts between its distinct values.
@@ -299,7 +294,8 @@ def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
     kept below the higher value so that every cut splits.
     """
     n_classes = counts.shape[1]
-    seg, seg_start, cell_rows = _cells(rows, node_start, sizes, seg_node)
+    seg, seg_start, slots = _cells(start, sizes, seg_node)
+    cell_rows = rows[slots]
     key = seg * x.shape[0] + codes[seg_feat[seg], cell_rows]
     order = np.argsort(key)
     key, cell_rows = key[order], cell_rows[order]  # seg keeps its place
@@ -333,10 +329,11 @@ def _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, kind: str,
 
 
 def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
-                draws: list, nodes: list, depth: int) -> tuple:
-    """Answer a step of dt, rf or et nodes at ``depth``, each ``(tree, rows)``,
-    as ``_grow`` asks: one bincount counts every node's classes, and one split
-    search scores every (node, candidate) cell.
+                draws: list, rows, start, sizes, tree, depth: int) -> tuple:
+    """Answer a step of dt, rf or et nodes at ``depth``, the ``sizes[i]``
+    slots of the row buffer ``rows`` from ``start[i]`` in tree ``tree[i]``,
+    as ``_grow`` asks: one bincount counts every node's classes, and one
+    split search scores every (node, candidate) cell.
 
     dt's candidates are every feature. In rf and et each splitting node of
     tree ``t`` takes a row ``u`` of ``F + k`` uniforms, one draw of
@@ -346,13 +343,10 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
     between distinct values, ``BLOCK_CELLS`` cells at a time. A node whose
     cuts gain nothing takes the first cut, in candidate order, that splits.
     """
-    sizes = np.array([len(rows) for _, rows in nodes])
-    rows = np.concatenate([rows for _, rows in nodes])
-    node_start = np.cumsum(sizes) - sizes
-    node_of_row = np.repeat(np.arange(len(nodes)), sizes)
-    counts = np.bincount(node_of_row * n_classes + y[rows],
-                         minlength=len(nodes) * n_classes).reshape(-1, n_classes)
-    feature, threshold = np.full(len(nodes), -1), np.zeros(len(nodes))
+    seg, _, slots = _cells(start, sizes, np.arange(len(start)))
+    counts = np.bincount(seg * n_classes + y[rows[slots]],
+                         minlength=len(start) * n_classes).reshape(-1, n_classes)
+    feature, threshold = np.full(len(start), -1), np.zeros(len(start))
     # a node of one row is pure, so it is a leaf here
     picked = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1)
     n_features = x.shape[1]
@@ -363,12 +357,13 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
         candidates = np.tile(np.arange(n_features), (len(picked), 1))
     else:  # a tree's nodes come in its answer order
         u = np.concatenate([draws[t].random((len(list(run)), n_features + k))
-                            for t, run in groupby(nodes[i][0] for i in picked)])
+                            for t, run in groupby(tree[picked].tolist())])
         candidates = np.sort(np.argpartition(u[:, :n_features], k - 1)[:, :k])
     # segment s holds the rows of node picked[s // k] on candidate s % k
     seg_node, seg_feat = np.repeat(picked, k), candidates.ravel()
     if config.kind == "et":
-        seg, seg_start, cell_rows = _cells(rows, node_start, sizes, seg_node)
+        seg, seg_start, slots = _cells(start, sizes, seg_node)
+        cell_rows = rows[slots]
         values = x[cell_rows, seg_feat[seg]]
         lo = np.minimum.reduceat(values, seg_start)
         hi = np.maximum.reduceat(values, seg_start)
@@ -387,7 +382,7 @@ def _class_step(x, y, codes, config: ClassifierConfig, n_classes: int, k: int,
         if k * sizes[picked].sum() > BLOCK_CELLS:
             block = max(1, BLOCK_CELLS // int(sizes[picked].max()))
         gains, cuts, first = (np.concatenate(part) for part in zip(*(
-            _sorted_cuts(x, y, codes, rows, node_start, sizes, counts, config.impurity,
+            _sorted_cuts(x, y, codes, rows, start, sizes, counts, config.impurity,
                          seg_node[at:at + block], seg_feat[at:at + block])
             for at in range(0, len(seg_node), block))))
         splits = ~np.isnan(first)
@@ -416,8 +411,8 @@ def _grow_class_trees(x: np.ndarray, y: np.ndarray, config: ClassifierConfig,
         k = min(n_features, max(1, int(np.sqrt(n_features))))  # candidate features per node
         draws = [np.random.default_rng((config.seed, t)) for t in range(config.n_trees)]
     codes = None if config.kind == "et" else _value_codes(x)  # et reads no sort
-    roots = [rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
-             for rng in draws]
+    roots = np.stack([rng.integers(0, n, size=n) if config.kind == "rf" else np.arange(n)
+                      for rng in draws])
     return _grow(x, roots, partial(_class_step, x, y, codes, config, n_classes, k, draws), k)
 
 
