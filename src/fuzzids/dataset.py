@@ -120,10 +120,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.schema, self.features[indices],
                               self.labels[indices], self.categories)

@@ -18,11 +18,12 @@ LEARNING_RATE = 0.1  # shrinkage of every stage's leaf weights
 REG_LAMBDA = 1.0     # L2 penalty on leaf weights
 
 
-def _newton_step(x: np.ndarray, codes: np.ndarray, grads: list, hesses: list,
+def _newton_step(x: np.ndarray, codes: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
                  config: ClassifierConfig, buffer, start, sizes, chains, depth: int) -> tuple:
     """Answer a step of boosting nodes at ``depth``, node ``i`` the rows
-    ``buffer[start[i]:start[i] + sizes[i]]`` of chain ``chains[i]``, as
-    ``_grow`` asks: leaf weight -G / (H + lambda) and, above
+    ``buffer[start[i]:start[i] + sizes[i]]`` of chain ``chains[i]``, whose
+    gradients and Hessians are ``grads[chains[i]]`` and ``hesses[chains[i]]``,
+    as ``_grow`` asks: leaf weight -G / (H + lambda) and, above
     ``gbt_max_depth``, the best cut by the Newton gain. A stable argsort of
     the node's value ``codes`` orders its rows per feature, ``BLOCK_CELLS``
     (feature x row) cells at a time; a node's rows ascend, so ties stay in row
@@ -99,19 +100,18 @@ class GradientBoostedModel(TrainedModel):
             return model
         x = np.ascontiguousarray(x)  # one copy for every stage's apply
         codes = engine._value_codes(x)  # serves every round of every chain
-        targets = [(yi == c).astype(float) for c in one_vs_rest(len(classes))]
-        positive = [min(max(y01.mean(), 1e-12), 1 - 1e-12) for y01 in targets]
+        # one row per chain: its 0/1 targets, raw scores, probabilities, gradients, Hessians
+        targets = (yi == np.array(one_vs_rest(len(classes)))[:, None]).astype(float)
+        positive = np.clip(targets.mean(axis=1), 1e-12, 1 - 1e-12)
         bases = [float(np.log(pos / (1.0 - pos))) for pos in positive]
-        raws = [np.full(len(yi), base) for base in bases]
+        raws = np.repeat(np.array(bases)[:, None], len(yi), axis=1)
         traces = [[_log_loss(y01, raw)] for y01, raw in zip(targets, raws)]
         stages: list[list[Tree]] = [[] for _ in targets]
         complexity = [0.0] * len(targets)
         for t in range(config.n_rounds):
-            probs = [_sigmoid(raw) for raw in raws]
-            grads = [p - y01 for p, y01 in zip(probs, targets)]
-            hesses = [p * (1.0 - p) for p in probs]
-            if not all(np.all(np.isfinite(g)) and np.all(np.isfinite(h))
-                       for g, h in zip(grads, hesses)):
+            probs = _sigmoid(raws)
+            grads, hesses = probs - targets, probs * (1.0 - probs)
+            if not np.isfinite((grads, hesses)).all():
                 raise TrainingError(f"non-finite gradient at boosting round {t}")
             # the stages of every chain grow together
             roots = np.tile(np.arange(len(yi)), (len(targets), 1))
@@ -119,7 +119,7 @@ class GradientBoostedModel(TrainedModel):
                           x.shape[1])
             for c, tree in enumerate(trees):
                 stages[c].append(tree)
-                raws[c] = raws[c] + LEARNING_RATE * tree.value[tree.apply(x)]
+                raws[c] += LEARNING_RATE * tree.value[tree.apply(x)]
                 leaves = tree.value[tree.left < 0]  # left to right
                 complexity[c] += 0.5 * REG_LAMBDA * sum((LEARNING_RATE * w) ** 2
                                                         for w in leaves)

@@ -258,17 +258,13 @@ def _grow(x: np.ndarray, roots: np.ndarray, step: Callable, width: int) -> list[
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
     """(F, n) dense rank of every cell of ``x`` among its feature's distinct
-    values, from one stable sort per feature. The codes come in the
+    values, ``np.unique``'s inverse of each column. The codes come in the
     narrowest unsigned dtype that holds them, which numpy's stable argsort
-    radix-sorts up to 16 bits."""
-    ranked = np.argsort(x.T, axis=1, kind="stable")
-    xs = np.take_along_axis(x.T, ranked, axis=1)
-    rises = np.zeros(ranked.shape, dtype=bool)
-    rises[:, 1:] = xs[:, 1:] != xs[:, :-1]
-    ranks = np.cumsum(rises, axis=1, dtype=np.int32)
-    codes = np.empty(ranked.shape, dtype=np.min_scalar_type(ranks.max(initial=0)))
-    np.put_along_axis(codes, ranked, ranks, axis=1)
-    return codes
+    radix-sorts up to 16 bits; each column narrows as it is ranked, and
+    stacking them takes the widest."""
+    codes = [inverse.astype(np.min_scalar_type(inverse.max(initial=0)))
+             for _, inverse in (np.unique(column, return_inverse=True) for column in x.T)]
+    return np.array(codes or np.zeros((0, len(x)), dtype=np.uint8))
 
 
 def _cells(start: np.ndarray, sizes: np.ndarray, seg_node: np.ndarray):
@@ -490,7 +486,8 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel) -> np.ndarray
     each tree's nodes, averaged over the trees.
 
     Used as the tree-ensemble side of fuzzy/ET score fusion. ``ValueError``
-    for a loaded forest, whose trees keep only their votes.
+    for a loaded forest, whose trees keep only their votes. A subtree runs in
+    preorder to the end of its right spine, and its counts are its leaves'.
     """
     totals = np.zeros(model.n_features)
     trees = model.trees if isinstance(model, ForestModel) else [model.tree]
@@ -498,11 +495,12 @@ def mean_impurity_decrease(model: ForestModel | DecisionTreeModel) -> np.ndarray
         if tree.value.ndim != 2:
             raise ValueError("a loaded forest keeps only its leaves' votes, not the class "
                              "counts that importance needs")
-        counts, end = tree.value.copy(), np.arange(len(tree.left))
         internal = np.flatnonzero(tree.left >= 0)
-        for node in internal[::-1]:  # reverse preorder: children before parents
-            counts[node] = counts[tree.left[node]] + counts[tree.right[node]]
-            end[node] = end[tree.right[node]]  # last node of the subtree
+        end = np.where(tree.left >= 0, tree.right, np.arange(len(tree.left)))
+        while (end[end] != end).any():  # pointer doubling: log2(depth) rounds
+            end = end[end]  # last node of the subtree
+        below = np.cumsum(tree.value, axis=0)  # through each node; a split's value is 0
+        counts = below[end] - below + tree.value
         # post-order (both subtrees first, left first): by subtree end, deeper first
         nodes = internal[np.lexsort((-internal, end[internal]))]
         parent, left = counts[nodes], counts[tree.left[nodes]]

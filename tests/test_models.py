@@ -22,8 +22,8 @@ from fuzzids.models import (
 from fuzzids.models import tree as tree_engine
 from fuzzids.models import boosting
 from fuzzids.models.boosting import GradientBoostedModel, _newton_step
-from fuzzids.models.tree import (Tree, _child_impurity, _class_step, _first_best,
-                                 _impurity_rows, _value_codes)
+from fuzzids.models.tree import (DecisionTreeModel, Tree, _child_impurity, _class_step,
+                                 _first_best, _impurity_rows, _value_codes)
 from fuzzids.models.svm import SvmModel, svm_objective
 
 
@@ -442,6 +442,50 @@ def test_value_codes_come_in_the_narrowest_unsigned_dtype(distinct, dtype, rng):
     assert not codes[1].any()
 
 
+def argsort_codes(x):
+    """Reference: the value codes from one stable argsort per feature, a
+    cumulative count of the rises between sorted neighbours and a scatter of
+    those ranks back to row order, in the narrowest unsigned dtype."""
+    ranked = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, ranked, axis=1)
+    rises = np.zeros(ranked.shape, dtype=bool)
+    rises[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    ranks = np.cumsum(rises, axis=1, dtype=np.int32)
+    codes = np.empty(ranked.shape, dtype=np.min_scalar_type(ranks.max(initial=0)))
+    np.put_along_axis(codes, ranked, ranks, axis=1)
+    return codes
+
+
+@pytest.mark.parametrize("n", [1, 2, 600])
+def test_value_codes_match_the_argsort_ranking(n, rng):
+    # tie-heavy columns, a column of -0.0 and 0.0 (equal, so one code) and
+    # one of 257 distinct values, which widens every feature's codes to uint16
+    x = np.column_stack([tie_heavy(rng, n)[0], rng.choice([-0.0, 0.0], size=n),
+                         rng.permutation(np.resize(rng.normal(size=257), n))])
+    for cols in (x, x[:, :-1], x[:, :0]):
+        got, want = _value_codes(cols), argsort_codes(cols)
+        assert got.shape == (cols.shape[1], n) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert not _value_codes(x)[6].any()
+
+
+def test_value_codes_peak_within_the_matrix_bytes():
+    # one np.unique per column, each inverse narrowed at once, peaks at 0.56
+    # times x's bytes on this data; ranking the whole matrix in one argsort,
+    # with its sorted copy and int32 ranks, peaked at 3.1
+    rng = np.random.default_rng(0)
+    levels = (3, 5, 8, 10, 20, 30, 40, 50, 60, 70, 80, 90, 101, 257)
+    x = np.column_stack([rng.integers(0, k, 20000).astype(float) for k in levels])
+    tracemalloc.start()
+    try:
+        codes = _value_codes(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.dtype == np.uint16
+    assert peak <= x.nbytes
+
+
 def random_cut_split(x, y, candidate_features, impurity_kind, fractions, counts):
     """Reference: the best gaining et split (Geurts, Ernst & Wehenkel, 2006):
     candidate ``j`` in ascending feature order cut at ``fractions[j]`` of the
@@ -714,7 +758,45 @@ def recursive_importance(model):
     return totals / len(trees)
 
 
+def bottom_up_importance(model):
+    """Reference: the per-node loop that mean_impurity_decrease replaced. It
+    sums each split's counts from its children's in reverse preorder, then
+    adds the decreases in post-order, as the function still does."""
+    totals = np.zeros(model.n_features)
+    trees = model.trees if model.kind != "dt" else [model.tree]
+    for tree in trees:
+        counts, end = tree.value.copy(), np.arange(len(tree.left))
+        internal = np.flatnonzero(tree.left >= 0)
+        for node in internal[::-1]:  # children before parents
+            counts[node] = counts[tree.left[node]] + counts[tree.right[node]]
+            end[node] = end[tree.right[node]]  # last node of the subtree
+        nodes = internal[np.lexsort((-internal, end[internal]))]
+        parent, left = counts[nodes], counts[tree.left[nodes]]
+        gain = _impurity_rows(parent, model.config.impurity) - _child_impurity(
+            left, left.sum(axis=1), parent, model.config.impurity)
+        np.add.at(totals, tree.feature[nodes], parent.sum(axis=1) * gain)
+    return totals / len(trees)
+
+
 class TestImportance:
+    @pytest.mark.parametrize("impurity_kind", ["entropy", "gini"])
+    def test_deep_chains_match_the_bottom_up_loop(self, impurity_kind, rng):
+        # 1,000 levels, past recursive_importance's reach: a fitted chain
+        # whose right spine is 1,000 nodes long, and a built one that leans
+        # left, with random split features and leaf counts
+        n = 1001
+        x, y = np.arange(float(n)).reshape(-1, 1), np.arange(n) % 2
+        config = ClassifierConfig(kind="dt", impurity=impurity_kind)
+        fitted = fit_model(x, y, config)
+        assert tree_depth(fitted.tree) == n - 1
+        split = np.arange(2 * n - 1) < n - 1
+        value = np.where(split[:, None], 0, rng.integers(1, 9, size=(2 * n - 1, 3)))
+        built = Tree(np.where(split, rng.integers(0, 4, size=2 * n - 1), -1),
+                     np.zeros(2 * n - 1), value)
+        assert tree_depth(built) == n - 1
+        for model in (fitted, DecisionTreeModel(config, [0, 1, 2], 4, built)):
+            assert np.array_equal(mean_impurity_decrease(model), bottom_up_importance(model))
+
     @pytest.mark.parametrize("kind", ["dt", "rf", "et"])
     @pytest.mark.parametrize("impurity_kind", ["entropy", "gini"])
     def test_matches_recursive_walk(self, kind, impurity_kind, rng):
