@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
@@ -154,17 +155,16 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> LabeledDataset:
                 raise LoadError(f"{path}: empty file, no header row")
             header = [h.strip() for h in header]
             schema_cols = [c for c, _ in schema.columns]
-            if header != schema_cols:
-                if sorted(header) != sorted(schema_cols):
-                    missing = set(schema_cols) - set(header)
-                    extra = set(header) - set(schema_cols)
-                    raise SchemaError(
-                        f"{path}: header does not match schema '{schema.name}' "
-                        f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-                    )
+            if sorted(header) != sorted(schema_cols):
+                missing = set(schema_cols) - set(header)
+                extra = set(header) - set(schema_cols)
+                raise SchemaError(
+                    f"{path}: header does not match schema '{schema.name}' "
+                    f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
+                )
             parsed = _parse_columns(fh, header, schema)
     except (UnicodeDecodeError, csv.Error):
-        parsed = None  # in the header; the row scanner words it
+        parsed = None  # bad bytes, or a header or over-limit cell; the row scanner words it
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror}") from exc
     if parsed is None:
@@ -178,15 +178,6 @@ def _layout(header: list[str], schema: DatasetSchema) -> tuple[int, list[tuple]]
     col_pos = {name: header.index(name) for name, _ in schema.columns}
     feat_info = [(col_pos[c], c, k) for c, k in schema.feature_columns]
     return col_pos[schema.label_column], feat_info
-
-
-def _read(fh, dtype, **kwargs) -> np.ndarray:
-    """The records after the header, by numpy's C text reader; like the row
-    scanner, it never sees a whitespace-only line."""
-    fh.seek(0)
-    next(csv.reader(fh))
-    return np.loadtxt(itertools.filterfalse(str.isspace, fh), dtype=dtype, delimiter=",",
-                      quotechar='"', comments=None, ndmin=2, **kwargs)
 
 
 class _PerCell(dict):
@@ -203,8 +194,9 @@ class _PerCell(dict):
 
 
 def _parse_columns(fh, header: list[str], schema: DatasetSchema):
-    """Parse the records after the header into (features, labels, categories),
-    or return None if the C reader, or a check on what it read, rejects them.
+    """Parse the records after the header, read from ``fh`` where the header's
+    reader stopped, into (features, labels, categories), or return None if the
+    C reader, or a check on what it read, rejects them.
 
     One float64 pass reads every column, so the reader rejects a record whose
     cell count differs from the first record's; converters code the label and
@@ -231,12 +223,16 @@ def _parse_columns(fh, header: list[str], schema: DatasetSchema):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # for a body without rows
-            table = _read(fh, float, converters=converters)
+            # like the row scanner, the reader never sees a whitespace-only line
+            table = np.loadtxt(itertools.filterfalse(str.isspace, fh), dtype=float,
+                               delimiter=",", quotechar='"', comments=None, ndmin=2,
+                               converters=converters)
             fh.seek(0)
-            # an over-limit numeric cell spans <= 3 lines, one of them over limit / 3
-            if 3 * max(map(len, fh)) > limit and max(
-                    map(len, _read(fh, object).flat), default=0) > limit:
-                return None
+            # an over-limit numeric cell spans <= 3 lines, one of them over limit / 3;
+            # then a csv reader, as in the row scanner, raises on any cell over the limit
+            if 3 * max(map(len, fh)) > limit:
+                fh.seek(0)
+                collections.deque(csv.reader(itertools.filterfalse(str.isspace, fh)), maxlen=0)
     except ValueError:
         return None
     if not len(table):
@@ -333,8 +329,6 @@ def stratified_split(
         cls_idx = np.flatnonzero(ds.labels == code)
         perm = cls_idx[rng.permutation(len(cls_idx))]
         n_val = int(np.floor(val_frac * len(cls_idx) + 0.5))
-        if n_val == 0 and len(cls_idx) >= 1.0 / val_frac:
-            n_val = 1  # guard against rounding a representable class away
         if n_val == 0:
             warnings.warn(
                 f"class {code} has only {len(cls_idx)} samples; "

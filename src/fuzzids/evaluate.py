@@ -84,9 +84,9 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> ConfusionMatrix:
     for name, arr in (("true", true_labels), ("predicted", predicted_labels)):
         if len(arr) and (arr.min() < 0 or arr.max() >= n_classes):
             raise EvaluationError(f"{name} label out of range [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (true_labels, predicted_labels), 1)
-    return ConfusionMatrix(counts)
+    counts = np.bincount(true_labels * n_classes + predicted_labels,
+                         minlength=n_classes * n_classes)
+    return ConfusionMatrix(counts.reshape(n_classes, n_classes))
 
 
 def _safe_ratio(num: float, den: float, flag: str,

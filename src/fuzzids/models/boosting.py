@@ -140,9 +140,7 @@ class GradientBoostedModel(TrainedModel):
                                   for chain in range(len(self.stages))])
         if len(self.stages) == 1:
             return np.column_stack([1.0 - scores[:, 0], scores[:, 0]])
-        totals = scores.sum(axis=1, keepdims=True)
-        totals[totals == 0.0] = 1.0
-        return scores / totals
+        return scores / scores.sum(axis=1, keepdims=True)
 
     def params_dict(self) -> dict:
         chains = zip(self.base_scores, self.stages, self.objective_traces)

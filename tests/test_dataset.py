@@ -372,6 +372,16 @@ AGREEMENT_FILES = {
     "label over the csv field limit": HEADER + '1,x,"' + "n" * 200_000 + '"\n',
     "all-categorical, header only": "b,y\n",
     "all-categorical, long row": "b,y\nx,normal,1\n",
+    # lines longer than a third of the csv field limit (131,072 characters)
+    "numeric cell at the csv field limit": HEADER + "0" * 131_071 + "1,x,normal\n",
+    "numeric cell one over the csv field limit": HEADER + "0" * 131_072 + "1,x,normal\n",
+    "quoted cell over a line of 100,000 spaces":
+        HEADER + '1,"x\n' + " " * 100_000 + '\ny",normal\n',
+    "quoted cell over the limit in short lines and a line of 100,000 spaces":
+        HEADER + '1,"' + ("x" * 999 + "\n") * 132 + " " * 100_000 + '\n",normal\n',
+    "long line with quotes inside an unquoted cell": HEADER + "1," + 'a"b' * 20_000 + ",normal\n",
+    "quotes inside an unquoted cell over the csv field limit":
+        HEADER + "1," + 'a"b' * 50_000 + ",normal\n",
 }
 
 
@@ -386,6 +396,21 @@ def test_column_parse_agrees_with_row_scanner(tmp_path, text):
         return
     with pytest.raises(LoadError, match=SENTINEL):
         dataset._scan_rows(path, schema)
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "1," + "x" * 60_000 + ",normal\n",
+    HEADER + "0" * 200_000 + "1,x,normal\n",
+], ids=["accepted", "numeric cell over the csv field limit"])
+def test_one_c_read_per_file_with_a_long_line(tmp_path, monkeypatch, text):
+    loadtxt = mock.Mock(wraps=np.loadtxt)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = write_csv(tmp_path / "d.csv", text)
+    try:
+        assert _decoded(load_csv(path, small_schema())) == [[1.0, "x" * 60_000]]
+    except LoadError as exc:
+        assert str(exc) == f"{path}:2: field larger than field limit (131072)"
+    assert loadtxt.call_count == 1
 
 
 class TestClassDistribution:
@@ -457,6 +482,18 @@ class TestStratifiedSplit:
             in_val = class_distribution(val)
             for c, count in total.items():
                 assert abs(in_val[c] / count - 0.3) <= 1.0 / count
+
+    @pytest.mark.filterwarnings("ignore:class .* has only")
+    @pytest.mark.parametrize("val_frac", [0.1, 0.2, 1 / 3, 0.5])
+    def test_validation_takes_the_rounded_share_of_each_class(self, val_frac):
+        sizes = np.arange(1, 301)  # class c holds c + 1 rows
+        y = np.repeat(np.arange(len(sizes)), sizes)
+        ds = make_dataset(np.arange(len(y)).reshape(-1, 1), y)
+        train, val = stratified_split(ds, val_frac, 4)
+        expected = {c: int(np.floor(val_frac * n + 0.5)) for c, n in enumerate(sizes.tolist())}
+        assert class_distribution(val) == expected
+        assert class_distribution(train) == {c: n - expected[c]
+                                             for c, n in enumerate(sizes.tolist())}
 
     def test_tiny_class_warns(self):
         ds = make_dataset(np.arange(11).reshape(-1, 1), [0] * 10 + [1])
