@@ -18,6 +18,7 @@ from .errors import LoadError, SchemaError, require_int
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, where PyYAML has it
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class DatasetSchema:
     def from_file(cls, path: str | Path) -> "DatasetSchema":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=YAML_LOADER)
         except (OSError, ValueError, yaml.YAMLError) as exc:
             raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -228,9 +229,9 @@ def _parse_columns(fh, header: list[str], schema: DatasetSchema):
                                delimiter=",", quotechar='"', comments=None, ndmin=2,
                                converters=converters)
             fh.seek(0)
-            # an over-limit numeric cell spans <= 3 lines, one of them over limit / 3;
-            # then a csv reader, as in the row scanner, raises on any cell over the limit
-            if 3 * max(map(len, fh)) > limit:
+            # an over-limit numeric cell spans <= 3 lines, one over limit / 3 characters, so
+            # bytes; then a csv reader, as in the row scanner, raises on any cell over the limit
+            if 3 * max(map(len, fh.buffer)) > limit:
                 fh.seek(0)
                 collections.deque(csv.reader(itertools.filterfalse(str.isspace, fh)), maxlen=0)
     except ValueError:

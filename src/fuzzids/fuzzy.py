@@ -70,6 +70,12 @@ def triangular_membership(x, p: TriangularParams):
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
+    if p.a < p.b < p.c:  # the lower line, clipped: each is >= 1 on the other's side of b
+        np.divide(np.subtract(x, p.a, out=out), p.b - p.a, out=out)
+        falling = np.subtract(p.c, x, out=np.empty_like(x))
+        np.fmin(out, np.divide(falling, p.c - p.b, out=falling), out=out)
+        np.fmin(np.fmax(out, 0.0, out=out), 1.0, out=out)  # NaN, as outside, is 0
+        return out if out.ndim else float(out)
     if p.b > p.a:
         rising = (x >= p.a) & (x <= p.b)
         out[rising] = (x[rising] - p.a) / (p.b - p.a)

@@ -26,8 +26,8 @@ class NaiveBayesModel(TrainedModel):
         """Estimate priors N_k / N and per-class feature means and variances."""
         masks = [yi == k for k in range(len(classes))]
         priors = np.array([m.mean() for m in masks])
-        means = np.vstack([x[m].mean(axis=0) for m in masks])
-        variances = np.vstack([x[m].var(axis=0) for m in masks])
+        stats = [(rows.mean(axis=0), rows.var(axis=0)) for rows in (x[m] for m in masks)]
+        means, variances = (np.vstack(column) for column in zip(*stats))
         return cls(config, classes, x.shape[1], np.log(priors), means,
                    np.maximum(variances, VARIANCE_FLOOR))
 

@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dataset import (DatasetSchema, LabeledDataset, class_distribution, load_csv,
-                      stratified_split)
+from .dataset import (YAML_LOADER, DatasetSchema, LabeledDataset, class_distribution,
+                      load_csv, stratified_split)
 from .errors import ConfigError, SchemaError, require_int, require_real
 from .evaluate import (ConfusionMatrix, MetricsReport, auc, confusion, macro_metrics,
                        metrics, multiclass_auc, roc_curve, roc_vertices)
@@ -102,7 +102,7 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=YAML_LOADER)
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read experiment config {path}: {exc}") from exc
         return cls.from_dict(doc)
@@ -229,9 +229,9 @@ class RunReport:
         }
 
 
-def _evaluate(model, ds: LabeledDataset, cols: list[int], task: str) -> Evaluation:
+def _evaluate(model, x: np.ndarray, ds: LabeledDataset, task: str) -> Evaluation:
     y = ds.labels
-    scores = model.score(ds.numeric_features()[:, cols])
+    scores = model.score(x)
     # same lowest-class-id tie rule as TrainedModel.predict
     pred = model.classes[np.argmax(scores, axis=1)]
     # the class axis comes from the schema, so validation and test share it
@@ -331,6 +331,12 @@ def rank_features(
     return ranking, vectors
 
 
+def _ranked_columns(ds: LabeledDataset, vectors: list[FeatureVectorSpec]) -> np.ndarray:
+    """The longest vector's columns in rank order: the vectors are nested prefixes
+    of one ranking, so a vector of k features reads the first k of them."""
+    return ds.numeric_features()[:, list(max((v.indices for v in vectors), key=len, default=()))]
+
+
 def fit_cells(config: ExperimentConfig, train: LabeledDataset,
               vectors: list[FeatureVectorSpec]):
     """Stage 4: fit and save each (model, vector) cell in turn.
@@ -340,10 +346,10 @@ def fit_cells(config: ExperimentConfig, train: LabeledDataset,
     """
     models_dir = Path(config.output_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
+    x = _ranked_columns(train, vectors)
     for model_name, model_cfg in zip(_unique_model_names(config.models), config.models):
         for vec in vectors:
-            x_train = train.numeric_features()[:, list(vec.indices)]
-            model = fit_model(x_train, train.labels, model_cfg)
+            model = fit_model(x[:, :len(vec.indices)], train.labels, model_cfg)
             save_model(model, models_dir / f"{model_name}_{vec.name}.json")
             yield model_name, vec, model
 
@@ -357,11 +363,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     ranking, vectors = rank_features(config, scaled["train"], timings)
 
     cells: list[CellResult] = []
+    xs = {part: _ranked_columns(scaled[part], vectors) for part in PARTITIONS}
     t0 = time.perf_counter()
     for model_name, vec, model in fit_cells(config, scaled["train"], vectors):
         # stage 5, per cell: score each partition
         cells.append(CellResult(model_name, vec.name, {
-            part: _evaluate(model, scaled[part], list(vec.indices), config.task)
+            part: _evaluate(model, xs[part][:, :len(vec.indices)], scaled[part], config.task)
             for part in PARTITIONS
         }))
         # a cell's time covers its fit and save in fit_cells and its evaluation

@@ -155,10 +155,10 @@ def transform(
         raise SchemaError("column count does not match scaler state")
     span = state.maxs - state.mins
     safe_span = np.where(span == 0.0, 1.0, span)
-    scaled = (x - state.mins) / safe_span
+    scaled = x - state.mins
+    scaled /= safe_span
     scaled[:, span == 0.0] = 0.0
-    clamped = np.count_nonzero((scaled < 0.0) | (scaled > 1.0))
     if report is not None:
-        report.clamped_cells += int(clamped)
+        report.clamped_cells += int(np.count_nonzero(scaled < 0.0) + np.count_nonzero(scaled > 1.0))
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return LabeledDataset(ds.schema, scaled, ds.labels.copy())

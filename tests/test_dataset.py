@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from fuzzids import dataset
+from fuzzids import dataset, pipeline
 from fuzzids.cli import main
 from fuzzids.dataset import (
     DatasetSchema,
@@ -18,7 +18,8 @@ from fuzzids.dataset import (
     load_csv,
     stratified_split,
 )
-from fuzzids.errors import LoadError, SchemaError
+from fuzzids.errors import ConfigError, LoadError, SchemaError
+from fuzzids.pipeline import ExperimentConfig
 
 from conftest import make_dataset
 
@@ -81,6 +82,25 @@ class TestSchema:
         path = tmp_path / "schema.yaml"
         path.write_text(schema_yaml(schema), encoding="utf-8")
         assert DatasetSchema.from_file(path) == schema
+
+    @pytest.mark.parametrize("name", ["schemas/nsl_kdd.yaml", "schemas/ugransome.yaml",
+                                      "data/mini.yaml"])
+    def test_both_yaml_loaders_read_equal_documents(self, name):
+        text = (importlib.resources.files("fuzzids") / name).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=dataset.YAML_LOADER) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, dataset.YAML_LOADER])
+    def test_malformed_yaml_raises_typed_errors_with_either_loader(
+            self, loader, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "YAML_LOADER", loader)
+        monkeypatch.setattr(pipeline, "YAML_LOADER", loader)
+        for text in ("name: [mini\n", "name: mini\n\tkinds: []\n", "name: \x07\n"):
+            path = tmp_path / "bad.yaml"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SchemaError, match="cannot read schema file"):
+                DatasetSchema.from_file(path)
+            with pytest.raises(ConfigError, match="cannot read experiment config"):
+                ExperimentConfig.from_file(path)
 
 
 class TestLoadCsv:

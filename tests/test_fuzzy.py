@@ -17,7 +17,37 @@ from conftest import make_dataset
 P = TriangularParams(0.0, 0.5, 1.0)
 
 
+def masked_membership(x, p):
+    """Reference: membership by masked gathers, one mask per side of the
+    peak, which the closed form replaced for proper triangles."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    if p.b > p.a:
+        rising = (x >= p.a) & (x <= p.b)
+        out[rising] = (x[rising] - p.a) / (p.b - p.a)
+    if p.c > p.b:
+        falling = (x > p.b) & (x <= p.c)
+        out[falling] = (p.c - x[falling]) / (p.c - p.b)
+    out[x == p.b] = 1.0
+    return out
+
+
 class TestMembership:
+    def test_closed_form_matches_masked_reference(self):
+        r = np.random.default_rng(31)
+        for _ in range(400):
+            a, b, c = np.sort(r.uniform(-2.0, 3.0, 3)).tolist()
+            for p in (TriangularParams(a, b, c), TriangularParams(b, b, c),
+                      TriangularParams(a, b, b), TriangularParams(b, b, b)):
+                # the feet, the peak and their float neighbours, points
+                # outside [a, c], signed zeros and non-finite values
+                edges = [p.a, p.b, p.c, *np.nextafter([p.a, p.b, p.c], -np.inf),
+                         *np.nextafter([p.a, p.b, p.c], np.inf)]
+                x = np.concatenate([r.uniform(-4.0, 5.0, 61), r.choice(edges, 40), edges,
+                                    [0.0, -0.0, np.nan, np.inf, -np.inf]]).reshape(-1, 5)
+                assert triangular_membership(x, p).tobytes() == masked_membership(x, p).tobytes()
+                assert triangular_membership(p.b, p) == 1.0
+
     def test_peak_is_one(self):
         assert triangular_membership(0.5, P) == 1.0
 

@@ -9,15 +9,19 @@ import pytest
 from fuzzids.dataset import DatasetSchema, LabeledDataset
 from fuzzids.errors import ConfigError
 from fuzzids.evaluate import auc, roc_curve, roc_vertices
+from fuzzids.fuzzy import FeatureRanking, select_vectors
 from fuzzids.models import ClassifierConfig, fit_model
 from fuzzids.pipeline import (
     ExperimentConfig,
     _evaluate,
+    _ranked_columns,
     binary_mapping,
     default_binary_rule,
     emit_report,
     run_experiment,
 )
+
+from conftest import make_dataset
 
 DATA = importlib.resources.files("fuzzids") / "data"
 
@@ -85,6 +89,19 @@ class TestBinaryMapping:
             default_binary_rule(schema)
 
 
+def test_ranked_views_match_gathered_columns():
+    r = np.random.default_rng(8)
+    ds = make_dataset(r.uniform(size=(40, 9)), r.integers(0, 2, size=40))
+    vectors = select_vectors(FeatureRanking(r.uniform(size=9)), [4, 9, 1], ["a", "b", "c"])
+    x = _ranked_columns(ds, vectors)
+    for vec in vectors:
+        view, copy = x[:, :len(vec.indices)], ds.features[:, list(vec.indices)]
+        # the models read the same values laid out alike
+        assert view.strides == copy.strides and view.flags.f_contiguous
+        assert view.tobytes(order="A") == copy.tobytes(order="A")
+    assert _ranked_columns(ds, []).shape == (40, 0)
+
+
 class TestClassAxis:
     def test_validation_without_a_class_keeps_the_schema_axis(self):
         schema = DatasetSchema(
@@ -96,8 +113,8 @@ class TestClassAxis:
         val = LabeledDataset(schema, np.array([[0.05], [0.55]]), np.array([0, 1]))
         test = LabeledDataset(schema, np.array([[0.05], [0.55], [0.95]]),
                               np.array([0, 1, 2]))
-        val_rep, val_cm, _ = _evaluate(model, val, [0], "multiclass")
-        _, test_cm, _ = _evaluate(model, test, [0], "multiclass")
+        val_rep, val_cm, _ = _evaluate(model, val.features, val, "multiclass")
+        _, test_cm, _ = _evaluate(model, test.features, test, "multiclass")
         assert val_cm.n_classes == test_cm.n_classes == 3
         # the class without support counts 0 in every macro average
         assert "class_2_no_support" in val_rep.undefined_flags
@@ -127,10 +144,10 @@ class TestRocRecords:
             model = FixedScores([0, 1], np.column_stack([1.0 - positive, positive]))
             ds = LabeledDataset(UG_SCHEMA, np.zeros((2000, 1)), y)
             points = roc_curve(y, positive)
-            binary, _, roc = _evaluate(model, ds, [0], "binary")
+            binary, _, roc = _evaluate(model, ds.features, ds, "binary")
             assert binary.auc == auc(points)
             assert np.array_equal(roc["binary"], roc_vertices(y, points))
-            multi, _, roc = _evaluate(model, ds, [0], "multiclass")
+            multi, _, roc = _evaluate(model, ds.features, ds, "multiclass")
             assert multi.auc_per_class[1] == auc(points)
             assert np.array_equal(roc["1"], roc_vertices(y, points))
             differs.append(auc(roc_vertices(y, points)) != auc(points))
