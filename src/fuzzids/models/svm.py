@@ -16,8 +16,11 @@ def svm_objective(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray,
                   c: float) -> tuple[float, np.ndarray]:
     """Primal objective, (1/2)||w||^2 + C * sum of hinge losses, and the
     margins y (x.w + b) it is made of."""
-    margins = y_pm * (x @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
+    margins = x @ w
+    margins += b
+    margins *= y_pm
+    hinge = np.subtract(1.0, margins)
+    np.maximum(0.0, hinge, out=hinge)
     return float(0.5 * w @ w + c * hinge.sum()), margins
 
 
@@ -35,12 +38,11 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
     objective, margins = svm_objective(w, b, x, y_pm, C)
     trace = [objective]
     converged = False
-    # exact products; signed[violating] is C-ordered, as those products were
-    signed = y_pm[:, None] * x
     for _ in range(config.max_iters):
-        violating = margins < 1.0
-        grad_w = w - C * signed[violating].sum(axis=0)
-        grad_b = -C * y_pm[violating].sum()
+        # violating rows' labels, else 0; einsum calls no BLAS, so no thread count moves its bits
+        v = np.where(margins < 1.0, y_pm, 0.0)
+        grad_w = w - C * np.einsum("i,ij->j", v, x)
+        grad_b = -C * v.sum()
 
         current = trace[-1]
         accepted = False

@@ -1522,7 +1522,7 @@ def test_tree_fits_keep_their_digest(tmp_path):
 
 # sha256 of the svm fits of test_svm_fits_keep_their_digest. Their margins go
 # through BLAS, so like the nb_svm golden files it holds for one BLAS build.
-SVM_FITS_DIGEST = "5b899c91bf635118379789eac44559d17c0ed6d4fd199bf45cefece3bb71dd9b"
+SVM_FITS_DIGEST = "4ad7a72194ba2fead8d9059981eeacb0ba36572b1d092e6aaff67fa587106796"
 
 
 def test_svm_fits_keep_their_digest(tmp_path):
