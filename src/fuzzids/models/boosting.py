@@ -27,13 +27,12 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: np.ndarray, hesses: np
     ``gbt_max_depth``, the best cut by the Newton gain. A stable argsort of
     the node's value ``codes`` orders its rows per feature, ``BLOCK_CELLS``
     (feature x row) cells at a time; a node's rows ascend, so ties stay in row
-    order. A feature's first maximum wins, the lower threshold on ties, then one
-    ``_first_best`` call picks every node's feature; thresholds are midpoints of ``x``,
+    order. A feature's first maximum wins, the lower threshold on ties, then
+    ``_first_best`` picks among features; thresholds are midpoints of ``x``,
     kept below the higher value so that every cut splits.
     """
     lam = REG_LAMBDA
     weight, feature, threshold = np.zeros(len(start)), np.full(len(start), -1), np.zeros(len(start))
-    gains, cuts = np.full((2, len(start), x.shape[1]), -np.inf)
     leaves = depth >= config.gbt_max_depth
     for node, (first, size, chain) in enumerate(zip(start.tolist(), sizes.tolist(),
                                                      chains.tolist())):
@@ -43,6 +42,7 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: np.ndarray, hesses: np
         weight[node] = -g / (h + lam)
         if leaves or len(rows) < 2:
             continue
+        gains, cuts = [], []
         step = max(1, engine.BLOCK_CELLS // len(rows))
         for at in range(0, x.shape[1], step):
             node_codes = np.take(codes[at:at + step], rows, axis=1)
@@ -59,13 +59,13 @@ def _newton_step(x: np.ndarray, codes: np.ndarray, grads: np.ndarray, hesses: np
                 gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - g ** 2 / (h + lam)
             )
             i = np.argmax(along, axis=1)  # first max wins: lower threshold on ties
-            gains[node, at:at + len(feats)] = along[feats, i]
+            gains.extend(along[feats, i])
             lo, hi = (x[sorted_rows[feats, j], at + feats] for j in (i, i + 1))
             mid = (lo + hi) / 2.0  # of two adjacent floats, can round up to hi
-            cuts[node, at:at + len(feats)] = np.where(mid < hi, mid, lo)
-    best = _first_best(gains)
-    split = np.flatnonzero(best >= 0)
-    feature[split], threshold[split] = best[split], cuts[split, best[split]]
+            cuts.extend(np.where(mid < hi, mid, lo).tolist())
+        best = int(_first_best(gains))
+        if best >= 0:
+            feature[node], threshold[node] = best, cuts[best]
     return weight, feature, threshold
 
 

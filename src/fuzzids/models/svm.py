@@ -39,7 +39,7 @@ def _train_binary(x: np.ndarray, y_pm: np.ndarray,
     trace = [objective]
     converged = False
     for _ in range(config.max_iters):
-        # violating rows' labels, else 0; einsum calls no BLAS, so no thread count moves its bits
+        # violating rows' labels, else 0; the sum calls no BLAS, but the margins do
         v = np.where(margins < 1.0, y_pm, 0.0)
         grad_w = w - C * np.einsum("i,ij->j", v, x)
         grad_b = -C * v.sum()

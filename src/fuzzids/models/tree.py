@@ -21,6 +21,7 @@ Newton step (``boosting.py``) sorts each node's rows by their value codes.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import chain, groupby
 from typing import Callable
@@ -81,13 +82,14 @@ def _first_best(gains) -> np.ndarray:
     so near-ties go to the earlier candidate.
     """
     gains = np.asarray(gains, dtype=float)
-    best = np.full(gains.shape[:-1], -1, dtype=np.int64)
-    bar = np.full(gains.shape[:-1], 1e-12)  # what a gain must exceed to win
-    for i in range(gains.shape[-1]):  # one candidate at a time, over every row
-        wins = gains[..., i] > bar
-        best[wins] = i
-        bar = np.where(wins, gains[..., i] + 1e-12, bar)
-    return best
+    winners = []
+    for row in gains.reshape(math.prod(gains.shape[:-1]), gains.shape[-1]).tolist():
+        best = -1
+        for i, gain in enumerate(row):
+            if gain > 1e-12 and (best < 0 or gain > row[best] + 1e-12):
+                best = i
+        winners.append(best)
+    return np.array(winners, dtype=np.int64).reshape(gains.shape[:-1])
 
 
 class Tree:

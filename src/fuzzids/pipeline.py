@@ -332,8 +332,7 @@ def rank_features(
 
 
 def _ranked_columns(ds: LabeledDataset, vectors: list[FeatureVectorSpec]) -> np.ndarray:
-    """The longest vector's columns in rank order: the vectors are nested prefixes
-    of one ranking, so a vector of k features reads the first k of them."""
+    """The longest vector's columns in rank order; the vectors are nested, so k features read k."""
     return ds.numeric_features()[:, list(max((v.indices for v in vectors), key=len, default=()))]
 
 

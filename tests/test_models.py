@@ -2,7 +2,6 @@ import csv
 import hashlib
 import heapq
 import json
-import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -682,32 +681,6 @@ def test_first_best_tie_rule(gains, expected):
     rows = np.array([gains, gains[::-1], np.zeros(len(gains))]).reshape(3, len(gains))
     singly = [int(_first_best(row)) for row in rows]
     assert _first_best(rows).tolist() == singly
-
-
-def first_best_loop(gains):
-    """Reference: the per-row loop that ``_first_best``'s per-candidate passes replaced."""
-    gains = np.asarray(gains, dtype=float)
-    winners = []
-    for row in gains.reshape(math.prod(gains.shape[:-1]), gains.shape[-1]).tolist():
-        best = -1
-        for i, gain in enumerate(row):
-            if gain > 1e-12 and (best < 0 or gain > row[best] + 1e-12):
-                best = i
-        winners.append(best)
-    return np.array(winners, dtype=np.int64).reshape(gains.shape[:-1])
-
-
-def test_first_best_matches_its_per_row_loop():
-    # near-ties around the 1e-12 margins, NaN and infinities
-    pool = np.array([0.0, -0.0, 1e-13, 1e-12, 2e-12, 3e-12, 0.5, 0.5 + 5e-13, 0.5 + 1e-12,
-                     0.5 + 2e-12, 0.7, np.nan, -np.inf, np.inf, -0.25])
-    r = np.random.default_rng(2000)
-    for case in range(2000):
-        shape = tuple(r.integers(0, 5, size=case % 3)) + (int(r.integers(0, 9)),)
-        gains = r.choice(pool, size=shape)
-        best = _first_best(gains)
-        assert best.dtype == np.int64 and best.shape == shape[:-1]
-        assert best.tobytes() == first_best_loop(gains).tobytes()
 
 
 def scalar_random_cut_split(x, y, candidates, kind, fractions, n_classes):
